@@ -2,11 +2,21 @@
 
 Counting is exhaustive enumeration: N_k = sum over x in F_(p^k) of
 (1 + chi(f(x))) plus the points at infinity, with chi the quadratic
-character (chi(0) = 0).  The engine enumerates the field in numpy
-chunks, elements encoded as coefficient vectors over the deterministic
-modulus from field_tower; a one-pass squares table decides chi by index
-lookup.  All pass/fail logic downstream uses exact integer identities;
-floating point appears only in the root-modulus sanity check.
+character (chi(0) = 0).  The engine has two parts, chosen by k.
+
+- k = 1: integer Horner, acc = (acc * x + c) mod p, over numpy int64
+  chunks of F_p, and a squares table that decides chi by lookup.
+- k >= 2: Zech logarithms.  For a primitive element g of F_(p^k) (over
+  the deterministic modulus from field_tower) two int32 tables give
+  log(y) and Z(n) = log(1 + g^n).  At x = g^i each term c x^e has log
+  (e i + log c) mod (q - 1), a sum of logs a, b is a + Z(b - a), and
+  chi(y) = +1 exactly when log y is even.  x = 0 is counted apart.
+
+The tables are built per call, in chunks, and freed on return; fields
+of 2^31 elements or more are refused.  Counting uses integers only, and
+count_points_naive is the independent slow oracle.  All pass/fail logic
+downstream uses exact integer identities; floating point appears only
+in the root-modulus sanity check and in proposing factor candidates.
 
 Sign conventions: L(T) = prod (1 - alpha_i T), s_k = sum alpha_i^k =
 q^k + 1 - N_k, and Newton's identities with that sign give the b_k.
@@ -14,8 +24,6 @@ q^k + 1 - N_k, and Newton's identities with that sign give the b_k.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
@@ -29,6 +37,8 @@ from .curves import HyperellipticCurve, VerificationError, make_cd, make_dm
 COUNT_CAP = 10**7
 
 _CHUNK = 1 << 16
+_TABLE_LIMIT = 2**31  # field sizes the int32 tables and int64 Horner can hold
+_ZERO_LOG = -1  # log-domain code for 0; odd, so never a square
 
 
 class CapExceededError(RuntimeError):
@@ -71,65 +81,121 @@ def _infinity_points(curve: HyperellipticCurve, p: int, k: int) -> int:
     return 2 if pow(lc, e, p) == 1 else 0
 
 
-def _digit_block(start: int, stop: int, p: int, k: int) -> np.ndarray:
-    m = np.arange(start, stop, dtype=np.int64)
+def _prime_factors(n: int) -> list[int]:
+    primes, r = [], 2
+    while r * r <= n:
+        if n % r == 0:
+            primes.append(r)
+            while n % r == 0:
+                n //= r
+        r += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
+def _primitive_element(field):
+    """First generator of F_q^* in index order (k >= 2, so the scan starts
+    at x): g^((q-1)/r) != 1 for every prime r dividing q - 1."""
+    q = field.order
+    cofactors = [(q - 1) // r for r in _prime_factors(q - 1)]
+    for m in range(field.p, q):
+        g = field.from_index(m)
+        if all(g**c != field.one for c in cofactors):
+            return g
+    raise AssertionError("F_q^* is cyclic (unreachable)")
+
+
+def _mul_matrix(c) -> np.ndarray:
+    """Row i is x^i * c, so (v @ M) % p is the coefficient vector of v * c."""
+    x = c.field.gen()
+    rows = []
+    for _ in range(c.field.k):
+        rows.append(c.coeffs)
+        c = c * x
+    return np.array(rows, dtype=np.int64)
+
+
+def _zech_tables(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """int32 (log, zech) tables of F_(p^k), k >= 2, for a primitive g.
+
+    log[index(g^i)] = i, with index(v) = v_0 + v_1 p + ... over the
+    field_tower(p, k) basis, and log[0] = _ZERO_LOG.  zech[n] is
+    log(1 + g^n), or _ZERO_LOG where 1 + g^n = 0.  zech is first filled
+    with the antilogs index(g^i), block by block, then rewritten in place,
+    so the peak is the two tables plus one block of vectors.
+    """
+    field = field_tower(p, k)
+    q, n = p**k, p**k - 1
+    g = _primitive_element(field)
     pows = p ** np.arange(k, dtype=np.int64)
-    return (m[:, None] // pows) % p
+    block = np.zeros((1, k), dtype=np.int64)  # g^0 .. g^(B-1), by doubling
+    block[0, 0] = 1
+    step = g
+    while len(block) < min(_CHUNK, n):
+        block = np.concatenate([block, block @ _mul_matrix(step) % p])
+        step = step * step
+    size = len(block)
+    advance = _mul_matrix(g**size)
+    zech = np.empty(n, dtype=np.int32)
+    for start in range(0, n, size):
+        stop = min(start + size, n)
+        zech[start:stop] = block[: stop - start] @ pows
+        block = block @ advance % p
+    log = np.empty(q, dtype=np.int32)
+    log[0] = _ZERO_LOG
+    for start in range(0, n, _CHUNK):
+        stop = min(start + _CHUNK, n)
+        log[zech[start:stop]] = np.arange(start, stop, dtype=np.int32)
+    for start in range(0, n, _CHUNK):
+        idx = zech[start : start + _CHUNK]
+        # 1 + g^n: add 1 to the constant digit, mod p
+        zech[start : start + _CHUNK] = log[idx - idx % p + (idx + 1) % p]
+    return log, zech
 
 
-def _ext_mul(a: np.ndarray, b: np.ndarray, p: int, red: np.ndarray) -> np.ndarray:
-    k = a.shape[1]
-    conv = np.zeros((a.shape[0], 2 * k - 1), dtype=np.int64)
-    for i in range(k):
-        ai = a[:, i]
-        for j in range(k):
-            conv[:, i + j] += ai * b[:, j]
-    conv %= p
-    low = conv[:, :k]
-    for j in range(k, 2 * k - 1):
-        low += conv[:, j, None] * red[j - k]
-    return low % p
+def _affine_count_prime(coeffs: list[int], p: int) -> int:
+    """sum over x in F_p of (1 + chi(f(x))): integer Horner on int64 and a
+    squares table."""
+    square = np.zeros(p, dtype=bool)
+    for start in range(0, p // 2 + 1, _CHUNK):
+        x = np.arange(start, min(start + _CHUNK, p // 2 + 1), dtype=np.int64)
+        square[x * x % p] = True
+    square[0] = False
+    total = 0
+    for start in range(0, p, _CHUNK):
+        x = np.arange(start, min(start + _CHUNK, p), dtype=np.int64)
+        acc = np.full(len(x), coeffs[-1], dtype=np.int64)
+        for c in reversed(coeffs[:-1]):
+            acc *= x
+            acc += c
+            acc %= p
+        total += int((acc == 0).sum()) + 2 * int(square[acc].sum())
+    return total
 
 
-def _ext_pow(base: np.ndarray, e: int, p: int, red: np.ndarray) -> np.ndarray:
-    result = None
-    cur = base
-    while e:
-        if e & 1:
-            result = cur if result is None else _ext_mul(result, cur, p, red)
-        e >>= 1
-        if e:
-            cur = _ext_mul(cur, cur, p, red)
-    return result
+def _affine_count_extension(coeffs: list[int], p: int, k: int) -> int:
+    """sum over x in F_(p^k), k >= 2, of (1 + chi(f(x))) in the log domain.
 
-
-def _eval_block(block: np.ndarray, support, p: int, red: np.ndarray) -> np.ndarray:
-    # Horner over the nonzero support; gaps bridged by binary powering
-    n, k = block.shape
-    exps = [e for e, _ in support]
-    acc = np.zeros((n, k), dtype=np.int64)
-    acc[:, 0] = support[0][1]
-    prev = exps[0]
-    for e, c in support[1:]:
-        acc = _ext_mul(acc, _ext_pow(block, prev - e, p, red), p, red)
-        acc[:, 0] = (acc[:, 0] + c) % p
-        prev = e
-    if prev:
-        acc = _ext_mul(acc, _ext_pow(block, prev, p, red), p, red)
-    return acc
-
-
-def _index_of(vecs: np.ndarray, p: int) -> np.ndarray:
-    pows = p ** np.arange(vecs.shape[1], dtype=np.int64)
-    return vecs @ pows
-
-
-def _squares_table(p: int, k: int, q: int, red: np.ndarray) -> np.ndarray:
-    table = np.zeros(q, dtype=bool)
-    for start in range(0, q, _CHUNK):
-        block = _digit_block(start, min(start + _CHUNK, q), p, k)
-        table[_index_of(_ext_mul(block, block, p, red), p)] = True
-    return table
+    x = g^i; each term c x^e has log (e i + log c) mod (q-1), a sum of
+    logs a, b is a + zech[b - a], and chi(y) = +1 exactly when log y is
+    even.  _ZERO_LOG is odd, so zeros never count as squares.
+    """
+    log, zech = _zech_tables(p, k)
+    n = p**k - 1
+    (e0, l0), *terms = [(e % n, int(log[c])) for e, c in enumerate(coeffs) if c]
+    c0 = coeffs[0]
+    total = 1 if c0 == 0 else 2 * (int(log[c0]) % 2 == 0)  # x = 0
+    for start in range(0, n, _CHUNK):
+        i = np.arange(start, min(start + _CHUNK, n), dtype=np.int64)
+        acc = (e0 * i + l0) % n
+        for e, lc in terms:
+            t = (e * i + lc) % n
+            z = zech[(t - acc) % n]
+            s = np.where(z == _ZERO_LOG, _ZERO_LOG, (acc + z) % n)
+            acc = np.where(acc == _ZERO_LOG, t, s)
+        total += int((acc == _ZERO_LOG).sum()) + 2 * int(((acc & 1) == 0).sum())
+    return total
 
 
 def count_points(
@@ -139,7 +205,11 @@ def count_points(
     cap: int = COUNT_CAP,
     threads: int = 1,
 ) -> PointCount:
-    """Number of points of the smooth projective model over F_(p^k)."""
+    """Number of points of the smooth projective model over F_(p^k).
+
+    Counting runs on one thread; `threads` is accepted and never changes
+    the count.
+    """
     if not good_reduction(curve, p):
         raise BadReductionError(f"{curve.label} has bad reduction at p={p}")
     if k < 1:
@@ -147,35 +217,16 @@ def count_points(
     q = p**k
     if q > cap:
         raise CapExceededError(f"field size {p}^{k} = {q} exceeds cap {cap}")
+    if q >= _TABLE_LIMIT:
+        raise CapExceededError(
+            f"field size {p}^{k} = {q} does not fit the int32 tables (< 2^31)"
+        )
 
     coeffs = _reduced_coeffs(curve, p)
-    support = sorted(
-        ((e, c) for e, c in enumerate(coeffs) if c), key=lambda t: -t[0]
-    )
     if k == 1:
-        red = np.zeros((0, 1), dtype=np.int64)
+        affine = _affine_count_prime(coeffs, p)
     else:
-        red = np.array(field_tower(p, k).reduction_rows, dtype=np.int64)
-    table = _squares_table(p, k, q, red)
-
-    def count_range(start: int, stop: int) -> int:
-        total = 0
-        for lo in range(start, stop, _CHUNK):
-            block = _digit_block(lo, min(lo + _CHUNK, stop), p, k)
-            idx = _index_of(_eval_block(block, support, p, red), p)
-            zero = idx == 0
-            total += int(zero.sum()) + 2 * int((table[idx] & ~zero).sum())
-        return total
-
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    if threads > 1 and q > _CHUNK:
-        workers = min(threads, (q + _CHUNK - 1) // _CHUNK)
-        bounds = [(q * w // workers, q * (w + 1) // workers) for w in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            affine = sum(pool.map(lambda se: count_range(*se), bounds))
-    else:
-        affine = count_range(0, q)
+        affine = _affine_count_extension(coeffs, p, k)
 
     n = affine + _infinity_points(curve, p, k)
     g = curve.genus
@@ -455,9 +506,12 @@ def cm_trace_pattern_c2(bound: int, cap: int = COUNT_CAP, threads: int = 1) -> b
     """a_q(C_2) = 0 exactly when -2 is a non-square mod q, for odd q <= bound."""
     c2 = make_cd(2)
     for q in range(3, bound + 1, 2):
-        if not is_prime(q) or not good_reduction(c2, q):
+        if not is_prime(q):
             continue
-        a = q + 1 - count_points(c2, q, 1, cap=cap, threads=threads).count
+        try:
+            a = q + 1 - count_points(c2, q, 1, cap=cap, threads=threads).count
+        except BadReductionError:
+            continue
         nonsquare = pow(-2 % q, (q - 1) // 2, q) == q - 1
         if (a == 0) != nonsquare:
             return False

@@ -1,6 +1,10 @@
-import pytest
+import tracemalloc
 
-from chebcm.algebra import ZZ, UniPolynomial
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from chebcm.algebra import ZZ, UniPolynomial, field_tower, squarefree
 from chebcm.curves import HyperellipticCurve, VerificationError, make_cd, make_dm, make_xd
 from chebcm.zeta import (
     BadReductionError,
@@ -16,6 +20,7 @@ from chebcm.zeta import (
     remark_lpolys,
     simplicity_evidence,
 )
+from chebcm.zeta import _ZERO_LOG, _primitive_element, _zech_tables
 
 
 class TestGoodReduction:
@@ -54,18 +59,91 @@ class TestCountPoints:
         assert count_points(make(arg), p, 1).count == expected
 
     def test_engine_matches_naive_oracle(self):
-        curves = [make_cd(2), make_cd(3), make_xd(2), make_dm(5), make_dm(6)]
-        for curve in curves:
-            for p in (3, 5, 7):
-                if not good_reduction(curve, p):
-                    continue
-                for k in (1, 2):
-                    fast = count_points(curve, p, k).count
-                    slow = count_points_naive(curve, p, k)
-                    assert fast == slow, (curve.label, p, k)
+        # X_4 has f(0) = 0; D_m at p = 1 (mod m) has all roots of x^m + 1
+        # in F_p, so log-domain sums hit the zero code
+        curves = [make_cd(2), make_cd(3), make_xd(2), make_xd(4), make_dm(5), make_dm(6)]
+        cells = [(c, p, k) for c in curves for p in (3, 5, 7) for k in (1, 2)]
+        cells += [(c, 3, k) for c in curves for k in (3, 4)]
+        cells += [(c, 5, 3) for c in curves]
+        cells += [
+            (make_dm(m), p, k)
+            for m, p in ((3, 7), (4, 5), (5, 11), (6, 7), (6, 13))
+            for k in (1, 2)
+        ]
+        checked = 0
+        for curve, p, k in cells:
+            if not good_reduction(curve, p):
+                continue
+            fast = count_points(curve, p, k).count
+            slow = count_points_naive(curve, p, k)
+            assert fast == slow, (curve.label, p, k)
+            checked += 1
+        assert checked >= 50
+        # F_3^2 = F_3[x]/(x^2 + 1) and F_5^2 = F_5[x]/(x^2 + 2): x has
+        # order 4 and 8, so the tables use a generator other than x
+        for p in (3, 5):
+            field = field_tower(p, 2)
+            assert _primitive_element(field) != field.gen()
+
+    def test_zech_tables_against_scalar_arithmetic(self):
+        p, k = 5, 2
+        field = field_tower(p, k)
+        g = _primitive_element(field)
+        log, zech = _zech_tables(p, k)
+        n = p**k - 1
+        assert log[0] == _ZERO_LOG
+        assert sorted(log[1:].tolist()) == list(range(n))
+        index = {field.from_index(m): m for m in range(p**k)}
+        for i in range(n):
+            assert log[index[g**i]] == i
+            one_plus = g**i + 1
+            expected = _ZERO_LOG if one_plus == field.zero else log[index[one_plus]]
+            assert zech[i] == expected, i
+
+    def test_int32_table_guard(self):
+        # 3^20 > 2^31: refused before any table is allocated
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError, match="int32"):
+                count_points(make_cd(2), 3, 20, cap=2**40)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_tables_take_eight_bytes_per_element(self):
+        # both fields span many chunks, so the chunk-sized temporaries are
+        # the same and the difference in peak is the two int32 tables
+        peaks = []
+        for p in (29, 37):
+            tracemalloc.start()
+            try:
+                count_points(make_dm(6), p, 4)
+                peaks.append((p**4, tracemalloc.get_traced_memory()[1]))
+            finally:
+                tracemalloc.stop()
+        (q1, m1), (q2, m2) = peaks
+        assert (m2 - m1) / (q2 - q1) < 9
 
     def test_engine_matches_naive_cubic_extension(self):
         assert count_points(make_cd(2), 3, 3).count == count_points_naive(make_cd(2), 3, 3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        field=st.sampled_from(
+            [(p, k) for p in (3, 5, 7, 11, 13, 17, 19) for k in (1, 2, 3, 4, 5) if p**k <= 400]
+            + [(23, 1), (101, 1), (397, 1)]
+        ),
+        coeffs=st.lists(st.integers(-30, 30), min_size=2, max_size=8),
+    )
+    def test_random_curves_match_naive_oracle(self, field, coeffs):
+        p, k = field
+        assume(coeffs[-1] != 0)
+        f = UniPolynomial(ZZ, coeffs)
+        assume(squarefree(f))
+        curve = HyperellipticCurve(f)
+        assume(good_reduction(curve, p))
+        assert count_points(curve, p, k).count == count_points_naive(curve, p, k)
 
     def test_threads_do_not_change_the_count(self):
         curve = make_xd(2)
