@@ -2,6 +2,8 @@
 C_d : v^2 = (u+2) phi_d(u), their quotient constructions, CM structure,
 and finite-field zeta data."""
 
+__version__ = "0.1.0"  # the one version source; pyproject.toml reads it
+
 from .algebra import (
     LaurentPolynomial,
     PrimeField,
@@ -75,5 +77,3 @@ from .zeta import (
     remark_isogeny_check,
     simplicity_evidence,
 )
-
-__version__ = "0.1.0"

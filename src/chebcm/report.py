@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from . import __version__ as VERSION
 from .chebyshev import (
     classify_d,
     genus_of_cd,
@@ -49,8 +50,6 @@ from .zeta import (
     lpoly_is_irreducible,
     remark_lpolys,
 )
-
-VERSION = "0.1.0"
 
 # (claim id, statement checked) - in fixed registry order
 CLAIM_REGISTRY = (
@@ -273,11 +272,15 @@ def build_report(d: int, cap: int = COUNT_CAP, threads: int = 1) -> Verification
             raise CapExceededError(
                 f"no good prime q <= 50 with q^{genus} under cap {cap}"
             )
-        lp = l_polynomial(make_cd(d), q, cap=cap, threads=threads)
-        irr, _ = lpoly_is_irreducible(lp)
-        detail = f"L(C_{d}, {q}) = {lp!r}; irreducible: {irr}"
+        r = None
         if case == 2 and q ** (d - 1) <= cap:
             r = remark_lpolys(d, q, cap=cap, threads=threads)
+            lp = r["l_cd"]
+        else:
+            lp = l_polynomial(make_cd(d), q, cap=cap, threads=threads)
+        irr, _ = lpoly_is_irreducible(lp)
+        detail = f"L(C_{d}, {q}) = {lp!r}; irreducible: {irr}"
+        if r is not None:
             if not (r["curves_agree"] and r["product_ok"]):
                 return "fail", detail + "; isogeny equalities FAILED"
             detail += f"; L(C_{d}) = L(D_{d}) and L(D_{2 * d}) = L(D_{d})L(C_{d}) at q={q}"

@@ -14,9 +14,15 @@ character (chi(0) = 0).  The engine has two parts, chosen by k.
 
 The tables are built per call, in chunks, and freed on return; fields
 of 2^31 elements or more are refused.  Counting uses integers only, and
-count_points_naive is the independent slow oracle.  All pass/fail logic
-downstream uses exact integer identities; floating point appears only
-in the root-modulus sanity check and in proposing factor candidates.
+count_points_naive is the independent slow oracle.
+
+L-polynomials are checked through the real Weil polynomial h, with
+T^(2g) L(1/T) = T^g h(T + q/T): the Weil bound |alpha| = sqrt q is an
+exact Sturm count of the roots of h in [-2 sqrt q, 2 sqrt q], and
+irreducibility is proved from the factor degrees of h mod small primes.
+All pass/fail logic uses exact integer arithmetic; floating point
+appears only in the candidate factors that the fallback subset scan of
+lpoly_is_irreducible proposes, each decided by exact trial division.
 
 Sign conventions: L(T) = prod (1 - alpha_i T), s_k = sum alpha_i^k =
 q^k + 1 - N_k, and Newton's identities with that sign give the b_k.
@@ -30,7 +36,15 @@ from math import gcd
 
 import numpy as np
 
-from .algebra import PrimeField, QQ, UniPolynomial, field_tower, poly_gcd, squarefree
+from .algebra import (
+    PrimeField,
+    QQ,
+    UniPolynomial,
+    _int_poly_divmod,
+    field_tower,
+    poly_gcd,
+    squarefree,
+)
 from .chebyshev import classify_d, is_prime
 from .curves import HyperellipticCurve, VerificationError, make_cd, make_dm
 
@@ -39,6 +53,8 @@ COUNT_CAP = 10**7
 _CHUNK = 1 << 16
 _TABLE_LIMIT = 2**31  # field sizes the int32 tables and int64 Horner can hold
 _ZERO_LOG = -1  # log-domain code for 0; odd, so never a square
+# primes l at which lpoly_is_irreducible reads the factor degrees of h mod l
+_PROOF_PRIMES = tuple(ell for ell in range(2, 200) if is_prime(ell))
 
 
 class CapExceededError(RuntimeError):
@@ -260,11 +276,96 @@ def count_points_naive(curve: HyperellipticCurve, p: int, k: int = 1) -> int:
     return total + _infinity_points(curve, p, k)
 
 
+def _primitive_part(a: list[int]) -> list[int]:
+    """a divided by the gcd of its coefficients (a positive number)."""
+    c = 0
+    for x in a:
+        c = gcd(c, x)
+    return [x // c for x in a] if c > 1 else a
+
+
+def _sturm_chain(f: list[int]) -> list[list[int]]:
+    """Sturm sequence f, f', -rem, ... of an integer polynomial (low degree
+    first), each member scaled by a positive number to stay primitive over
+    Z.  The last member is gcd(f, f') up to a constant factor."""
+    chain = [f, _primitive_part([i * c for i, c in enumerate(f)][1:])]
+    while len(chain[-1]) > 1:
+        a, b = chain[-2], chain[-1]
+        # pseudo-division: r = lc(b)^(deg a - deg b + 1) a mod b
+        r, db, lc = list(a), len(b) - 1, b[-1]
+        for k in range(len(a) - 1 - db, -1, -1):
+            c = r[k + db]
+            r = [x * lc for x in r]
+            for i, bc in enumerate(b):
+                r[k + i] -= c * bc
+        r = r[:db]
+        while r and r[-1] == 0:
+            r.pop()
+        if not r:
+            break
+        # the Sturm member is -(r / lc^(deg a - deg b + 1))
+        flip = lc < 0 and (len(a) - len(b)) % 2 == 0
+        chain.append(_primitive_part(r if flip else [-x for x in r]))
+    return chain
+
+
+def _surd_sign(a: int, b: int, q: int) -> int:
+    """Exact sign of a + b sqrt(q)."""
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa == sb or sb == 0:
+        return sa
+    if sa == 0:
+        return sb
+    return sa * ((a * a > b * b * q) - (a * a < b * b * q))
+
+
+def _sign_at_two_sqrt_q(f: list[int], q: int, side: int) -> int:
+    """Exact sign of f(side * 2 sqrt q), side = +1 or -1."""
+    a = b = 0
+    for j, c in enumerate(f):
+        # (2 sqrt q)^j = 2^j q^(j // 2), times sqrt q when j is odd
+        t = c * 2**j * q ** (j // 2)
+        if j % 2:
+            b += side * t
+        else:
+            a += t
+    return _surd_sign(a, b, q)
+
+
+def _weil_interval_ok(h: tuple[int, ...], q: int) -> bool:
+    """Every root of the squarefree part s of h is real and lies in the
+    closed interval [-2 sqrt q, 2 sqrt q].
+
+    Sturm's theorem counts the distinct roots of s in (-2 sqrt q, 2 sqrt q]
+    as V(-2 sqrt q) - V(2 sqrt q), V the sign changes of the chain; a root
+    at -2 sqrt q is added apart.  The signs are those of a + b sqrt q with
+    integer a, b, so the count is exact.
+    """
+    chain = _sturm_chain(list(h))
+    common = chain[-1]
+    if len(common) > 1:
+        # h monic, so a primitive divisor has leading coefficient +-1
+        if common[-1] < 0:
+            common = [-c for c in common]
+        s, exact = _exact_int_division(list(h), common)
+        assert exact, "gcd(h, h') divides h"
+        chain = _sturm_chain(s)
+
+    def changes(side):
+        signs = [x for x in (_sign_at_two_sqrt_q(f, q, side) for f in chain) if x]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    at_left_end = _sign_at_two_sqrt_q(chain[0], q, -1) == 0
+    return changes(-1) - changes(1) + at_left_end == len(chain[0]) - 1
+
+
 class LPolynomial:
     """Integer polynomial L(T) = prod (1 - alpha_i T) of degree 2g over F_q.
 
     Validates on construction: b_0 = 1, the functional equation
-    b_(2g-i) = q^(g-i) b_i, and |alpha_i| = sqrt(q) numerically to 1e-6.
+    b_(2g-i) = q^(g-i) b_i, and |alpha_i| = sqrt(q), decided exactly on
+    the real Weil polynomial (see real_weil_polynomial): alpha lies on the
+    circle exactly when alpha + q/alpha is real and in [-2 sqrt q, 2 sqrt q].
     """
 
     __slots__ = ("q", "genus", "coeffs")
@@ -285,18 +386,28 @@ class LPolynomial:
                     f"functional equation fails at i={i}: "
                     f"{coeffs[2 * g - i]} != {q}^{g - i} * {coeffs[i]}"
                 )
-        if g > 0:
-            # coeffs read high-first are the monic reciprocal T^2g L(1/T),
-            # whose roots are the alpha_i themselves; repeated roots ruin
-            # double-precision conditioning, so find roots of the
-            # squarefree part (same root set)
-            f = UniPolynomial(QQ, coeffs)
-            common = poly_gcd(f, f.derivative())
-            if common.degree > 0:
-                f = divmod(f, common)[0]
-            roots = np.roots(np.array([float(c) for c in f.coeffs], dtype=float))
-            if np.max(np.abs(np.abs(roots) ** 2 - q)) > 1e-6 * q:
-                raise VerificationError("some reciprocal root is off |alpha| = sqrt q")
+        if g > 0 and not _weil_interval_ok(self.real_weil_polynomial(), q):
+            raise VerificationError("some reciprocal root is off |alpha| = sqrt q")
+
+    def real_weil_polynomial(self) -> tuple[int, ...]:
+        """The monic integer h of degree g, low degree first, with
+        T^(2g) L(1/T) = T^g h(T + q/T).
+
+        h = b_g + sum_(i<g) b_i D_(g-i)(x), where D_m(T + q/T) = T^m + (q/T)^m:
+        D_0 = 2, D_1 = x, D_m = x D_(m-1) - q D_(m-2).
+        """
+        g, q, b = self.genus, self.q, self.coeffs
+        h = [0] * (g + 1)
+        h[0] = b[g]
+        prev, cur = [2], [0, 1]
+        for m in range(1, g + 1):
+            for j, c in enumerate(cur):
+                h[j] += b[g - m] * c
+            nxt = [0] + cur
+            for j, c in enumerate(prev):
+                nxt[j] -= q * c
+            prev, cur = cur, nxt
+        return tuple(h)
 
     def power_sums(self, kmax: int) -> list[int]:
         """s_1..s_kmax with s_k = sum alpha_i^k, by Newton's identities."""
@@ -400,13 +511,110 @@ def _exact_int_division(num: list[int], den: list[int]):
     return quot, all(c == 0 for c in rem)
 
 
+def _reduce_mod(a: list[int], ell: int) -> list[int]:
+    """a mod ell, low degree first, trailing zeros stripped."""
+    a = [c % ell for c in a]
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _monic_mod(a: list[int], ell: int) -> list[int]:
+    a = _reduce_mod(a, ell)
+    if a and a[-1] != 1:
+        inv = pow(a[-1], -1, ell)
+        a = [c * inv % ell for c in a]
+    return a
+
+
+def _gcd_mod(a: list[int], b: list[int], ell: int) -> list[int]:
+    """Monic gcd over F_ell; [1] for coprime a, b."""
+    a, b = _monic_mod(a, ell), _monic_mod(b, ell)
+    while b:
+        a, b = b, _monic_mod(_int_poly_divmod(a, b, ell)[1], ell)
+    return a
+
+
+def _mulmod(a: list[int], b: list[int], f: list[int], ell: int) -> list[int]:
+    """a * b mod (f, ell), f monic."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _reduce_mod(_int_poly_divmod(out, f, ell)[1], ell)
+
+
+def _factor_degrees_mod(h: tuple[int, ...], ell: int) -> list[int] | None:
+    """Degrees of the irreducible factors of the monic integer h mod ell,
+    by distinct-degree factorization; None when h mod ell has a repeated
+    factor."""
+    f = _reduce_mod(list(h), ell)  # monic, as h is
+    if len(_gcd_mod(f, [i * c for i, c in enumerate(h)][1:], ell)) > 1:
+        return None
+    degrees: list[int] = []
+    xq, d = [0, 1], 0  # xq = x^(ell^d) mod f
+    while len(f) - 1 >= 2 * (d + 1):
+        d += 1
+        base, xq, e = xq, [1], ell
+        while e:
+            if e & 1:
+                xq = _mulmod(xq, base, f, ell)
+            base = _mulmod(base, base, f, ell)
+            e >>= 1
+        # the product of the degree-d factors of f is gcd(f, x^(ell^d) - x)
+        diff = xq + [0] * (2 - len(xq))
+        diff[1] -= 1
+        common = _gcd_mod(f, diff, ell)
+        if len(common) > 1:
+            degrees += [d] * ((len(common) - 1) // d)
+            f = _int_poly_divmod(f, common, ell)[0]
+            xq = _reduce_mod(_int_poly_divmod(xq, f, ell)[1], ell)
+    if len(f) > 1:
+        degrees.append(len(f) - 1)
+    return degrees
+
+
+def _proves_irreducible(h: tuple[int, ...]) -> bool:
+    """True when the factor degrees of h mod the primes in _PROOF_PRIMES
+    leave no degree for a proper factor over Q.
+
+    A factor of degree k over Q reduces mod ell (ell not dividing the
+    discriminant) to a product of some factors of h mod ell, so k is a
+    subset sum of their degrees at every such ell.
+    """
+    g = len(h) - 1
+    alone = 1 | 1 << g  # bit k set: degree k still possible
+    possible = (1 << (g + 1)) - 1
+    for ell in _PROOF_PRIMES:
+        if possible == alone:
+            break
+        degrees = _factor_degrees_mod(h, ell)
+        if degrees is None:
+            continue
+        sums = 1
+        for k in degrees:
+            sums |= sums << k
+        possible &= sums
+    return possible == alone
+
+
 def lpoly_is_irreducible(lp: LPolynomial):
     """Exact irreducibility over Q; returns (verdict, integer factor or None).
 
-    A degree <= g integer factor, if one exists, is the product of a
-    subset of the reciprocal roots alpha_i; each subset product is rounded
-    to an integer polynomial and decided by exact trial division, so
-    floating point only proposes candidates.
+    A repeated factor is found exactly, from gcd(L, L').  A squarefree L
+    is irreducible over Q exactly when its real Weil polynomial h is
+    (LPolynomial.real_weil_polynomial).  A factorization h = h1 h2 gives
+    one of L.  Conversely, let h be irreducible, alpha a root of
+    T^(2g) L(1/T) and x = alpha + q/alpha, a root of h.  Then
+    alpha^2 - x alpha + q = 0, so [Q(alpha) : Q] is 2g or g.  It is not g:
+    that would put alpha in Q(x), a real field because every root of h is
+    real, so alpha = +-sqrt q = q/alpha, a double root of L.  The argument
+    rests on the exact Weil check that every LPolynomial passes.
+
+    Irreducibility of h is proved from its factor degrees mod small
+    primes (_proves_irreducible).  Only when that is inconclusive does
+    the subset scan (_subset_scan) run.
     """
     g = lp.genus
     if g == 0:
@@ -418,8 +626,21 @@ def lpoly_is_irreducible(lp: LPolynomial):
         for c in common.coeffs:
             mult = mult * c.denominator // gcd(mult, c.denominator)
         return False, [int(c * mult) for c in common.coeffs]
-    if g == 1 and lp.coeffs[1] * lp.coeffs[1] < 4 * lp.q:
-        return True, None  # negative discriminant, no real (hence rational) root
+    if _proves_irreducible(lp.real_weil_polynomial()):
+        return True, None
+    return _subset_scan(lp)
+
+
+def _subset_scan(lp: LPolynomial):
+    """Fallback of lpoly_is_irreducible for a squarefree L.
+
+    A degree <= g integer factor, if one exists, is the product of a
+    subset of the reciprocal roots alpha_i; each subset product is rounded
+    to an integer polynomial and decided by exact trial division, so
+    floating point only proposes candidates.  When no candidate divides,
+    the verdict "irreducible" rests on that rounding.
+    """
+    g = lp.genus
     roots = np.roots(np.array(lp.coeffs, dtype=float))
     # work on the monic reciprocal T^2g L(1/T); its roots are the alpha_i,
     # and a monic integer factor h of it mirrors to the L-side factor

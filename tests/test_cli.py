@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from chebcm import __version__
 from chebcm.cli import main
 
 
@@ -135,4 +136,9 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
-    assert "chebcm" in capsys.readouterr().out
+    assert capsys.readouterr().out.strip() == f"chebcm {__version__}"
+    # the batch document and each per-d report carry the same version
+    assert main(["report", "--dmax", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["version"] == __version__
+    assert [r["version"] for r in doc["reports"]] == [__version__]

@@ -1,12 +1,15 @@
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chebcm.algebra import ZZ, UniPolynomial, field_tower, squarefree
+from chebcm.chebyshev import is_prime
 from chebcm.curves import HyperellipticCurve, VerificationError, make_cd, make_dm, make_xd
 from chebcm.zeta import (
+    COUNT_CAP,
     BadReductionError,
     CapExceededError,
     LPolynomial,
@@ -20,7 +23,60 @@ from chebcm.zeta import (
     remark_lpolys,
     simplicity_evidence,
 )
-from chebcm.zeta import _ZERO_LOG, _primitive_element, _zech_tables
+from chebcm.zeta import (
+    _ZERO_LOG,
+    _factor_degrees_mod,
+    _primitive_element,
+    _proves_irreducible,
+    _sturm_chain,
+    _subset_scan,
+    _weil_interval_ok,
+    _zech_tables,
+)
+
+
+def _odd_primes(bound):
+    return [p for p in range(3, bound + 1, 2) if is_prime(p)]
+
+
+def _reciprocal_from_h(lp):
+    """T^g h(T + q/T) = sum_j h_j (T^2 + q)^j T^(g-j), low degree first."""
+    g = lp.genus
+    t = UniPolynomial(ZZ, (0, 1))
+    base = UniPolynomial(ZZ, (lp.q, 0, 1))
+    out = UniPolynomial(ZZ, ())
+    for j, c in enumerate(lp.real_weil_polynomial()):
+        out = out + base**j * t ** (g - j) * c
+    return tuple(out.coeffs)
+
+
+def _report_lpolys():
+    """L(C_d, q) as the report's zeta claim takes it, for d <= 16."""
+    out = []
+    for d in (2, 3, 4, 5, 7, 8, 11, 13, 16):
+        curve = make_cd(d)
+        q = next(
+            q
+            for q in _odd_primes(50)
+            if good_reduction(curve, q) and q**curve.genus <= COUNT_CAP
+        )
+        out.append(l_polynomial(curve, q))
+    return out
+
+
+def _criterion_10_lpolys():
+    """Every L that acceptance criterion 10 computes."""
+    out = []
+    for d in (2, 4, 8, 3, 5, 7):
+        curve = make_cd(d)
+        for q in _odd_primes(50):
+            if not good_reduction(curve, q) or q**curve.genus > COUNT_CAP:
+                continue
+            lp = l_polynomial(curve, q)
+            out.append(lp)
+            if lpoly_is_irreducible(lp)[0]:
+                break
+    return out
 
 
 class TestGoodReduction:
@@ -206,6 +262,66 @@ class TestLPolynomial:
         # but has reciprocal roots 1 and 3, not on |alpha| = sqrt 3
         with pytest.raises(VerificationError):
             LPolynomial((1, -4, 3), 3)
+        # h = x -+ 7 has its root just outside [-2 sqrt 9, 2 sqrt 9]
+        for b1 in (-7, 7):
+            with pytest.raises(VerificationError):
+                LPolynomial((1, b1, 9), 9)
+        # 1 + 7T^2 + 9T^4 has h = x^2 + 1, whose roots are not real
+        with pytest.raises(VerificationError):
+            LPolynomial((1, 0, 7, 0, 9), 3)
+
+    def test_roots_at_the_interval_ends_accepted(self):
+        # h = x - 6 and x + 6: alpha = +-3 = +-sqrt 9, double roots of L
+        for b1 in (-6, 6):
+            lp = LPolynomial((1, b1, 9), 9)
+            assert lp.real_weil_polynomial() == (b1, 1)
+        # h = (x - 2 sqrt 3)(x + 2 sqrt 3) = x^2 - 12: both ends at once
+        assert LPolynomial((1, 0, -6, 0, 9), 3).real_weil_polynomial() == (-12, 0, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        q=st.sampled_from([2, 3, 4, 5, 9]),
+        roots=st.lists(st.integers(-7, 7), max_size=4),
+        quadratics=st.lists(st.tuples(st.integers(-4, 4), st.integers(1, 6)), max_size=2),
+    )
+    def test_weil_interval_against_known_roots(self, q, roots, quadratics):
+        # h with integer roots (repeats allowed) and factors x^2 + bx + c
+        # of negative discriminant, so non-real roots
+        h = UniPolynomial(ZZ, (1,))
+        for r in roots:
+            h = h * UniPolynomial(ZZ, (-r, 1))
+        for b, e in quadratics:
+            h = h * UniPolynomial(ZZ, (b * b // 4 + e, b, 1))
+        assume(h.degree >= 1)
+        expected = not quadratics and all(r * r <= 4 * q for r in roots)
+        assert _weil_interval_ok(h.coeffs, q) == expected
+
+    def test_sturm_chain_sign_after_a_degree_gap(self):
+        # x^4 + 3x: f' = 4x^3 + 3, -rem(f, f') = -9x/4, -rem(f', -9x/4) = -3;
+        # the last step divides by a negative leading coefficient across
+        # a gap of two degrees, so its pseudo-division multiplier is negative
+        assert _sturm_chain([0, 3, 0, 0, 1]) == [[0, 3, 0, 0, 1], [3, 0, 0, 4], [0, -1], [-1]]
+
+    def test_weil_check_uses_no_floats(self, monkeypatch):
+        def no_roots(*args, **kwargs):
+            raise AssertionError("np.roots called")
+
+        monkeypatch.setattr(np, "roots", no_roots)
+        assert l_polynomial(make_cd(5), 11).coeffs == (1, -4, 6, -44, 121)
+        LPolynomial((1, 0, 6, 0, 9), 3)  # repeated roots
+        r = remark_lpolys(3, 7)
+        assert r["l_d2d"] == r["l_dd"] * r["l_cd"]
+        with pytest.raises(VerificationError):
+            LPolynomial((1, -4, 3), 3)
+
+    def test_real_weil_polynomial_identity(self):
+        # T^(2g) L(1/T) = T^g h(T + q/T) on every L criterion 10 computes
+        lps = _criterion_10_lpolys()
+        assert len(lps) >= 6
+        for lp in lps:
+            h = lp.real_weil_polynomial()
+            assert len(h) == lp.genus + 1 and h[-1] == 1
+            assert _reciprocal_from_h(lp) == tuple(reversed(lp.coeffs)), lp
 
     def test_even_length_rejected(self):
         with pytest.raises(ValueError):
@@ -270,6 +386,74 @@ class TestIrreducibility:
         # supersingular genus-1: 1 + 3T^2 = (1 - sqrt(-3)T)(1 + sqrt(-3)T)
         # has no rational factor; contrast with a product that does
         assert lpoly_is_irreducible(LPolynomial((1, 0, 3), 3)) == (True, None)
+
+    def test_real_weil_proof_decides_alone(self, monkeypatch):
+        lps = _report_lpolys()
+        # C_7 at q = 3 is the one reducible L of the report; the scan finds
+        # its factor
+        c7 = lps[4]
+        assert (c7.genus, c7.q) == (3, 3)
+        assert lpoly_is_irreducible(c7) == (False, [1, 3, 3])
+
+        def no_scan(lp):
+            raise AssertionError("fallback scan called")
+
+        monkeypatch.setattr("chebcm.zeta._subset_scan", no_scan)
+        irreducible = [lp for lp in lps if lp is not c7]
+        irreducible.append(l_polynomial(make_cd(23), 3))
+        assert max(lp.genus for lp in irreducible) == 11
+        for lp in irreducible:
+            assert lpoly_is_irreducible(lp) == (True, None), lp
+
+    def test_factor_degrees_mod(self):
+        # x^2 - 6: split mod 5 (6 = 1), irreducible mod 7 (6 = -1), and
+        # repeated mod 2 and 3
+        h = (-6, 0, 1)
+        assert _factor_degrees_mod(h, 5) == [1, 1]
+        assert _factor_degrees_mod(h, 7) == [2]
+        assert _factor_degrees_mod(h, 2) is None
+        assert _factor_degrees_mod(h, 3) is None
+        # (x^2 + 1)(x^3 + 2x + 1)(x - 1)(x - 2) mod 3
+        f = UniPolynomial(ZZ, (1, 0, 1)) * UniPolynomial(ZZ, (1, 2, 0, 1))
+        f = f * UniPolynomial(ZZ, (-1, 1)) * UniPolynomial(ZZ, (-2, 1))
+        assert _factor_degrees_mod(tuple(f.coeffs), 3) == [1, 1, 2, 3]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        a=st.lists(st.integers(-20, 20), min_size=1, max_size=5),
+        b=st.lists(st.integers(-20, 20), min_size=1, max_size=5),
+    )
+    def test_proof_never_claims_a_product(self, a, b):
+        # a product of two monic integer polynomials is never "proved"
+        # irreducible, and the factor degrees mod l always sum to the degree
+        f = UniPolynomial(ZZ, a + [1]) * UniPolynomial(ZZ, b + [1])
+        h = tuple(f.coeffs)
+        assert not _proves_irreducible(h)
+        for ell in (2, 3, 5, 7):
+            degrees = _factor_degrees_mod(h, ell)
+            if degrees is not None:
+                assert sum(degrees) == len(h) - 1
+
+    def test_verdicts_match_the_subset_scan(self):
+        # C_d, D_m and X_d at good primes, g <= 6: the proof and the scan
+        # agree on every squarefree L
+        curves = [make_cd(d) for d in (2, 3, 4, 5, 7, 8, 11, 13)]
+        curves += [make_dm(m) for m in range(3, 14)]
+        curves += [make_xd(d) for d in (2, 4)]
+        cells, verdicts = 0, set()
+        for curve in curves:
+            g = curve.genus
+            for q in _odd_primes(31):
+                if g > 6 or q**g > 5 * 10**4 or not good_reduction(curve, q):
+                    continue
+                lp = l_polynomial(curve, q)
+                verdict = lpoly_is_irreducible(lp)
+                if squarefree(UniPolynomial(ZZ, lp.coeffs)):
+                    assert verdict == _subset_scan(lp), (curve.label, q)
+                    assert _reciprocal_from_h(lp) == tuple(reversed(lp.coeffs))
+                verdicts.add(verdict[0])
+                cells += 1
+        assert cells >= 100 and verdicts == {True, False}
 
 
 class TestSimplicity:
