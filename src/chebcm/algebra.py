@@ -6,14 +6,18 @@ plain ``int`` / ``fractions.Fraction`` as element types, finite-field
 elements wrap their residues.  Polynomials are dense coefficient tuples
 indexed by degree; degrees in this package stay below a few hundred, so
 schoolbook algorithms are used throughout.
+
+Polynomials over F_p also have a plain integer-list layer (_int_poly_divmod,
+_gcd_mod, _mulmod, _factor_degrees_mod): coefficient lists low degree
+first, no element objects.  field_tower proves its moduli irreducible
+with it, and zeta uses it for good_reduction and for the factor degrees
+of the real Weil polynomial mod small primes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-
-ExactRational = Fraction
 
 
 class RingMismatchError(TypeError):
@@ -406,10 +410,6 @@ def _format_term(c, k, ring):
     return f"{c}*{e}"
 
 
-def polynomial(ring, coeffs):
-    return UniPolynomial(ring, coeffs)
-
-
 def poly_gcd(a, b):
     """Monic gcd over a coefficient field."""
     if not a.ring.is_field:
@@ -640,18 +640,7 @@ def monomial_substitute(L, gamma, s, ring):
     return out
 
 
-# --- extension fields -------------------------------------------------------
-
-def _int_poly_eval(coeffs, x, p):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return acc
-
-
-def _has_root(coeffs, p):
-    return any(_int_poly_eval(coeffs, x, p) == 0 for x in range(p))
-
+# --- integer-list polynomials over F_p ---------------------------------------
 
 def _int_poly_divmod(a, b, p):
     # b monic; coefficient lists low degree first, reduced mod p
@@ -671,37 +660,71 @@ def _int_poly_divmod(a, b, p):
     return quot, [c % p for c in a]
 
 
-@lru_cache(maxsize=None)
-def _rootless_monics(p, deg):
-    """Monic degree-2 or degree-3 polynomials over F_p without roots (= irreducible)."""
-    out = []
-    base = [0] * deg + [1]
-    for m in range(p**deg):
-        c = base[:]
-        t = m
-        for i in range(deg):
-            c[i] = t % p
-            t //= p
-        if not _has_root(c, p):
-            out.append(tuple(c))
-    return tuple(out)
+def _reduce_mod(a, p):
+    """a mod p, low degree first, trailing zeros stripped."""
+    a = [c % p for c in a]
+    while a and a[-1] == 0:
+        a.pop()
+    return a
 
 
-def _is_irreducible_monic(coeffs, p):
-    k = len(coeffs) - 1
-    if k == 1:
-        return True
-    if _has_root(coeffs, p):
-        return False
-    if k <= 3:
-        return True
-    for deg in range(2, k // 2 + 1):
-        for g in _rootless_monics(p, deg):
-            _, r = _int_poly_divmod(coeffs, list(g), p)
-            if not r:
-                return False
-    return True
+def _monic_mod(a, p):
+    a = _reduce_mod(a, p)
+    if a and a[-1] != 1:
+        inv = pow(a[-1], -1, p)
+        a = [c * inv % p for c in a]
+    return a
 
+
+def _gcd_mod(a, b, p):
+    """Monic gcd over F_p; [1] for coprime a, b."""
+    a, b = _monic_mod(a, p), _monic_mod(b, p)
+    while b:
+        a, b = b, _monic_mod(_int_poly_divmod(a, b, p)[1], p)
+    return a
+
+
+def _mulmod(a, b, f, p):
+    """a * b mod (f, p), f monic."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _reduce_mod(_int_poly_divmod(out, f, p)[1], p)
+
+
+def _factor_degrees_mod(h, p):
+    """Degrees of the irreducible factors of the monic integer h mod p,
+    by distinct-degree factorization; None when h mod p has a repeated
+    factor."""
+    f = _reduce_mod(list(h), p)  # monic, as h is
+    if len(_gcd_mod(f, [i * c for i, c in enumerate(h)][1:], p)) > 1:
+        return None
+    degrees = []
+    xq, d = [0, 1], 0  # xq = x^(p^d) mod f
+    while len(f) - 1 >= 2 * (d + 1):
+        d += 1
+        base, xq, e = xq, [1], p
+        while e:
+            if e & 1:
+                xq = _mulmod(xq, base, f, p)
+            base = _mulmod(base, base, f, p)
+            e >>= 1
+        # the product of the degree-d factors of f is gcd(f, x^(p^d) - x)
+        diff = xq + [0] * (2 - len(xq))
+        diff[1] -= 1
+        common = _gcd_mod(f, diff, p)
+        if len(common) > 1:
+            degrees += [d] * ((len(common) - 1) // d)
+            f = _int_poly_divmod(f, common, p)[0]
+            xq = _reduce_mod(_int_poly_divmod(xq, f, p)[1], p)
+    if len(f) > 1:
+        degrees.append(len(f) - 1)
+    return degrees
+
+
+# --- extension fields -------------------------------------------------------
 
 class ExtensionFieldElement:
     __slots__ = ("field", "coeffs")
@@ -914,7 +937,8 @@ class ExtensionField:
 
 @lru_cache(maxsize=None)
 def field_tower(p, k):
-    """F_{p^k} with the deterministic smallest-encoding monic modulus."""
+    """F_{p^k} with the deterministic smallest-encoding monic modulus: the
+    first encoding whose only factor degree mod p is k."""
     if k < 1:
         raise ValueError("k must be >= 1")
     for m in range(p**k):
@@ -924,7 +948,7 @@ def field_tower(p, k):
             coeffs.append(t % p)
             t //= p
         coeffs.append(1)
-        if _is_irreducible_monic(coeffs, p):
+        if _factor_degrees_mod(coeffs, p) == [k]:
             return ExtensionField(p, k, coeffs)
     raise AssertionError("no irreducible monic found (unreachable)")
 

@@ -50,7 +50,7 @@ def _cmd_verify(args) -> int:
     if classify_d(args.d) is None:
         print(_out_of_scope_message(args.d), file=sys.stderr)
         return 2
-    report = build_report(args.d, threads=args.threads)
+    report = build_report(args.d)
     text = emit_json(report.to_dict())
     if args.out:
         _write_out(args.out, text)
@@ -81,7 +81,7 @@ def _cmd_lpoly(args) -> int:
         return 2
     try:
         # checks reduction and the cap before counting anything
-        lp = l_polynomial(curve, args.p, threads=args.threads)
+        lp = l_polynomial(curve, args.p)
     except (BadReductionError, CapExceededError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -121,7 +121,7 @@ def _cmd_remark(args) -> int:
             rows.append({"q": q, "status": "skip", "reason": "bad reduction"})
             continue
         try:
-            r = remark_lpolys(args.d, q, threads=args.threads)
+            r = remark_lpolys(args.d, q)
         except CapExceededError as exc:
             rows.append({"q": q, "status": "skip", "reason": str(exc)})
             continue
@@ -158,7 +158,7 @@ def _cmd_report(args) -> int:
     if args.dmax > 64:
         print("dmax must be <= 64", file=sys.stderr)
         return 2
-    doc = build_batch(args.dmax, threads=args.threads)
+    doc = build_batch(args.dmax)
     if not doc["family"]:
         print(f"warning: no d in scope with d <= {args.dmax}", file=sys.stderr)
     text = emit_json(doc)
@@ -206,9 +206,6 @@ def main(argv=None) -> int:
     for p in (p_verify, p_lpoly, p_remark, p_report):
         p.add_argument("--json", action="store_true", help="emit JSON")
         p.add_argument("--out", type=str, default=None, help="write JSON to this path")
-        p.add_argument(
-            "--threads", type=int, default=1, help="accepted; counting runs on one thread"
-        )
 
     args = parser.parse_args(argv)
     handlers = {

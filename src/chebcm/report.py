@@ -158,7 +158,7 @@ def _run(check):
         return "fail", f"{type(exc).__name__}: {exc}"
 
 
-def build_report(d: int, cap: int = COUNT_CAP, threads: int = 1) -> VerificationReport:
+def build_report(d: int, cap: int = COUNT_CAP) -> VerificationReport:
     case = classify_d(d)
     if case is None:
         raise ValueError(f"d={d} is not a power of 2 or an odd prime")
@@ -274,10 +274,10 @@ def build_report(d: int, cap: int = COUNT_CAP, threads: int = 1) -> Verification
             )
         r = None
         if case == 2 and q ** (d - 1) <= cap:
-            r = remark_lpolys(d, q, cap=cap, threads=threads)
+            r = remark_lpolys(d, q, cap=cap)
             lp = r["l_cd"]
         else:
-            lp = l_polynomial(make_cd(d), q, cap=cap, threads=threads)
+            lp = l_polynomial(make_cd(d), q, cap=cap)
         irr, _ = lpoly_is_irreducible(lp)
         detail = f"L(C_{d}, {q}) = {lp!r}; irreducible: {irr}"
         if r is not None:
@@ -306,12 +306,12 @@ def build_report(d: int, cap: int = COUNT_CAP, threads: int = 1) -> Verification
     return report
 
 
-def build_batch(dmax: int, cap: int = COUNT_CAP, threads: int = 1) -> dict:
+def build_batch(dmax: int, cap: int = COUNT_CAP) -> dict:
     """Reports for every in-scope d <= dmax, as one JSON-ready document."""
     if dmax > 64:
         raise ValueError("dmax must be <= 64")
     family = in_scope_family(dmax)
-    reports = [build_report(d, cap=cap, threads=threads) for d in family]
+    reports = [build_report(d, cap=cap) for d in family]
     return {
         "version": VERSION,
         "dmax": dmax,

@@ -20,6 +20,8 @@ L-polynomials are checked through the real Weil polynomial h, with
 T^(2g) L(1/T) = T^g h(T + q/T): the Weil bound |alpha| = sqrt q is an
 exact Sturm count of the roots of h in [-2 sqrt q, 2 sqrt q], and
 irreducibility is proved from the factor degrees of h mod small primes.
+That proof and good_reduction (deg f mod p = deg f, gcd(f, f') = 1 mod p)
+use the integer-list polynomial layer over F_p in algebra.
 All pass/fail logic uses exact integer arithmetic; floating point
 appears only in the candidate factors that the fallback subset scan of
 lpoly_is_irreducible proposes, each decided by exact trial division.
@@ -40,10 +42,10 @@ from .algebra import (
     PrimeField,
     QQ,
     UniPolynomial,
-    _int_poly_divmod,
+    _factor_degrees_mod,
+    _gcd_mod,
     field_tower,
     poly_gcd,
-    squarefree,
 )
 from .chebyshev import classify_d, is_prime
 from .curves import HyperellipticCurve, VerificationError, make_cd, make_dm
@@ -77,11 +79,11 @@ def good_reduction(curve: HyperellipticCurve, p: int) -> bool:
     """True iff p is odd, deg(f mod p) = deg f, and f mod p is squarefree."""
     if p == 2 or not is_prime(p):
         return False
-    fp = PrimeField(p)
-    coeffs = [fp.coerce(int(c)) for c in curve.f.coeffs]
-    if coeffs[-1] == fp.zero:
+    f = _reduced_coeffs(curve, p)
+    if f[-1] == 0:
         return False
-    return squarefree(UniPolynomial(fp, coeffs))
+    # f' = 0 mod p leaves gcd(f, f') = f, which is [1] only for constant f
+    return _gcd_mod(f, [i * c for i, c in enumerate(f)][1:], p) == [1]
 
 
 def _reduced_coeffs(curve: HyperellipticCurve, p: int) -> list[int]:
@@ -219,13 +221,8 @@ def count_points(
     p: int,
     k: int = 1,
     cap: int = COUNT_CAP,
-    threads: int = 1,
 ) -> PointCount:
-    """Number of points of the smooth projective model over F_(p^k).
-
-    Counting runs on one thread; `threads` is accepted and never changes
-    the count.
-    """
+    """Number of points of the smooth projective model over F_(p^k)."""
     if not good_reduction(curve, p):
         raise BadReductionError(f"{curve.label} has bad reduction at p={p}")
     if k < 1:
@@ -467,7 +464,6 @@ def l_polynomial(
     curve: HyperellipticCurve,
     p: int,
     cap: int = COUNT_CAP,
-    threads: int = 1,
 ) -> LPolynomial:
     """Assemble L from the counts N_1..N_g; genus 0 gives [1]."""
     if not good_reduction(curve, p):
@@ -481,7 +477,7 @@ def l_polynomial(
             f"= {p**g} elements, above cap {cap}"
         )
     s = [
-        p**k + 1 - count_points(curve, p, k, cap=cap, threads=threads).count
+        p**k + 1 - count_points(curve, p, k, cap=cap).count
         for k in range(1, g + 1)
     ]
     b = [1]
@@ -509,70 +505,6 @@ def _exact_int_division(num: list[int], den: list[int]):
             for i, bc in enumerate(den):
                 rem[k + i] -= c * bc
     return quot, all(c == 0 for c in rem)
-
-
-def _reduce_mod(a: list[int], ell: int) -> list[int]:
-    """a mod ell, low degree first, trailing zeros stripped."""
-    a = [c % ell for c in a]
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _monic_mod(a: list[int], ell: int) -> list[int]:
-    a = _reduce_mod(a, ell)
-    if a and a[-1] != 1:
-        inv = pow(a[-1], -1, ell)
-        a = [c * inv % ell for c in a]
-    return a
-
-
-def _gcd_mod(a: list[int], b: list[int], ell: int) -> list[int]:
-    """Monic gcd over F_ell; [1] for coprime a, b."""
-    a, b = _monic_mod(a, ell), _monic_mod(b, ell)
-    while b:
-        a, b = b, _monic_mod(_int_poly_divmod(a, b, ell)[1], ell)
-    return a
-
-
-def _mulmod(a: list[int], b: list[int], f: list[int], ell: int) -> list[int]:
-    """a * b mod (f, ell), f monic."""
-    out = [0] * max(len(a) + len(b) - 1, 0)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _reduce_mod(_int_poly_divmod(out, f, ell)[1], ell)
-
-
-def _factor_degrees_mod(h: tuple[int, ...], ell: int) -> list[int] | None:
-    """Degrees of the irreducible factors of the monic integer h mod ell,
-    by distinct-degree factorization; None when h mod ell has a repeated
-    factor."""
-    f = _reduce_mod(list(h), ell)  # monic, as h is
-    if len(_gcd_mod(f, [i * c for i, c in enumerate(h)][1:], ell)) > 1:
-        return None
-    degrees: list[int] = []
-    xq, d = [0, 1], 0  # xq = x^(ell^d) mod f
-    while len(f) - 1 >= 2 * (d + 1):
-        d += 1
-        base, xq, e = xq, [1], ell
-        while e:
-            if e & 1:
-                xq = _mulmod(xq, base, f, ell)
-            base = _mulmod(base, base, f, ell)
-            e >>= 1
-        # the product of the degree-d factors of f is gcd(f, x^(ell^d) - x)
-        diff = xq + [0] * (2 - len(xq))
-        diff[1] -= 1
-        common = _gcd_mod(f, diff, ell)
-        if len(common) > 1:
-            degrees += [d] * ((len(common) - 1) // d)
-            f = _int_poly_divmod(f, common, ell)[0]
-            xq = _reduce_mod(_int_poly_divmod(xq, f, ell)[1], ell)
-    if len(f) > 1:
-        degrees.append(len(f) - 1)
-    return degrees
 
 
 def _proves_irreducible(h: tuple[int, ...]) -> bool:
@@ -662,7 +594,6 @@ def simplicity_evidence(
     curve: HyperellipticCurve,
     primes,
     cap: int = COUNT_CAP,
-    threads: int = 1,
 ) -> dict:
     """Irreducibility verdict of L(curve, q) per prime; any hit is evidence
     that the Jacobian is simple."""
@@ -671,7 +602,7 @@ def simplicity_evidence(
         if not good_reduction(curve, q):
             verdicts.append({"p": q, "good_reduction": False})
             continue
-        lp = l_polynomial(curve, q, cap=cap, threads=threads)
+        lp = l_polynomial(curve, q, cap=cap)
         irr, factor = lpoly_is_irreducible(lp)
         verdicts.append(
             {
@@ -691,7 +622,10 @@ def simplicity_evidence(
 
 def remark_lpolys(d: int, q: int, cap: int = COUNT_CAP, threads: int = 1) -> dict:
     """L-polynomials of C_d, D_d, D_2d at q plus the two equalities:
-    L(C_d) = L(D_d) and L(D_2d) = L(D_d) * L(C_d)."""
+    L(C_d) = L(D_d) and L(D_2d) = L(D_d) * L(C_d).
+
+    `threads` is accepted for callers that still pass it and is ignored;
+    counting runs on one thread."""
     if classify_d(d) != 2:
         raise ValueError("d must be an odd prime")
     cd, dd, d2d = make_cd(d), make_dm(d), make_dm(2 * d)
@@ -704,9 +638,9 @@ def remark_lpolys(d: int, q: int, cap: int = COUNT_CAP, threads: int = 1) -> dic
             f"L(D_{2*d}, {q}) needs counts over {q}^{d2d.genus} = {worst} "
             f"elements, above cap {cap}"
         )
-    l_cd = l_polynomial(cd, q, cap=cap, threads=threads)
-    l_dd = l_polynomial(dd, q, cap=cap, threads=threads)
-    l_d2d = l_polynomial(d2d, q, cap=cap, threads=threads)
+    l_cd = l_polynomial(cd, q, cap=cap)
+    l_dd = l_polynomial(dd, q, cap=cap)
+    l_d2d = l_polynomial(d2d, q, cap=cap)
     return {
         "d": d,
         "q": q,
@@ -718,19 +652,19 @@ def remark_lpolys(d: int, q: int, cap: int = COUNT_CAP, threads: int = 1) -> dic
     }
 
 
-def remark_isogeny_check(d: int, q: int, cap: int = COUNT_CAP, threads: int = 1) -> bool:
-    r = remark_lpolys(d, q, cap=cap, threads=threads)
+def remark_isogeny_check(d: int, q: int, cap: int = COUNT_CAP) -> bool:
+    r = remark_lpolys(d, q, cap=cap)
     return r["curves_agree"] and r["product_ok"]
 
 
-def cm_trace_pattern_c2(bound: int, cap: int = COUNT_CAP, threads: int = 1) -> bool:
+def cm_trace_pattern_c2(bound: int, cap: int = COUNT_CAP) -> bool:
     """a_q(C_2) = 0 exactly when -2 is a non-square mod q, for odd q <= bound."""
     c2 = make_cd(2)
     for q in range(3, bound + 1, 2):
         if not is_prime(q):
             continue
         try:
-            a = q + 1 - count_points(c2, q, 1, cap=cap, threads=threads).count
+            a = q + 1 - count_points(c2, q, 1, cap=cap).count
         except BadReductionError:
             continue
         nonsquare = pow(-2 % q, (q - 1) // 2, q) == q - 1

@@ -241,7 +241,7 @@ def test_criterion_10_simplicity_evidence():
         for q in _odd_primes(50):
             if not good_reduction(curve, q) or q**curve.genus > COUNT_CAP:
                 continue
-            lp = l_polynomial(curve, q, threads=2)
+            lp = l_polynomial(curve, q)
             _COMPUTED.append(lp)
             if lpoly_is_irreducible(lp)[0]:
                 hit = q

@@ -31,6 +31,36 @@ def qpoly(*coeffs):
     return UniPolynomial(QQ, coeffs)
 
 
+def _encoding(m, p, k):
+    """The monic degree-k polynomial with integer encoding m (low first)."""
+    return [m // p**i % p for i in range(k)] + [1]
+
+
+def _has_monic_divisor(f, p):
+    """Brute force: some monic g of degree 1..deg(f) // 2 divides f mod p,
+    that is, f is reducible over F_p."""
+    for d in range(1, (len(f) - 1) // 2 + 1):
+        for m in range(p**d):
+            rem = list(f)
+            g = _encoding(m, p, d)
+            for top in range(len(rem) - 1, d - 1, -1):
+                c = rem[top] % p
+                for i, gc in enumerate(g):
+                    rem[top - d + i] -= c * gc
+            if all(c % p == 0 for c in rem[:d]):
+                return True
+    return False
+
+
+# every extension field with p^k <= 5^4
+SMALL_TOWERS = [
+    (p, k)
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)
+    for k in range(2, 10)
+    if p**k <= 5**4
+]
+
+
 class TestUniPolynomial:
     def test_normalization_strips_trailing_zeros(self):
         assert zpoly(1, 2, 0, 0).coeffs == (1, 2)
@@ -186,14 +216,23 @@ class TestExtensionFields:
         assert str(field_tower(3, 2).modulus) == "x^2 + 1"
         assert str(field_tower(5, 2).modulus) == "x^2 + 2"
         assert str(field_tower(13, 3).modulus) == "x^3 + 2"
+        # the modulus is the first irreducible in scan order: every smaller
+        # encoding has a monic divisor of degree at most k // 2
+        for p, k in SMALL_TOWERS:
+            chosen = field_tower(p, k).modulus_coeffs
+            for m in range(p**k):
+                f = _encoding(m, p, k)
+                if tuple(f) == chosen:
+                    break
+                assert _has_monic_divisor(f, p), (p, k, m)
+        for p, k in ((2, 30), (3, 18)):
+            assert field_tower(p, k).modulus.degree == k
 
     def test_modulus_certified_irreducible(self):
-        # degree <= 3: irreducible over F_p iff rootless
-        for p, k in ((3, 2), (5, 2), (7, 2), (3, 3), (13, 3), (2, 3)):
-            field = field_tower(p, k)
-            m = field.modulus
-            assert m.degree == k
-            assert all(m(m.ring.coerce(a)) != m.ring.zero for a in range(p))
+        for p, k in SMALL_TOWERS:
+            m = field_tower(p, k).modulus_coeffs
+            assert len(m) == k + 1 and m[-1] == 1
+            assert not _has_monic_divisor(m, p), (p, k)
 
     def test_field_axioms_sampled(self):
         field = field_tower(3, 2)

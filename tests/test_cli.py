@@ -130,6 +130,9 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["verify"])  # missing --d
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--dmax", "2", "--threads", "2"])  # removed option
+    assert exc.value.code == 2
 
 
 def test_version_flag(capsys):

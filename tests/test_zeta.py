@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chebcm.algebra import ZZ, UniPolynomial, field_tower, squarefree
+from chebcm.algebra import ZZ, PrimeField, UniPolynomial, field_tower, squarefree
 from chebcm.chebyshev import is_prime
 from chebcm.curves import HyperellipticCurve, VerificationError, make_cd, make_dm, make_xd
 from chebcm.zeta import (
@@ -100,6 +100,24 @@ class TestGoodReduction:
         # disc of (x+2)(x^2-2) only involves 2
         for p in (3, 5, 7, 11, 13, 17, 19, 23):
             assert good_reduction(make_cd(2), p)
+
+    def test_matches_generic_squarefree(self):
+        curves = [make_cd(d) for d in (2, 3, 4, 5, 7, 8, 11, 13, 16)]
+        curves += [make_dm(m) for m in range(3, 27)]
+        curves += [make_xd(d) for d in (2, 4, 8, 16)]
+        # leading coefficients 3 and 10 vanish mod 3 and mod 2, 5
+        curves += [HyperellipticCurve(UniPolynomial(ZZ, (1, 1, 0, 3)))]
+        curves += [HyperellipticCurve(UniPolynomial(ZZ, (1, 0, 2, 0, 0, 10)))]
+        derivative_vanishes = 0
+        for curve in curves:
+            for p in _odd_primes(100):
+                fp = UniPolynomial(PrimeField(p), [int(c) for c in curve.f.coeffs])
+                expected = fp.degree == curve.f.degree and squarefree(fp)
+                assert good_reduction(curve, p) == expected, (curve.label, p)
+                derivative_vanishes += fp.derivative().is_zero()
+        # e.g. D_3 at p = 3: x^3 + 1 has derivative 3x^2 = 0
+        assert not good_reduction(make_dm(3), 3)
+        assert derivative_vanishes >= 5
 
 
 class TestCountPoints:
@@ -201,12 +219,12 @@ class TestCountPoints:
         assume(good_reduction(curve, p))
         assert count_points(curve, p, k).count == count_points_naive(curve, p, k)
 
-    def test_threads_do_not_change_the_count(self):
-        curve = make_xd(2)
-        # 5^7 = 78125 crosses the chunking threshold
-        a = count_points(curve, 5, 7, threads=1).count
-        b = count_points(curve, 5, 7, threads=2).count
-        assert a == b
+    def test_chunked_count_matches_lpolynomial(self):
+        # 11^5 = 161,051 elements span three 2^16 chunks; L(C_5, 11) is
+        # built from the counts over F_11 and F_121 alone
+        curve = make_cd(5)
+        n5 = count_points(curve, 11, 5).count
+        assert n5 == l_polynomial(curve, 11).point_count(5) == 161448
 
     def test_genus_zero_has_q_plus_one_points(self):
         line = HyperellipticCurve(UniPolynomial(ZZ, (2, 1)))
