@@ -8,10 +8,11 @@ indexed by degree; degrees in this package stay below a few hundred, so
 schoolbook algorithms are used throughout.
 
 Polynomials over F_p also have a plain integer-list layer (_int_poly_divmod,
-_gcd_mod, _mulmod, _factor_degrees_mod): coefficient lists low degree
-first, no element objects.  field_tower proves its moduli irreducible
-with it, and zeta uses it for good_reduction and for the factor degrees
-of the real Weil polynomial mod small primes.
+_gcd_mod, _mulmod, _powmod, _factor_degrees_mod): coefficient lists low
+degree first, no element objects.  field_tower proves its moduli
+irreducible with it, and zeta uses it for good_reduction, for the
+primitive modulus behind its Zech tables and for the factor degrees of
+the real Weil polynomial mod small primes.
 """
 
 from __future__ import annotations
@@ -643,18 +644,20 @@ def monomial_substitute(L, gamma, s, ring):
 # --- integer-list polynomials over F_p ---------------------------------------
 
 def _int_poly_divmod(a, b, p):
-    # b monic; coefficient lists low degree first, reduced mod p
+    # b monic; coefficient lists low degree first; the remainder is reduced
+    # mod p with trailing zeros stripped
     a = list(a)
     db = len(b) - 1
     if len(a) - 1 < db:
-        return [], a
+        return [], _reduce_mod(a, p)
     quot = [0] * (len(a) - db)
     for k in range(len(a) - 1 - db, -1, -1):
         c = a[k + db] % p
         if c:
             quot[k] = c
+            # reduced once at the end: Python ints do not overflow
             for i, bc in enumerate(b):
-                a[k + i] = (a[k + i] - c * bc) % p
+                a[k + i] -= c * bc
     while a and a[-1] % p == 0:
         a.pop()
     return quot, [c % p for c in a]
@@ -691,7 +694,29 @@ def _mulmod(a, b, f, p):
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
-    return _reduce_mod(_int_poly_divmod(out, f, p)[1], p)
+    return _int_poly_divmod(out, f, p)[1]
+
+
+def _powmod(a, e, f, p):
+    """a^e mod (f, p), f monic, e >= 0, by square-and-multiply."""
+    out = [1]
+    while e:
+        if e & 1:
+            out = _mulmod(out, a, f, p)
+        a = _mulmod(a, a, f, p)
+        e >>= 1
+    return out
+
+
+def _monics(p, k):
+    """Monic degree-k coefficient lists, low degree first, in the order of
+    their encodings m = c_0 + c_1 p + ... + c_(k-1) p^(k-1)."""
+    for m in range(p**k):
+        coeffs = []
+        for _ in range(k):
+            coeffs.append(m % p)
+            m //= p
+        yield coeffs + [1]
 
 
 def _factor_degrees_mod(h, p):
@@ -705,12 +730,7 @@ def _factor_degrees_mod(h, p):
     xq, d = [0, 1], 0  # xq = x^(p^d) mod f
     while len(f) - 1 >= 2 * (d + 1):
         d += 1
-        base, xq, e = xq, [1], p
-        while e:
-            if e & 1:
-                xq = _mulmod(xq, base, f, p)
-            base = _mulmod(base, base, f, p)
-            e >>= 1
+        xq = _powmod(xq, p, f, p)
         # the product of the degree-d factors of f is gcd(f, x^(p^d) - x)
         diff = xq + [0] * (2 - len(xq))
         diff[1] -= 1
@@ -718,7 +738,7 @@ def _factor_degrees_mod(h, p):
         if len(common) > 1:
             degrees += [d] * ((len(common) - 1) // d)
             f = _int_poly_divmod(f, common, p)[0]
-            xq = _reduce_mod(_int_poly_divmod(xq, f, p)[1], p)
+            xq = _int_poly_divmod(xq, f, p)[1]
     if len(f) > 1:
         degrees.append(len(f) - 1)
     return degrees
@@ -941,13 +961,7 @@ def field_tower(p, k):
     first encoding whose only factor degree mod p is k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    for m in range(p**k):
-        coeffs = []
-        t = m
-        for _ in range(k):
-            coeffs.append(t % p)
-            t //= p
-        coeffs.append(1)
+    for coeffs in _monics(p, k):
         if _factor_degrees_mod(coeffs, p) == [k]:
             return ExtensionField(p, k, coeffs)
     raise AssertionError("no irreducible monic found (unreachable)")

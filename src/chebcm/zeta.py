@@ -6,15 +6,20 @@ character (chi(0) = 0).  The engine has two parts, chosen by k.
 
 - k = 1: integer Horner, acc = (acc * x + c) mod p, over numpy int64
   chunks of F_p, and a squares table that decides chi by lookup.
-- k >= 2: Zech logarithms.  For a primitive element g of F_(p^k) (over
-  the deterministic modulus from field_tower) two int32 tables give
-  log(y) and Z(n) = log(1 + g^n).  At x = g^i each term c x^e has log
-  (e i + log c) mod (q - 1), a sum of logs a, b is a + Z(b - a), and
-  chi(y) = +1 exactly when log y is even.  x = 0 is counted apart.
+- k >= 2: Zech logarithms.  F_(p^k) = F_p[x]/(m) for the first monic m
+  in encoding order modulo which x is primitive (_primitive_modulus),
+  and g = x.  Two int32 tables give log(y) and Z(n) = log(1 + g^n).  At
+  x = g^i each term c x^e has log (e i + log c) mod (q - 1), a sum of
+  logs a, b is a + Z(b - a), and chi(y) = +1 exactly when log y is even.
+  x = 0 is counted apart.
 
-The tables are built per call, in chunks, and freed on return; fields
-of 2^31 elements or more are refused.  Counting uses integers only, and
-count_points_naive is the independent slow oracle.
+The tables are built per call from the linear recurring sequence
+s_i = L(x^i) of F_p (see _zech_tables): one chunk of s gives the next by
+k multiply-adds, with no field arithmetic, at about 40-60 ns per element
+on a 2-CPU machine.  They are freed on return; fields of 2^31 elements
+or more are refused.  Counting uses integers only and does not call
+field_tower; count_points_naive, over field_tower's field, is the
+independent slow oracle.
 
 L-polynomials are checked through the real Weil polynomial h, with
 T^(2g) L(1/T) = T^g h(T + q/T): the Weil bound |alpha| = sqrt q is an
@@ -33,6 +38,7 @@ q^k + 1 - N_k, and Newton's identities with that sign give the b_k.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
 
@@ -44,6 +50,9 @@ from .algebra import (
     UniPolynomial,
     _factor_degrees_mod,
     _gcd_mod,
+    _monics,
+    _mulmod,
+    _powmod,
     field_tower,
     poly_gcd,
 )
@@ -57,6 +66,11 @@ _TABLE_LIMIT = 2**31  # field sizes the int32 tables and int64 Horner can hold
 _ZERO_LOG = -1  # log-domain code for 0; odd, so never a square
 # primes l at which lpoly_is_irreducible reads the factor degrees of h mod l
 _PROOF_PRIMES = tuple(ell for ell in range(2, 200) if is_prime(ell))
+# usable primes in a row that may rule out no degree before the proof
+# gives up; twice the longest such run (8, L(C_23, 3)) seen before a
+# proof that succeeded, over every in-cap L of C_d (d <= 64), D_m
+# (m <= 26) and X_d (d = 2, 4, 8) at odd q < 60
+_PROOF_PATIENCE = 16
 
 
 class CapExceededError(RuntimeError):
@@ -112,54 +126,84 @@ def _prime_factors(n: int) -> list[int]:
     return primes
 
 
-def _primitive_element(field):
-    """First generator of F_q^* in index order (k >= 2, so the scan starts
-    at x): g^((q-1)/r) != 1 for every prime r dividing q - 1."""
-    q = field.order
-    cofactors = [(q - 1) // r for r in _prime_factors(q - 1)]
-    for m in range(field.p, q):
-        g = field.from_index(m)
-        if all(g**c != field.one for c in cofactors):
-            return g
+@lru_cache(maxsize=None)
+def _primitive_modulus(p: int, k: int) -> tuple[int, ...]:
+    """First monic m of degree k, low degree first, in encoding order
+    (algebra._monics) that is irreducible mod p and modulo which x has
+    order exactly n = p^k - 1.
+
+    The norm of x, (-1)^k m_0 = x^(n/(p-1)), then has order p - 1; that
+    cheap necessary condition is tested first and changes no result.  It
+    also makes x nonzero in the field F_p[x]/(m), so x^n = 1, and the
+    order is n exactly when x^(n/r) != 1 for every prime r | n.
+    """
+    n = p**k - 1
+    primes = _prime_factors(n)
+    norm_cofactors = [(p - 1) // r for r in _prime_factors(p - 1)]
+    for m in _monics(p, k):
+        norm = (-1) ** k * m[0] % p
+        if (
+            norm
+            and all(pow(norm, e, p) != 1 for e in norm_cofactors)
+            and _factor_degrees_mod(m, p) == [k]
+            and all(_powmod([0, 1], n // r, m, p) != [1] for r in primes)
+        ):
+            return tuple(m)
     raise AssertionError("F_q^* is cyclic (unreachable)")
 
 
-def _mul_matrix(c) -> np.ndarray:
-    """Row i is x^i * c, so (v @ M) % p is the coefficient vector of v * c."""
-    x = c.field.gen()
-    rows = []
-    for _ in range(c.field.k):
-        rows.append(c.coeffs)
-        c = c * x
-    return np.array(rows, dtype=np.int64)
+def _jump(s: np.ndarray, a: list[int], count: int, p: int) -> np.ndarray:
+    """s_(J+t) = sum_j a_j s_(t+j) mod p for t < count, a = x^J mod m."""
+    out = np.zeros(count, dtype=np.int64)
+    for j, c in enumerate(a):
+        if c:
+            out += c * s[j : j + count]
+    out %= p
+    return out
 
 
 def _zech_tables(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """int32 (log, zech) tables of F_(p^k), k >= 2, for a primitive g.
+    """int32 (log, zech) tables of F_(p^k) = F_p[x]/(m) for g = x, with m
+    = _primitive_modulus(p, k).
 
-    log[index(g^i)] = i, with index(v) = v_0 + v_1 p + ... over the
-    field_tower(p, k) basis, and log[0] = _ZERO_LOG.  zech[n] is
-    log(1 + g^n), or _ZERO_LOG where 1 + g^n = 0.  zech is first filled
-    with the antilogs index(g^i), block by block, then rewritten in place,
-    so the peak is the two tables plus one block of vectors.
+    Elements are indexed in the window basis of the linear recurring
+    sequence s_i = L(x^i), where L is the F_p-linear form with s_0 = 1
+    and s_1 = ... = s_(k-1) = 0: v has index sum_j L(x^j v) p^j, so g^i
+    has index sum_j s_(i+j) p^j.  The map is linear and sends 1 to 1, so
+    a constant c has index c and adding 1 adds 1 to digit 0, mod p.
+    Since x^(i+J) = x^i a for a = x^J mod m, s_(i+J) = sum_j a_j s_(i+j):
+    s is produced in chunks of _CHUNK windows, each chunk from the last by
+    k scalar multiply-adds over int64 and one reduction mod p.
+
+    log[index(g^i)] = i and log[0] = _ZERO_LOG.  zech[n] is log(1 + g^n),
+    or _ZERO_LOG where 1 + g^n = 0.  zech is first filled with the indices
+    of g^0, g^1, ..., then rewritten in place, so the peak is the two
+    tables plus one chunk of s.
     """
-    field = field_tower(p, k)
+    m = _primitive_modulus(p, k)
     q, n = p**k, p**k - 1
-    g = _primitive_element(field)
-    pows = p ** np.arange(k, dtype=np.int64)
-    block = np.zeros((1, k), dtype=np.int64)  # g^0 .. g^(B-1), by doubling
-    block[0, 0] = 1
-    step = g
-    while len(block) < min(_CHUNK, n):
-        block = np.concatenate([block, block @ _mul_matrix(step) % p])
-        step = step * step
-    size = len(block)
-    advance = _mul_matrix(g**size)
+    size = min(_CHUNK, n)
+    # s holds s_i .. s_(i+w+k-2), the digits of the w windows i .. i+w-1;
+    # the first chunk grows from s_0 .. s_(k-1) by doubling w
+    s = np.zeros(k, dtype=np.int64)
+    s[0] = 1
+    xw = [0, 1]  # x^w mod m
+    while len(s) - k + 1 < size:
+        w = len(s) - k + 1
+        a = _mulmod(xw, [0] * (k - 1) + [1], m, p)  # x^(w+k-1) = x^len(s)
+        s = np.concatenate([s, _jump(s, a, min(w, size - w), p)])
+        xw = _mulmod(xw, xw, m, p)
+    a = _powmod([0, 1], size + k - 1, m, p)
     zech = np.empty(n, dtype=np.int32)
     for start in range(0, n, size):
-        stop = min(start + size, n)
-        zech[start:stop] = block[: stop - start] @ pows
-        block = block @ advance % p
+        count = min(size, n - start)
+        idx = s[k - 1 : k - 1 + count].copy()
+        for j in range(k - 2, -1, -1):
+            idx *= p
+            idx += s[j : j + count]
+        zech[start : start + count] = idx
+        if start + size < n:
+            s = np.concatenate([s[size:], _jump(s, a, size, p)])
     log = np.empty(q, dtype=np.int32)
     log[0] = _ZERO_LOG
     for start in range(0, n, _CHUNK):
@@ -513,13 +557,17 @@ def _proves_irreducible(h: tuple[int, ...]) -> bool:
 
     A factor of degree k over Q reduces mod ell (ell not dividing the
     discriminant) to a product of some factors of h mod ell, so k is a
-    subset sum of their degrees at every such ell.
+    subset sum of their degrees at every such ell.  The scan gives up
+    after _PROOF_PATIENCE usable primes in a row that rule out no degree:
+    the degrees of the factors of a reducible h stay possible at every
+    prime, so from some prime on nothing more is ruled out.
     """
     g = len(h) - 1
     alone = 1 | 1 << g  # bit k set: degree k still possible
     possible = (1 << (g + 1)) - 1
+    stalled = 0
     for ell in _PROOF_PRIMES:
-        if possible == alone:
+        if possible == alone or stalled == _PROOF_PATIENCE:
             break
         degrees = _factor_degrees_mod(h, ell)
         if degrees is None:
@@ -527,6 +575,7 @@ def _proves_irreducible(h: tuple[int, ...]) -> bool:
         sums = 1
         for k in degrees:
             sums |= sums << k
+        stalled = stalled + 1 if possible & sums == possible else 0
         possible &= sums
     return possible == alone
 

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chebcm.algebra import ZZ, PrimeField, UniPolynomial, field_tower, squarefree
+from chebcm.algebra import (
+    ZZ,
+    ExtensionField,
+    PrimeField,
+    UniPolynomial,
+    field_tower,
+    squarefree,
+)
 from chebcm.chebyshev import is_prime
 from chebcm.curves import HyperellipticCurve, VerificationError, make_cd, make_dm, make_xd
 from chebcm.zeta import (
@@ -26,13 +33,17 @@ from chebcm.zeta import (
 from chebcm.zeta import (
     _ZERO_LOG,
     _factor_degrees_mod,
-    _primitive_element,
+    _PROOF_PATIENCE,
+    _primitive_modulus,
     _proves_irreducible,
     _sturm_chain,
     _subset_scan,
     _weil_interval_ok,
     _zech_tables,
 )
+
+# the encodings and the brute-force divisor test behind field_tower's tests
+from test_algebra import SMALL_TOWERS, _encoding, _has_monic_divisor
 
 
 def _odd_primes(bound):
@@ -154,25 +165,61 @@ class TestCountPoints:
             checked += 1
         assert checked >= 50
         # F_3^2 = F_3[x]/(x^2 + 1) and F_5^2 = F_5[x]/(x^2 + 2): x has
-        # order 4 and 8, so the tables use a generator other than x
+        # order 4 and 8, so the tables and the oracle use different moduli
         for p in (3, 5):
-            field = field_tower(p, 2)
-            assert _primitive_element(field) != field.gen()
+            assert _primitive_modulus(p, 2) != field_tower(p, 2).modulus_coeffs
 
     def test_zech_tables_against_scalar_arithmetic(self):
-        p, k = 5, 2
-        field = field_tower(p, k)
-        g = _primitive_element(field)
-        log, zech = _zech_tables(p, k)
-        n = p**k - 1
-        assert log[0] == _ZERO_LOG
-        assert sorted(log[1:].tolist()) == list(range(n))
-        index = {field.from_index(m): m for m in range(p**k)}
-        for i in range(n):
-            assert log[index[g**i]] == i
-            one_plus = g**i + 1
-            expected = _ZERO_LOG if one_plus == field.zero else log[index[one_plus]]
-            assert zech[i] == expected, i
+        # the contract does not depend on how the tables index elements:
+        # for g = x modulo the engine's modulus, g^log[c] = c for c in F_p^*
+        # and g^zech[i] = 1 + g^i, by ExtensionField arithmetic; the build
+        # needs no special case at k = 1, where x = -m_0 in F_p
+        for p, k in ((5, 2), (3, 4), (7, 3), (11, 1)):
+            m = _primitive_modulus(p, k)
+            if k == 1:
+                field = PrimeField(p)
+                g = field(-m[0])
+            else:
+                field = ExtensionField(p, k, m)
+                g = field.gen()
+            log, zech = _zech_tables(p, k)
+            n = p**k - 1
+            assert log[0] == _ZERO_LOG
+            assert sorted(log[1:].tolist()) == list(range(n))
+            for c in range(1, p):
+                assert g ** int(log[c]) == field(c), (p, k, c)
+            power = field.one
+            for i in range(n):
+                if zech[i] == _ZERO_LOG:
+                    assert power + 1 == field.zero, (p, k, i)
+                else:
+                    assert g ** int(zech[i]) == power + 1, (p, k, i)
+                power = power * g
+
+    def test_primitive_modulus_search(self):
+        # brute force: x has order exactly p^k - 1 modulo m, m is
+        # irreducible, and every smaller encoding fails one of the two
+        def order_of_x(m, p):
+            k, n = len(m) - 1, p ** (len(m) - 1) - 1
+            power = [1] + [0] * (k - 1)
+            for i in range(1, n + 1):
+                top = power[-1]
+                power = [0] + power[:-1]
+                power = [(c - top * mc) % p for c, mc in zip(power, m)]
+                if power == [1] + [0] * (k - 1):
+                    return i
+            return None
+
+        for p, k in SMALL_TOWERS:
+            chosen = _primitive_modulus(p, k)
+            assert len(chosen) == k + 1 and chosen[-1] == 1
+            assert order_of_x(chosen, p) == p**k - 1, (p, k)
+            assert not _has_monic_divisor(chosen, p), (p, k)
+            for m in range(p**k):
+                f = _encoding(m, p, k)
+                if tuple(f) == chosen:
+                    break
+                assert _has_monic_divisor(f, p) or order_of_x(f, p) != p**k - 1, (p, k, m)
 
     def test_int32_table_guard(self):
         # 3^20 > 2^31: refused before any table is allocated
@@ -225,6 +272,12 @@ class TestCountPoints:
         curve = make_cd(5)
         n5 = count_points(curve, 11, 5).count
         assert n5 == l_polynomial(curve, 11).point_count(5) == 161448
+        # the Zech tables' recurrence jumps across chunks at k = 2, 6, 8:
+        # F_401^2 (160,801 elements), F_7^6 (117,649) and F_5^8 (390,625)
+        for curve, p, k in ((make_cd(2), 401, 2), (curve, 7, 6), (make_cd(3), 5, 8)):
+            assert p**k > 1 << 16
+            count = count_points(curve, p, k).count
+            assert count == l_polynomial(curve, p).point_count(k), (curve.label, p, k)
 
     def test_genus_zero_has_q_plus_one_points(self):
         line = HyperellipticCurve(UniPolynomial(ZZ, (2, 1)))
@@ -435,6 +488,23 @@ class TestIrreducibility:
         f = UniPolynomial(ZZ, (1, 0, 1)) * UniPolynomial(ZZ, (1, 2, 0, 1))
         f = f * UniPolynomial(ZZ, (-1, 1)) * UniPolynomial(ZZ, (-2, 1))
         assert _factor_degrees_mod(tuple(f.coeffs), 3) == [1, 1, 2, 3]
+
+    def test_proof_gives_up_after_a_run_of_stalled_primes(self, monkeypatch):
+        # scripted factor degrees of a quartic h, one list per prime: None
+        # (h mod l not squarefree) is skipped, [1, 1, 1, 1] rules out
+        # nothing, [1, 3] rules out 2 and [2, 2] then rules out 1 and 3
+        def proves(script):
+            degrees = iter(script)
+            monkeypatch.setattr(
+                "chebcm.zeta._factor_degrees_mod", lambda h, ell: next(degrees)
+            )
+            return _proves_irreducible((0, 0, 0, 0, 1))
+
+        stall, run = [1, 1, 1, 1], _PROOF_PATIENCE
+        # stalls count only in a row, and unusable primes do not count
+        assert proves([stall] * (run - 1) + [[1, 3]] + [stall] * (run - 1) + [[2, 2]])
+        assert proves([stall] * (run - 1) + [None] * 5 + [[1, 3], [2, 2]])
+        assert not proves([[1, 3]] + [stall] * run + [[2, 2]])
 
     @settings(max_examples=60, deadline=None)
     @given(
