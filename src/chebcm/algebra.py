@@ -26,7 +26,6 @@ class RingMismatchError(TypeError):
 
 
 class IntegerRing:
-    name = "ZZ"
     is_field = False
     zero = 0
     one = 1
@@ -54,7 +53,6 @@ class IntegerRing:
 
 
 class RationalField:
-    name = "QQ"
     is_field = True
     zero = Fraction(0)
     one = Fraction(1)
@@ -175,7 +173,6 @@ class PrimeField:
         self.zero = PrimeFieldElement(self, 0)
         self.one = PrimeFieldElement(self, 1)
 
-    name = property(lambda self: f"GF({self.p})")
     is_field = True
 
     def coerce(self, v):
@@ -357,11 +354,6 @@ class UniPolynomial:
         return UniPolynomial(
             self.ring, [i * c for i, c in enumerate(self.coeffs)][1:]
         )
-
-    def compose(self, other):
-        if not isinstance(other, UniPolynomial) or other.ring != self.ring:
-            raise RingMismatchError("compose requires a polynomial over the same ring")
-        return self(other) if self.coeffs else UniPolynomial(self.ring, ())
 
     def monic(self):
         lc = self.leading_coefficient()
@@ -582,13 +574,6 @@ class LaurentPolynomial:
     def is_polynomial(self):
         return self.is_zero() or self.minexp >= 0
 
-    def to_poly(self):
-        if not self.is_polynomial():
-            raise ValueError("Laurent polynomial has negative exponents")
-        return UniPolynomial(
-            self.ring, (self.ring.zero,) * self.minexp + self.coeffs
-        )
-
     def __eq__(self, other):
         o = self._coerce_operand(other)
         if o is None:
@@ -613,13 +598,9 @@ class LaurentPolynomial:
         return f"LaurentPolynomial({self.ring!r}, {self})"
 
 
-def x_plus_xinv(ring):
-    return LaurentPolynomial(ring, -1, (ring.one, ring.zero, ring.one))
-
-
 def laurent_compose(f):
     """f(x + 1/x) as a Laurent polynomial over f's coefficient ring."""
-    u = x_plus_xinv(f.ring)
+    u = LaurentPolynomial(f.ring, -1, (f.ring.one, f.ring.zero, f.ring.one))
     acc = LaurentPolynomial(f.ring, 0, ())
     for c in reversed(f.coeffs):
         acc = acc * u + c
@@ -750,10 +731,12 @@ class ExtensionFieldElement:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs):
+        if len(coeffs) > field.k:
+            coeffs = _int_poly_divmod(coeffs, field.modulus_coeffs, field.p)[1]
         cs = [c % field.p for c in coeffs]
         cs += [0] * (field.k - len(cs))
         self.field = field
-        self.coeffs = tuple(cs[: field.k])
+        self.coeffs = tuple(cs)
 
     def _lift(self, other):
         if isinstance(other, ExtensionFieldElement):
@@ -876,15 +859,10 @@ class ExtensionField:
         self.one = ExtensionFieldElement(self, (1,))
 
     is_field = True
-    name = property(lambda self: f"GF({self.p}^{self.k})")
 
     @property
     def order(self):
         return self.p**self.k
-
-    @property
-    def modulus(self):
-        return UniPolynomial(PrimeField(self.p), self.modulus_coeffs)
 
     def gen(self):
         return ExtensionFieldElement(self, (0, 1))
@@ -907,11 +885,6 @@ class ExtensionField:
                 for i in range(k):
                     out[i] = (out[i] + c * row[i]) % p
         return out
-
-    def element(self, coeffs):
-        if isinstance(coeffs, int):
-            coeffs = (coeffs,)
-        return ExtensionFieldElement(self, coeffs)
 
     def coerce(self, v):
         if isinstance(v, ExtensionFieldElement):

@@ -14,56 +14,17 @@ from .chebyshev import is_prime
 from .unitgroups import QuotientGroup, SUBGROUP_CAP, kd_kernel
 
 
-class CMGroup:
-    """Quotient of (Z/nZ)^* by a kernel subgroup, with conjugation = class of -1."""
-
-    def __init__(self, n: int, kernel=None):
-        if n < 3:
-            raise ValueError("n must be >= 3 so that conjugation is nontrivial")
-        if kernel is None:
-            kernel = frozenset({1})
-        self.quotient = QuotientGroup(n, frozenset(kernel))
-        self.n = n
-        self.kernel = self.quotient.kernel
-        self.conj = self.quotient.rep(-1 % n)
-        if self.conj == self.quotient.identity:
-            raise ValueError("conjugation lies in the kernel; no CM structure")
-        if self.quotient.mul(self.conj, self.conj) != self.quotient.identity:
-            raise AssertionError("conjugation does not square to the identity")
-
-    @property
-    def order(self):
-        return self.quotient.order
-
-    @property
-    def elements(self):
-        return self.quotient.reps
-
-    def mul(self, a, b):
-        return self.quotient.mul(a, b)
-
-    def translate(self, g, s):
-        return frozenset(self.quotient.mul(g, x) for x in s)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CMGroup)
-            and other.n == self.n
-            and other.kernel == self.kernel
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.kernel))
-
-    def __repr__(self):
-        return f"CMGroup(n={self.n}, kernel={sorted(self.kernel)})"
-
-
 class CMType:
-    """A subset of a CMGroup's cosets, stored by canonical coset names."""
+    """A subset of a QuotientGroup's cosets, stored by canonical coset names.
 
-    def __init__(self, group: CMGroup, s):
-        s = frozenset(group.quotient.rep(x) for x in s)
+    Raises ValueError when the group has no CM structure, that is when
+    conjugation (the class of -1) lies in the kernel.
+    """
+
+    def __init__(self, group: QuotientGroup, s):
+        if group.conj == group.identity:
+            raise ValueError("conjugation lies in the kernel; no CM structure")
+        s = frozenset(group.rep(x) for x in s)
         self.group = group
         self.s = s
 
@@ -72,18 +33,18 @@ class CMType:
         g = self.group
         if len(self.s) * 2 != g.order:
             return False
-        return self.s | g.translate(g.conj, self.s) == frozenset(g.elements)
+        return self.s | g.translate(g.conj, self.s) == frozenset(g.reps)
 
     def stabilizer(self) -> frozenset:
         g = self.group
         return frozenset(
-            h for h in g.elements if g.translate(h, self.s) == self.s
+            h for h in g.reps if g.translate(h, self.s) == self.s
         )
 
     def is_primitive(self) -> bool:
         if not self.is_valid():
             raise ValueError("primitivity is only defined for valid CM types")
-        return self.stabilizer() == frozenset({self.group.quotient.identity})
+        return self.stabilizer() == frozenset({self.group.identity})
 
     def induced_oracle(self) -> bool:
         """Brute-force scan: is S a union of cosets of some nontrivial subgroup?"""
@@ -92,7 +53,7 @@ class CMType:
         g = self.group
         if g.order > SUBGROUP_CAP:
             raise ValueError("group too large for the induced-type scan")
-        for h in g.quotient.subgroups():
+        for h in g.subgroups():
             if len(h) == 1:
                 continue
             if _is_union_of_cosets(g, h, self.s):
@@ -100,7 +61,7 @@ class CMType:
         return False
 
     def translate(self, g) -> "CMType":
-        return CMType(self.group, self.group.translate(self.group.quotient.rep(g), self.s))
+        return CMType(self.group, self.group.translate(self.group.rep(g), self.s))
 
     def serialize(self) -> dict:
         return {
@@ -123,7 +84,7 @@ class CMType:
         return f"CMType(n={self.group.n}, S={sorted(self.s)})"
 
 
-def _is_union_of_cosets(g: CMGroup, h, s) -> bool:
+def _is_union_of_cosets(g: QuotientGroup, h, s) -> bool:
     seen = set()
     for x in s:
         if x in seen:
@@ -141,7 +102,7 @@ def paper_type_case1(e: int) -> CMType:
     if e < 1:
         raise ValueError("e must be >= 1")
     n = 1 << (e + 2)
-    group = CMGroup(n, kd_kernel(n))
+    group = QuotientGroup(n, kd_kernel(n))
     s = range(1, (1 << e), 2)
     return CMType(group, s)
 
@@ -150,7 +111,7 @@ def paper_type_case2(p: int) -> CMType:
     """The half-system {1, ..., (p-1)/2} on (Z/pZ)^*."""
     if not (p % 2 == 1 and is_prime(p)):
         raise ValueError("p must be an odd prime")
-    group = CMGroup(p)
+    group = QuotientGroup(p, {1})
     return CMType(group, range(1, (p - 1) // 2 + 1))
 
 

@@ -22,8 +22,7 @@ from .algebra import (
     squarefree,
 )
 from .chebyshev import classify_d, curve_polynomial, genus_of_cd
-from .cmtypes import paper_type_case1, paper_type_case2, sum_criterion
-from .cyclotomic import CyclotomicContext, cyclotomic_polynomial, eta, minimal_polynomial
+from .cyclotomic import CyclotomicContext
 
 
 class MapNotValidError(ValueError):
@@ -335,11 +334,6 @@ def case1_automorphisms(d: int):
     return curve, z, tau
 
 
-def zeta_case1(d: int) -> MonomialAutomorphism:
-    """The verified order-4d rotation (zeta_4d^2 x, zeta_4d y) on X_d."""
-    return case1_automorphisms(d)[1]
-
-
 def case2_automorphisms(p: int):
     """The order-2p rotation (zeta_2p x, y) and sigma (1/x, y/x^p) on D_2p."""
     if classify_d(p) != 2:
@@ -455,68 +449,3 @@ def endo_quotient_details(d: int) -> dict:
         "ok": commutes and span_ok and closed_match,
     }
 
-
-def endo_on_quotient(d: int, case: int | None = None) -> list:
-    """Diagonal entries of the quotient endomorphism, verified exactly.
-
-    Raises VerificationError if the operator fails to commute with the
-    involution, fails to act diagonally on the invariant basis, or its
-    diagonal disagrees with the closed-form eigenvalues.
-    """
-    if case is not None and case != classify_d(d):
-        raise ValueError(f"d={d} does not belong to case {case}")
-    details = endo_quotient_details(d)
-    if not details["commutes"]:
-        raise VerificationError("operator does not commute with the involution")
-    if not details["invariant_ok"]:
-        raise VerificationError("invariant subspace has the wrong basis or dimension")
-    if not details["closed_form_match"]:
-        raise VerificationError("diagonal entries differ from the closed forms")
-    return details["eigenvalues"]
-
-
-def cm_summary(d: int) -> dict:
-    """Bundle of the exact CM data attached to C_d, serializable to JSON.
-
-    The field attached to the eigenvalues is recorded through the minimal
-    polynomial of zeta_4d - zeta_4d^(-1) when d is a power of 2, and
-    through the p-th cyclotomic polynomial when d = p is odd (the two
-    generators span the same degree-(p-1) field; the eta degree is
-    cross-checked).
-    """
-    case = classify_d(d)
-    if case is None:
-        raise ValueError(f"d={d} is not 2^e or an odd prime")
-    genus = genus_of_cd(d)
-    n = 4 * d if case == 1 else 2 * d
-    eta_mp = minimal_polynomial(eta(n))
-    if case == 1:
-        field_poly = eta_mp
-        e = d.bit_length() - 1
-        cm_type = paper_type_case1(e)
-        sum_res = None
-    else:
-        field_poly = cyclotomic_polynomial(d)
-        cm_type = paper_type_case2(d)
-        sum_res = sum_criterion(d)
-    endo = endo_quotient_details(d)
-    degree_ok = field_poly.degree == 2 * genus and eta_mp.degree == 2 * genus
-    primitive = cm_type.is_valid() and cm_type.is_primitive()
-    return {
-        "d": d,
-        "case": case,
-        "curve": f"C_{d}",
-        "genus": genus,
-        "cyclotomic_index": n,
-        "rotation_lift": "(x, y) -> (z^2 x, z y)" if case == 1 else "(x, y) -> (z x, y)",
-        "field_polynomial": [str(c) for c in field_poly.coeffs],
-        "eta_minimal_polynomial": [str(c) for c in eta_mp.coeffs],
-        "field_degree": field_poly.degree,
-        "degree_matches_twice_genus": degree_ok,
-        "eigenvalues": [str(v) for v in endo["eigenvalues"]],
-        "differential_checks_ok": endo["ok"],
-        "cm_type": cm_type.serialize(),
-        "cm_type_primitive": primitive,
-        "sum_criterion": list(sum_res) if sum_res else None,
-        "ok": degree_ok and endo["ok"] and primitive,
-    }

@@ -224,10 +224,6 @@ class CyclotomicContext:
 
     is_field = True
 
-    @property
-    def name(self):
-        return f"Q(zeta_{self.n})"
-
     def power(self, k: int):
         """Coefficient vector of zeta^k (any integer k)."""
         return self._table[k % self.n]
@@ -256,9 +252,6 @@ class CyclotomicContext:
                 if row[i]:
                     out[i] += c * row[i]
         return out
-
-    def element(self, coeffs) -> CyclotomicElement:
-        return CyclotomicElement(self, coeffs)
 
     def coerce(self, v):
         if isinstance(v, CyclotomicElement):

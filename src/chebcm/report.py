@@ -260,11 +260,12 @@ def build_report(d: int, cap: int = COUNT_CAP) -> VerificationReport:
         return ("pass" if ok else "fail"), detail
 
     def claim_zeta():
+        curve = make_cd(d)
         q = next(
             (
                 q
                 for q in range(3, 51)
-                if is_prime(q) and good_reduction(make_cd(d), q) and q**genus <= cap
+                if is_prime(q) and q**genus <= cap and good_reduction(curve, q)
             ),
             None,
         )
@@ -277,7 +278,7 @@ def build_report(d: int, cap: int = COUNT_CAP) -> VerificationReport:
             r = remark_lpolys(d, q, cap=cap)
             lp = r["l_cd"]
         else:
-            lp = l_polynomial(make_cd(d), q, cap=cap)
+            lp = l_polynomial(curve, q, cap=cap)
         irr, _ = lpoly_is_irreducible(lp)
         detail = f"L(C_{d}, {q}) = {lp!r}; irreducible: {irr}"
         if r is not None:

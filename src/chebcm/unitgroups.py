@@ -135,7 +135,12 @@ def eta_fixers_congruence(n: int) -> frozenset:
 
 
 class QuotientGroup:
-    """(Z/nZ)^* modulo a subgroup; cosets carry their smallest member as name."""
+    """(Z/nZ)^* modulo a subgroup; cosets carry their smallest member as name.
+
+    conj is the class of -1, complex conjugation when the quotient is the
+    Galois group of a subfield of Q(zeta_n); it is the identity when -1
+    lies in the kernel.
+    """
 
     def __init__(self, n: int, kernel):
         kernel = frozenset(kernel)
@@ -160,6 +165,7 @@ class QuotientGroup:
         self.reps = tuple(sorted(reps))
         self._rep_of = rep_of
         self.identity = rep_of[e]
+        self.conj = rep_of[-1 % n]
 
     @property
     def order(self):
@@ -174,10 +180,9 @@ class QuotientGroup:
     def mul(self, a: int, b: int) -> int:
         return self._rep_of[_mul(self.n, a, b)]
 
-    def inv(self, a: int) -> int:
-        if self.n == 1:
-            return 0
-        return self._rep_of[pow(a, -1, self.n)]
+    def translate(self, g: int, s) -> frozenset:
+        """The coset names g * s."""
+        return frozenset(self.mul(g, x) for x in s)
 
     def coset_order(self, a: int) -> int:
         a = self.rep(a)
@@ -255,10 +260,9 @@ def proper_subfields_totally_real(e: int) -> bool:
         raise ValueError("e must be >= 1")
     d = 1 << e
     q = QuotientGroup(d, kd_kernel(d))
-    conj = q.rep(-1 % d) if d > 2 else q.identity
     for h in q.subgroups():
         if len(h) == 1:
             continue
-        if conj not in h:
+        if q.conj not in h:
             return False
     return True

@@ -639,36 +639,6 @@ def _subset_scan(lp: LPolynomial):
     return True, None
 
 
-def simplicity_evidence(
-    curve: HyperellipticCurve,
-    primes,
-    cap: int = COUNT_CAP,
-) -> dict:
-    """Irreducibility verdict of L(curve, q) per prime; any hit is evidence
-    that the Jacobian is simple."""
-    verdicts = []
-    for q in primes:
-        if not good_reduction(curve, q):
-            verdicts.append({"p": q, "good_reduction": False})
-            continue
-        lp = l_polynomial(curve, q, cap=cap)
-        irr, factor = lpoly_is_irreducible(lp)
-        verdicts.append(
-            {
-                "p": q,
-                "good_reduction": True,
-                "lpolynomial": lp.serialize(),
-                "irreducible": irr,
-                "factor": [str(c) for c in factor] if factor else None,
-            }
-        )
-    return {
-        "curve": curve.label,
-        "verdicts": verdicts,
-        "evidence_simple": any(v.get("irreducible") for v in verdicts),
-    }
-
-
 def remark_lpolys(d: int, q: int, cap: int = COUNT_CAP, threads: int = 1) -> dict:
     """L-polynomials of C_d, D_d, D_2d at q plus the two equalities:
     L(C_d) = L(D_d) and L(D_2d) = L(D_d) * L(C_d).
@@ -699,11 +669,6 @@ def remark_lpolys(d: int, q: int, cap: int = COUNT_CAP, threads: int = 1) -> dic
         "curves_agree": l_cd == l_dd,
         "product_ok": l_dd * l_cd == l_d2d,
     }
-
-
-def remark_isogeny_check(d: int, q: int, cap: int = COUNT_CAP) -> bool:
-    r = remark_lpolys(d, q, cap=cap)
-    return r["curves_agree"] and r["product_ok"]
 
 
 def cm_trace_pattern_c2(bound: int, cap: int = COUNT_CAP) -> bool:

@@ -9,8 +9,6 @@ from chebcm.curves import (
     automorphism_valid,
     case1_automorphisms,
     case2_automorphisms,
-    cm_summary,
-    endo_on_quotient,
     endo_quotient_details,
     invariant_subspace,
     make_cd,
@@ -20,10 +18,10 @@ from chebcm.curves import (
     mat_mul,
     pullback_matrix,
     quotient_identity,
-    zeta_case1,
 )
-from chebcm.chebyshev import genus_of_cd
-from chebcm.cyclotomic import CyclotomicContext
+from chebcm.chebyshev import classify_d, genus_of_cd
+from chebcm.cmtypes import paper_type_case1, paper_type_case2, sum_criterion
+from chebcm.cyclotomic import CyclotomicContext, cyclotomic_polynomial, eta, minimal_polynomial
 
 
 class TestCurveModels:
@@ -106,9 +104,6 @@ class TestValidity:
         curve, z, sigma = case2_automorphisms(5)
         assert z.order() == 10
         assert sigma.compose(sigma).is_identity()
-
-    def test_zeta_case1_shortcut(self):
-        assert zeta_case1(4) == case1_automorphisms(4)[1]
 
 
 class TestPullbacks:
@@ -222,13 +217,13 @@ class TestQuotientIdentity:
 
 class TestQuotientEndomorphism:
     def test_genus_one_eigenvalue_squares_to_minus_two(self):
-        vals = endo_on_quotient(2)
+        vals = endo_quotient_details(2)["eigenvalues"]
         ctx = CyclotomicContext(8)
         assert len(vals) == 1
         assert vals[0] * vals[0] == ctx.coerce(-2)
 
     def test_case2_smallest_eigenvalue_squares_to_minus_three(self):
-        vals = endo_on_quotient(3)
+        vals = endo_quotient_details(3)["eigenvalues"]
         ctx = CyclotomicContext(6)
         assert len(vals) == 1
         assert vals[0] * vals[0] == ctx.coerce(-3)
@@ -244,46 +239,50 @@ class TestQuotientEndomorphism:
 
     def test_eigenvalues_distinct(self):
         for d in (8, 7):
-            vals = endo_on_quotient(d)
+            vals = endo_quotient_details(d)["eigenvalues"]
             assert len(set(vals)) == len(vals)
 
     def test_out_of_scope_rejected(self):
         with pytest.raises(ValueError):
-            endo_on_quotient(6)
-        with pytest.raises(ValueError):
-            endo_on_quotient(5, case=1)
+            endo_quotient_details(6)
 
 
 class TestCmSummary:
+    """The CM data of C_d, from the functions the registry claims call:
+    the eta field, the paper's CM type and the differential eigenvalues."""
+
     def test_d2_frozen(self):
-        s = cm_summary(2)
-        assert s["case"] == 1
-        assert s["genus"] == 1
-        assert s["cyclotomic_index"] == 8
-        assert s["field_polynomial"] == ["2", "0", "1"]
-        assert s["field_degree"] == 2
-        assert s["degree_matches_twice_genus"]
-        assert s["cm_type"] == {"n": 8, "kernel": [1, 3], "S": [1]}
-        assert s["ok"]
+        assert classify_d(2) == 1
+        assert genus_of_cd(2) == 1
+        field_poly = minimal_polynomial(eta(8))  # n = 4d
+        assert field_poly.coeffs == (2, 0, 1)
+        assert field_poly.degree == 2 * genus_of_cd(2)
+        t = paper_type_case1(1)
+        assert t.serialize() == {"n": 8, "kernel": [1, 3], "S": [1]}
+        assert t.is_valid() and t.is_primitive()
+        assert endo_quotient_details(2)["ok"]
 
     def test_d5_frozen(self):
-        s = cm_summary(5)
-        assert s["case"] == 2
-        assert s["genus"] == 2
-        assert s["cyclotomic_index"] == 10
-        assert s["field_polynomial"] == ["1", "1", "1", "1", "1"]
-        assert s["field_degree"] == 4
-        assert s["cm_type"] == {"n": 5, "kernel": [1], "S": [1, 2]}
-        assert s["sum_criterion"] == [3, True]
-        assert s["ok"]
+        assert classify_d(5) == 2
+        assert genus_of_cd(5) == 2
+        assert minimal_polynomial(eta(10)).degree == 4  # n = 2d
+        field_poly = cyclotomic_polynomial(5)
+        assert field_poly.coeffs == (1, 1, 1, 1, 1)
+        assert field_poly.degree == 4
+        t = paper_type_case2(5)
+        assert t.serialize() == {"n": 5, "kernel": [1], "S": [1, 2]}
+        assert t.is_valid() and t.is_primitive()
+        assert sum_criterion(5) == (3, True)
+        assert endo_quotient_details(5)["ok"]
 
     def test_d8_degrees(self):
-        s = cm_summary(8)
-        assert s["genus"] == 4
-        assert s["field_degree"] == 8
-        assert s["cm_type_primitive"]
-        assert s["ok"]
+        assert genus_of_cd(8) == 4
+        assert minimal_polynomial(eta(32)).degree == 8
+        t = paper_type_case1(3)
+        assert t.is_valid() and t.is_primitive()
+        assert endo_quotient_details(8)["ok"]
 
     def test_out_of_scope_rejected(self):
+        assert classify_d(12) is None
         with pytest.raises(ValueError):
-            cm_summary(12)
+            endo_quotient_details(12)

@@ -26,9 +26,7 @@ from chebcm.zeta import (
     good_reduction,
     l_polynomial,
     lpoly_is_irreducible,
-    remark_isogeny_check,
     remark_lpolys,
-    simplicity_evidence,
 )
 from chebcm.zeta import (
     _ZERO_LOG,
@@ -546,18 +544,17 @@ class TestIrreducibility:
 
 class TestSimplicity:
     def test_verdict_structure(self):
-        out = simplicity_evidence(make_cd(3), (2, 3, 5))
-        assert out["curve"] == "C_3"
-        assert [v["p"] for v in out["verdicts"]] == [2, 3, 5]
-        assert not out["verdicts"][0]["good_reduction"]
-        assert not out["verdicts"][1]["good_reduction"]
-        good = out["verdicts"][2]
-        assert good["good_reduction"]
-        assert good["lpolynomial"]["genus"] == 1
-        assert out["evidence_simple"] == good["irreducible"]
+        c3 = make_cd(3)
+        assert [good_reduction(c3, q) for q in (2, 3, 5)] == [False, False, True]
+        lp = l_polynomial(c3, 5)
+        assert lp.serialize()["genus"] == 1
+        irreducible, factor = lpoly_is_irreducible(lp)
+        assert irreducible == (factor is None)
 
     def test_c2_simple_already_at_3(self):
-        assert simplicity_evidence(make_cd(2), (3,))["evidence_simple"]
+        c2 = make_cd(2)
+        assert good_reduction(c2, 3)
+        assert lpoly_is_irreducible(l_polynomial(c2, 3))[0]
 
 
 class TestRemark:
@@ -567,7 +564,6 @@ class TestRemark:
             assert r["curves_agree"], q
             assert r["product_ok"], q
             assert r["l_d2d"] == r["l_dd"] * r["l_cd"]
-        assert remark_isogeny_check(3, 7)
 
     def test_bad_reduction_rejected(self):
         with pytest.raises(BadReductionError):
