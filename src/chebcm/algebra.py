@@ -2,10 +2,14 @@
 
 Rings are lightweight descriptors whose elements overload the usual
 operators; everything is immutable after construction.  ZZ and QQ use
-plain ``int`` / ``fractions.Fraction`` as element types, finite-field
-elements wrap their residues.  Polynomials are dense coefficient tuples
-indexed by degree; degrees in this package stay below a few hundred, so
-schoolbook algorithms are used throughout.
+plain ``int`` / ``fractions.Fraction`` as element types.  Polynomials are
+dense coefficient tuples indexed by degree; degrees in this package stay
+below a few hundred, so schoolbook algorithms are used throughout.
+
+Rings given in a power basis (F_(p^k) = F_p[x]/(m) here, Q(zeta_n) in
+cyclotomic) share one element base, PowerBasisElement, which writes the
+ring operators once; each ring supplies its multiplication.  F_p is
+field_tower(p, 1), the degree-one case of the same class.
 
 Polynomials over F_p also have a plain integer-list layer (_int_poly_divmod,
 _gcd_mod, _mulmod, _powmod, _factor_degrees_mod): coefficient lists low
@@ -79,126 +83,6 @@ class RationalField:
 
 ZZ = IntegerRing()
 QQ = RationalField()
-
-
-class PrimeFieldElement:
-    __slots__ = ("field", "value")
-
-    def __init__(self, field, value):
-        self.field = field
-        self.value = value % field.p
-
-    def _lift(self, other):
-        if isinstance(other, PrimeFieldElement):
-            if other.field != self.field:
-                raise RingMismatchError("elements of different prime fields")
-            return other
-        if isinstance(other, int) and not isinstance(other, bool):
-            return PrimeFieldElement(self.field, other)
-        return None
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return PrimeFieldElement(self.field, self.value + o.value)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return PrimeFieldElement(self.field, self.value - o.value)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return PrimeFieldElement(self.field, o.value - self.value)
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return PrimeFieldElement(self.field, self.value * o.value)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return PrimeFieldElement(self.field, -self.value)
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, e):
-        if e < 0:
-            return self.inverse() ** (-e)
-        return PrimeFieldElement(self.field, pow(self.value, e, self.field.p))
-
-    def inverse(self):
-        if self.value == 0:
-            raise ZeroDivisionError("inverse of zero in prime field")
-        return PrimeFieldElement(self.field, pow(self.value, -1, self.field.p))
-
-    def __eq__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self.value == o.value
-
-    def __hash__(self):
-        return hash((self.field.p, self.value))
-
-    def __repr__(self):
-        return f"{self.value}"
-
-
-class PrimeField:
-    """F_p for an odd or even prime p; elements are wrapped residues."""
-
-    def __init__(self, p):
-        if p < 2:
-            raise ValueError("p must be prime")
-        self.p = p
-        self.zero = PrimeFieldElement(self, 0)
-        self.one = PrimeFieldElement(self, 1)
-
-    is_field = True
-
-    def coerce(self, v):
-        if isinstance(v, PrimeFieldElement):
-            if v.field != self:
-                raise RingMismatchError("element of a different prime field")
-            return v
-        if isinstance(v, int) and not isinstance(v, bool):
-            return PrimeFieldElement(self, v)
-        if isinstance(v, Fraction):
-            if v.denominator % self.p == 0:
-                raise RingMismatchError(f"denominator divisible by {self.p}")
-            return PrimeFieldElement(self, v.numerator) / PrimeFieldElement(self, v.denominator)
-        raise RingMismatchError(f"cannot coerce {v!r} into GF({self.p})")
-
-    def __call__(self, v):
-        return self.coerce(v)
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("GF", self.p))
-
-    def __repr__(self):
-        return f"GF({self.p})"
 
 
 class UniPolynomial:
@@ -725,35 +609,34 @@ def _factor_degrees_mod(h, p):
     return degrees
 
 
-# --- extension fields -------------------------------------------------------
+# --- power-basis elements and finite fields ----------------------------------
 
-class ExtensionFieldElement:
-    __slots__ = ("field", "coeffs")
+class PowerBasisElement:
+    """Element of a ring presented in a power basis, as a coefficient tuple.
 
-    def __init__(self, field, coeffs):
-        if len(coeffs) > field.k:
-            coeffs = _int_poly_divmod(coeffs, field.modulus_coeffs, field.p)[1]
-        cs = [c % field.p for c in coeffs]
-        cs += [0] * (field.k - len(cs))
-        self.field = field
-        self.coeffs = tuple(cs)
+    The ring supplies _mul (on coefficient sequences), zero and one.  A
+    subclass normalizes coefficients in __init__, names in _scalars the
+    plain numbers it lifts into the ring, and defines inverse, __hash__
+    and printing.  Elements of different rings never mix.
+    """
+
+    __slots__ = ("ring", "coeffs")
+    _scalars = (int,)
 
     def _lift(self, other):
-        if isinstance(other, ExtensionFieldElement):
-            if other.field != self.field:
-                raise RingMismatchError("elements of different extension fields")
+        if isinstance(other, PowerBasisElement):
+            if other.ring != self.ring:
+                raise RingMismatchError(f"elements of {self.ring!r} and {other.ring!r}")
             return other
-        if isinstance(other, int) and not isinstance(other, bool):
-            return ExtensionFieldElement(self.field, (other,))
+        if isinstance(other, self._scalars) and not isinstance(other, bool):
+            return type(self)(self.ring, (other,))
         return None
 
     def __add__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return ExtensionFieldElement(
-            self.field, [a + b for a, b in zip(self.coeffs, o.coeffs)]
-        )
+        return type(self)(self.ring, [a + b for a, b in zip(self.coeffs, o.coeffs)])
 
     __radd__ = __add__
 
@@ -761,9 +644,7 @@ class ExtensionFieldElement:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return ExtensionFieldElement(
-            self.field, [a - b for a, b in zip(self.coeffs, o.coeffs)]
-        )
+        return type(self)(self.ring, [a - b for a, b in zip(self.coeffs, o.coeffs)])
 
     def __rsub__(self, other):
         o = self._lift(other)
@@ -772,13 +653,13 @@ class ExtensionFieldElement:
         return o - self
 
     def __neg__(self):
-        return ExtensionFieldElement(self.field, [-a for a in self.coeffs])
+        return type(self)(self.ring, [-a for a in self.coeffs])
 
     def __mul__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return ExtensionFieldElement(self.field, self.field._mul(self.coeffs, o.coeffs))
+        return type(self)(self.ring, self.ring._mul(self.coeffs, o.coeffs))
 
     __rmul__ = __mul__
 
@@ -797,7 +678,7 @@ class ExtensionFieldElement:
     def __pow__(self, e):
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.field.one
+        result = self.ring.one
         base = self
         while e:
             if e & 1:
@@ -806,34 +687,48 @@ class ExtensionFieldElement:
             e >>= 1
         return result
 
-    def inverse(self):
-        f = self.field
-        pf = PrimeField(f.p)
-        a = UniPolynomial(pf, self.coeffs)
-        if a.is_zero():
-            raise ZeroDivisionError("inverse of zero in extension field")
-        m = UniPolynomial(pf, f.modulus_coeffs)
-        g, u, _ = poly_xgcd(a, m)
-        if g.degree != 0:
-            raise ZeroDivisionError("modulus not coprime to element")
-        u = u % m
-        return ExtensionFieldElement(f, [c.value for c in u.coeffs])
-
     def __eq__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
         return self.coeffs == o.coeffs
 
+
+class ExtensionFieldElement(PowerBasisElement):
+    __slots__ = ()
+
+    def __init__(self, ring, coeffs):
+        if len(coeffs) > ring.k:
+            coeffs = _int_poly_divmod(coeffs, ring.modulus_coeffs, ring.p)[1]
+        cs = [c % ring.p for c in coeffs]
+        cs += [0] * (ring.k - len(cs))
+        self.ring = ring
+        self.coeffs = tuple(cs)
+
+    def inverse(self):
+        f = self.ring
+        if not any(self.coeffs):
+            raise ZeroDivisionError("inverse of zero in extension field")
+        if f.k == 1:
+            return ExtensionFieldElement(f, (pow(self.coeffs[0], -1, f.p),))
+        fp = field_tower(f.p, 1)
+        a = UniPolynomial(fp, self.coeffs)
+        m = UniPolynomial(fp, f.modulus_coeffs)
+        g, u, _ = poly_xgcd(a, m)
+        if g.degree != 0:
+            raise ZeroDivisionError("modulus not coprime to element")
+        return ExtensionFieldElement(f, [c.coeffs[0] for c in (u % m).coeffs])
+
     def __hash__(self):
-        return hash((self.field.p, self.field.k, self.coeffs))
+        return hash((self.ring.p, self.ring.k, self.coeffs))
 
     def __repr__(self):
         return f"ExtElement{self.coeffs}"
 
 
 class ExtensionField:
-    """F_{p^k} presented as F_p[x] modulo a fixed monic irreducible.
+    """F_{p^k} presented as F_p[x] modulo a fixed monic irreducible; F_p
+    itself at k = 1.
 
     The modulus is the first monic irreducible of degree k in the scan
     over integer encodings m = c_0 + c_1 p + ... + c_{k-1} p^{k-1}, so
@@ -888,7 +783,7 @@ class ExtensionField:
 
     def coerce(self, v):
         if isinstance(v, ExtensionFieldElement):
-            if v.field != self:
+            if v.ring != self:
                 raise RingMismatchError("element of a different extension field")
             return v
         if isinstance(v, int) and not isinstance(v, bool):

@@ -18,7 +18,6 @@ from .zeta import (
     BadReductionError,
     CapExceededError,
     count_points,  # noqa: F401 - kept as chebcm.cli.count_points, which perfbench wraps
-    good_reduction,
     l_polynomial,
     lpoly_is_irreducible,
     remark_lpolys,
@@ -116,12 +115,11 @@ def _cmd_remark(args) -> int:
     rows = []
     failed = False
     for q in (q for q in range(3, args.pmax + 1) if is_prime(q)):
-        curves = (make_cd(args.d), make_dm(args.d), make_dm(2 * args.d))
-        if not all(good_reduction(c, q) for c in curves):
-            rows.append({"q": q, "status": "skip", "reason": "bad reduction"})
-            continue
         try:
             r = remark_lpolys(args.d, q)
+        except BadReductionError:
+            rows.append({"q": q, "status": "skip", "reason": "bad reduction"})
+            continue
         except CapExceededError as exc:
             rows.append({"q": q, "status": "skip", "reason": str(exc)})
             continue

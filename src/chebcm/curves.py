@@ -11,6 +11,8 @@ and signs fall out of the computation rather than being hardcoded.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .algebra import (
     LaurentPolynomial,
     QQ,
@@ -37,7 +39,8 @@ class HyperellipticCurve:
     """y^2 = f(x) with f squarefree over Q; genus floor((deg f - 1) / 2).
 
     Degree 1 and 2 models (genus 0) are accepted so that the zeta layer
-    can exercise its trivial case.
+    can exercise its trivial case.  Curves are never mutated, so make_cd,
+    make_dm and make_xd build each one once per process.
     """
 
     def __init__(self, f: UniPolynomial, label: str | None = None):
@@ -61,6 +64,7 @@ class HyperellipticCurve:
         return f"HyperellipticCurve({self.label})"
 
 
+@lru_cache(maxsize=None)
 def make_cd(d: int) -> HyperellipticCurve:
     """C_d : v^2 = (u+2) * phi_d(u), for d >= 2."""
     if d < 2:
@@ -70,6 +74,7 @@ def make_cd(d: int) -> HyperellipticCurve:
     return c
 
 
+@lru_cache(maxsize=None)
 def make_dm(m: int) -> HyperellipticCurve:
     """D_m : y^2 = x^m + 1, for m >= 3."""
     if m < 3:
@@ -78,6 +83,7 @@ def make_dm(m: int) -> HyperellipticCurve:
     return HyperellipticCurve(f, label=f"D_{m}")
 
 
+@lru_cache(maxsize=None)
 def make_xd(d: int) -> HyperellipticCurve:
     """X_d : y^2 = x * (x^(2d) + 1), for even d >= 2; genus d."""
     if d < 2 or d % 2 != 0:

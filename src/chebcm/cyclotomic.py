@@ -15,6 +15,7 @@ from functools import lru_cache
 
 from .algebra import (
     QQ,
+    PowerBasisElement,
     RingMismatchError,
     UniPolynomial,
     ZZ,
@@ -41,87 +42,18 @@ def cyclotomic_polynomial(n: int) -> UniPolynomial:
     return q
 
 
-class CyclotomicElement:
-    __slots__ = ("context", "coeffs")
+class CyclotomicElement(PowerBasisElement):
+    __slots__ = ()
+    _scalars = (int, Fraction)
 
-    def __init__(self, context, coeffs):
+    def __init__(self, ring, coeffs):
         cs = list(coeffs)
-        cs += [0] * (context.degree - len(cs))
-        self.context = context
-        self.coeffs = tuple(cs[: context.degree])
-
-    def _lift(self, other):
-        if isinstance(other, CyclotomicElement):
-            if other.context != self.context:
-                raise RingMismatchError("elements of different cyclotomic fields")
-            return other
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return CyclotomicElement(self.context, (other,))
-        return None
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return CyclotomicElement(
-            self.context, [a + b for a, b in zip(self.coeffs, o.coeffs)]
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return CyclotomicElement(
-            self.context, [a - b for a, b in zip(self.coeffs, o.coeffs)]
-        )
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __neg__(self):
-        return CyclotomicElement(self.context, [-a for a in self.coeffs])
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return CyclotomicElement(
-            self.context, self.context._mul(self.coeffs, o.coeffs)
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, e):
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = self.context.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        cs += [0] * (ring.degree - len(cs))
+        self.ring = ring
+        self.coeffs = tuple(cs[: ring.degree])
 
     def inverse(self):
-        ctx = self.context
+        ctx = self.ring
         nz = [(i, c) for i, c in enumerate(self.coeffs) if c != 0]
         if not nz:
             raise ZeroDivisionError("inverse of zero in cyclotomic field")
@@ -146,18 +78,12 @@ class CyclotomicElement:
             raise ValueError("element is not rational")
         return Fraction(self.coeffs[0]) if self.coeffs else Fraction(0)
 
-    def __eq__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
-
     def __hash__(self):
-        return hash((self.context.n, tuple(Fraction(c) for c in self.coeffs)))
+        return hash((self.ring.n, tuple(Fraction(c) for c in self.coeffs)))
 
     def __str__(self):
         terms = []
-        for k in range(self.context.degree - 1, -1, -1):
+        for k in range(self.ring.degree - 1, -1, -1):
             c = self.coeffs[k]
             if c == 0:
                 continue
@@ -176,7 +102,7 @@ class CyclotomicElement:
         return " + ".join(terms).replace("+ -", "- ")
 
     def __repr__(self):
-        return f"Cyclo({self.context.n}; {self})"
+        return f"Cyclo({self.ring.n}; {self})"
 
 
 class CyclotomicContext:
@@ -255,7 +181,7 @@ class CyclotomicContext:
 
     def coerce(self, v):
         if isinstance(v, CyclotomicElement):
-            if v.context != self:
+            if v.ring != self:
                 raise RingMismatchError("element of a different cyclotomic field")
             return v
         if isinstance(v, (int, Fraction)) and not isinstance(v, bool):
@@ -283,7 +209,7 @@ def eta(n: int) -> CyclotomicElement:
 
 def galois_apply(a: int, x: CyclotomicElement) -> CyclotomicElement:
     """Image of x under zeta -> zeta^a; a must be a unit mod n."""
-    ctx = x.context
+    ctx = x.ring
     n = ctx.n
     if n > 1 and math.gcd(a % n, n) != 1:
         raise ValueError(f"{a} is not a unit mod {n}")
@@ -301,7 +227,7 @@ def galois_apply(a: int, x: CyclotomicElement) -> CyclotomicElement:
 def minimal_polynomial(x: CyclotomicElement) -> UniPolynomial:
     """Monic minimal polynomial of x over Q, from the first linear dependence
     among 1, x, x^2, ...; the result annihilates x exactly."""
-    ctx = x.context
+    ctx = x.ring
     dim = ctx.degree
     basis = []  # rows: (reduced vector, combination over previous powers)
     powers = [ctx.one]
@@ -338,7 +264,7 @@ def minimal_polynomial(x: CyclotomicElement) -> UniPolynomial:
 def minimal_polynomial_orbit(x: CyclotomicElement) -> UniPolynomial:
     """Same minimal polynomial, built as the product of (t - image) over the
     distinct Galois images of x; cross-check path for the dependence method."""
-    ctx = x.context
+    ctx = x.ring
     images = []
     for a in unit_group(ctx.n):
         y = galois_apply(a, x)
@@ -372,7 +298,13 @@ def eta_stabilizer(n: int) -> frozenset:
     return frozenset(out)
 
 
+@lru_cache(maxsize=None)
+def eta_minimal_polynomial(n: int) -> UniPolynomial:
+    """minimal_polynomial(eta(n)), computed once per n."""
+    return minimal_polynomial(eta(n))
+
+
 def kd_degree_check(n: int) -> bool:
     """deg of the minimal polynomial of eta_n equals phi(n) / |kernel|."""
-    deg = minimal_polynomial(eta(n)).degree
+    deg = eta_minimal_polynomial(n).degree
     return deg * len(kd_kernel(n)) == euler_phi(n)

@@ -30,7 +30,7 @@ from .curves import (
     pullback_matrix,
     quotient_identity,
 )
-from .cyclotomic import eta, eta_stabilizer, kd_degree_check, minimal_polynomial
+from .cyclotomic import eta_minimal_polynomial, eta_stabilizer, kd_degree_check
 from .unitgroups import (
     case1_cm_criterion,
     case2_cm_criterion,
@@ -242,7 +242,7 @@ def build_report(d: int, cap: int = COUNT_CAP) -> VerificationReport:
         )
 
     def claim_cm_degree():
-        mp = minimal_polynomial(eta(n))
+        mp = eta_minimal_polynomial(n)
         ok = mp.degree == 2 * genus
         return ("pass" if ok else "fail"), f"deg minpoly(eta({n})) = {mp.degree}, 2g = {2 * genus}"
 

@@ -18,15 +18,16 @@ s_i = L(x^i) of F_p (see _zech_tables): one chunk of s gives the next by
 k multiply-adds, with no field arithmetic, at about 40-60 ns per element
 on a 2-CPU machine.  They are freed on return; fields of 2^31 elements
 or more are refused.  Counting uses integers only and does not call
-field_tower; count_points_naive, over field_tower's field, is the
-independent slow oracle.
+field_tower; count_points_naive, which enumerates field_tower(p, k) for
+every k (F_p is k = 1), is the independent slow oracle.
 
 L-polynomials are checked through the real Weil polynomial h, with
 T^(2g) L(1/T) = T^g h(T + q/T): the Weil bound |alpha| = sqrt q is an
 exact Sturm count of the roots of h in [-2 sqrt q, 2 sqrt q], and
 irreducibility is proved from the factor degrees of h mod small primes.
 That proof and good_reduction (deg f mod p = deg f, gcd(f, f') = 1 mod p)
-use the integer-list polynomial layer over F_p in algebra.
+use the integer-list polynomial layer over F_p in algebra; a repeated
+factor of L is the last member of its integer Sturm chain.
 All pass/fail logic uses exact integer arithmetic; floating point
 appears only in the candidate factors that the fallback subset scan of
 lpoly_is_irreducible proposes, each decided by exact trial division.
@@ -45,16 +46,12 @@ from math import gcd
 import numpy as np
 
 from .algebra import (
-    PrimeField,
-    QQ,
-    UniPolynomial,
     _factor_degrees_mod,
     _gcd_mod,
     _monics,
     _mulmod,
     _powmod,
     field_tower,
-    poly_gcd,
 )
 from .chebyshev import classify_d, is_prime
 from .curves import HyperellipticCurve, VerificationError, make_cd, make_dm
@@ -298,12 +295,8 @@ def count_points_naive(curve: HyperellipticCurve, p: int, k: int = 1) -> int:
     """Pure-Python enumeration oracle; only sensible for tiny fields."""
     if not good_reduction(curve, p):
         raise BadReductionError(f"{curve.label} has bad reduction at p={p}")
-    if k == 1:
-        field = PrimeField(p)
-        elems = [field.coerce(a) for a in range(p)]
-    else:
-        field = field_tower(p, k)
-        elems = list(field.elements())
+    field = field_tower(p, k)
+    elems = list(field.elements())
     squares = {z * z for z in elems}
     zero = field.zero
     f = curve.f
@@ -600,13 +593,11 @@ def lpoly_is_irreducible(lp: LPolynomial):
     g = lp.genus
     if g == 0:
         return False, None
-    f = UniPolynomial(QQ, lp.coeffs)
-    common = poly_gcd(f, f.derivative())
-    if common.degree > 0:
-        mult = 1
-        for c in common.coeffs:
-            mult = mult * c.denominator // gcd(mult, c.denominator)
-        return False, [int(c * mult) for c in common.coeffs]
+    # the last Sturm member is the primitive gcd of L and L' up to sign;
+    # L(0) = 1, so its constant term is +-1
+    common = _sturm_chain(list(lp.coeffs))[-1]
+    if len(common) > 1:
+        return False, common if common[0] == 1 else [-c for c in common]
     if _proves_irreducible(lp.real_weil_polynomial()):
         return True, None
     return _subset_scan(lp)

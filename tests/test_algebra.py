@@ -9,7 +9,6 @@ from chebcm.algebra import (
     ExtensionField,
     ExtensionFieldElement,
     LaurentPolynomial,
-    PrimeField,
     QQ,
     RingMismatchError,
     UniPolynomial,
@@ -23,6 +22,7 @@ from chebcm.algebra import (
     row_reduce,
     squarefree,
 )
+from chebcm.cyclotomic import CyclotomicContext
 
 
 def zpoly(*coeffs):
@@ -147,26 +147,42 @@ class TestGcd:
         assert squarefree(zpoly(-2, 0, 1))
         assert not squarefree(zpoly(1, 2, 1))
         # x^3 + 1 = (x+1)^3 over F_3; derivative vanishes on the cube
-        fp = PrimeField(3)
+        fp = field_tower(3, 1)
         f3 = UniPolynomial(fp, [fp.coerce(1), fp.zero, fp.zero, fp.coerce(1)])
         assert not squarefree(f3)
 
 
 class TestPrimeField:
+    # F_p is the degree-one case of the power-basis extension field
     def test_arithmetic_matches_int_mod_p(self):
-        fp = PrimeField(7)
+        fp = field_tower(7, 1)
         a, b = fp.coerce(3), fp.coerce(5)
-        assert (a * b).value == 1
-        assert (a - b).value == 5
-        assert (a / b).value == (3 * pow(5, -1, 7)) % 7
+        assert (a * b).coeffs[0] == 1
+        assert (a - b).coeffs[0] == 5
+        assert (a / b).coeffs[0] == (3 * pow(5, -1, 7)) % 7
         assert (a ** (-1)) * a == fp.one
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(-30, 30), st.integers(-30, 30))
     def test_hom_from_z(self, a, b):
-        fp = PrimeField(13)
+        fp = field_tower(13, 1)
         assert fp.coerce(a) + fp.coerce(b) == fp.coerce(a + b)
         assert fp.coerce(a) * fp.coerce(b) == fp.coerce(a * b)
+
+    def test_inverse_with_modulus_other_than_x(self):
+        # F_7 = F_7[x]/(x + 2): x is -2 = 5, whose inverse is 3
+        x = ExtensionField(7, 1, (2, 1)).gen()
+        assert x.inverse() == 3
+        assert x * x.inverse() == 1
+
+
+def test_elements_of_different_rings_do_not_mix():
+    f9, f25 = field_tower(3, 2).gen(), field_tower(5, 2).gen()
+    z5, z7 = CyclotomicContext(5).zeta, CyclotomicContext(7).zeta
+    for a, b in ((f9, f25), (f9, z5), (z5, z7)):
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(RingMismatchError):
+                x + y
 
 
 class TestLaurent:

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import chebcm.curves as curves
+import chebcm.cyclotomic as cyclotomic
 from chebcm.report import (
     CLAIM_REGISTRY,
     ClaimResult,
@@ -36,6 +38,32 @@ def test_report_d3_skips_only_subfields():
     statuses = {c.claim_id: c.status for c in rep.claims}
     assert statuses.pop("subfields-totally-real") == "skip"
     assert set(statuses.values()) == {"pass"}
+
+
+def test_report_builds_each_curve_once(monkeypatch):
+    for make in (curves.make_cd, curves.make_dm, curves.make_xd):
+        make.cache_clear()
+    built = []
+    init = curves.HyperellipticCurve.__init__
+
+    def counting_init(self, f, label=None):
+        built.append(label)
+        init(self, f, label)
+
+    monkeypatch.setattr(curves.HyperellipticCurve, "__init__", counting_init)
+    assert not build_report(13).failed
+    assert sorted(built) == ["C_13", "D_13", "D_26"]
+
+
+def test_report_finds_the_eta_minimal_polynomial_once(monkeypatch):
+    cyclotomic.eta_minimal_polynomial.cache_clear()
+    args = []
+    minpoly = cyclotomic.minimal_polynomial
+    monkeypatch.setattr(
+        cyclotomic, "minimal_polynomial", lambda x: args.append(x) or minpoly(x)
+    )
+    assert not build_report(13).failed
+    assert args == [cyclotomic.eta(26)]
 
 
 def test_report_out_of_scope_rejected():

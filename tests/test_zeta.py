@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from chebcm.algebra import (
     ZZ,
     ExtensionField,
-    PrimeField,
     UniPolynomial,
     field_tower,
     squarefree,
@@ -120,7 +119,7 @@ class TestGoodReduction:
         derivative_vanishes = 0
         for curve in curves:
             for p in _odd_primes(100):
-                fp = UniPolynomial(PrimeField(p), [int(c) for c in curve.f.coeffs])
+                fp = UniPolynomial(field_tower(p, 1), [int(c) for c in curve.f.coeffs])
                 expected = fp.degree == curve.f.degree and squarefree(fp)
                 assert good_reduction(curve, p) == expected, (curve.label, p)
                 derivative_vanishes += fp.derivative().is_zero()
@@ -173,13 +172,8 @@ class TestCountPoints:
         # and g^zech[i] = 1 + g^i, by ExtensionField arithmetic; the build
         # needs no special case at k = 1, where x = -m_0 in F_p
         for p, k in ((5, 2), (3, 4), (7, 3), (11, 1)):
-            m = _primitive_modulus(p, k)
-            if k == 1:
-                field = PrimeField(p)
-                g = field(-m[0])
-            else:
-                field = ExtensionField(p, k, m)
-                g = field.gen()
+            field = ExtensionField(p, k, _primitive_modulus(p, k))
+            g = field.gen()
             log, zech = _zech_tables(p, k)
             n = p**k - 1
             assert log[0] == _ZERO_LOG
@@ -450,6 +444,13 @@ class TestIrreducibility:
         verdict, factor = lpoly_is_irreducible(lp)
         assert not verdict
         self._check_exact_factor(lp, factor)
+
+    def test_repeated_factor_has_constant_term_one(self):
+        # (1 - 3T)^2 over F_9: gcd(L, L') = 1 - 3T, whose leading
+        # coefficient is negative
+        assert lpoly_is_irreducible(LPolynomial((1, -6, 9), 9)) == (False, [1, -3])
+        lp = LPolynomial((1, 6, 15, 18, 9), 3)  # (1 + 3T + 3T^2)^2
+        assert lpoly_is_irreducible(lp) == (False, [1, 3, 3])
 
     def test_rational_reciprocal_root_detected(self):
         # supersingular genus-1: 1 + 3T^2 = (1 - sqrt(-3)T)(1 + sqrt(-3)T)
