@@ -6,7 +6,7 @@ plain ``int`` / ``fractions.Fraction`` as element types.  Polynomials are
 dense coefficient tuples indexed by degree; degrees in this package stay
 below a few hundred, so schoolbook algorithms are used throughout.
 
-Rings given in a power basis (F_(p^k) = F_p[x]/(m) here, Q(zeta_n) in
+Rings given in a power basis (F_(p^k) = F_p[x]/(m) here, Z[zeta_n] in
 cyclotomic) share one element base, PowerBasisElement, which writes the
 ring operators once; each ring supplies its multiplication.  F_p is
 field_tower(p, 1), the degree-one case of the same class.
@@ -615,20 +615,19 @@ class PowerBasisElement:
     """Element of a ring presented in a power basis, as a coefficient tuple.
 
     The ring supplies _mul (on coefficient sequences), zero and one.  A
-    subclass normalizes coefficients in __init__, names in _scalars the
-    plain numbers it lifts into the ring, and defines inverse, __hash__
-    and printing.  Elements of different rings never mix.
+    subclass normalizes coefficients in __init__ and defines inverse,
+    __hash__ and printing.  Plain ints lift into the ring; elements of
+    different rings never mix.
     """
 
     __slots__ = ("ring", "coeffs")
-    _scalars = (int,)
 
     def _lift(self, other):
         if isinstance(other, PowerBasisElement):
             if other.ring != self.ring:
                 raise RingMismatchError(f"elements of {self.ring!r} and {other.ring!r}")
             return other
-        if isinstance(other, self._scalars) and not isinstance(other, bool):
+        if isinstance(other, int) and not isinstance(other, bool):
             return type(self)(self.ring, (other,))
         return None
 
@@ -782,17 +781,10 @@ class ExtensionField:
         return out
 
     def coerce(self, v):
-        if isinstance(v, ExtensionFieldElement):
-            if v.ring != self:
-                raise RingMismatchError("element of a different extension field")
-            return v
-        if isinstance(v, int) and not isinstance(v, bool):
-            return ExtensionFieldElement(self, (v,))
-        if isinstance(v, Fraction):
-            num = ExtensionFieldElement(self, (v.numerator,))
-            den = ExtensionFieldElement(self, (v.denominator,))
-            return num / den
-        raise RingMismatchError(f"cannot coerce {v!r} into GF({self.p}^{self.k})")
+        out = self.one._lift(v)
+        if out is None:
+            raise RingMismatchError(f"cannot coerce {v!r} into GF({self.p}^{self.k})")
+        return out
 
     def __call__(self, v):
         return self.coerce(v)

@@ -15,7 +15,6 @@ from functools import lru_cache
 
 from .algebra import (
     LaurentPolynomial,
-    QQ,
     UniPolynomial,
     ZZ,
     laurent_compose,
@@ -36,7 +35,7 @@ class VerificationError(AssertionError):
 
 
 class HyperellipticCurve:
-    """y^2 = f(x) with f squarefree over Q; genus floor((deg f - 1) / 2).
+    """y^2 = f(x) with f in Z[x] squarefree; genus floor((deg f - 1) / 2).
 
     Degree 1 and 2 models (genus 0) are accepted so that the zeta layer
     can exercise its trivial case.  Curves are never mutated, so make_cd,
@@ -44,8 +43,8 @@ class HyperellipticCurve:
     """
 
     def __init__(self, f: UniPolynomial, label: str | None = None):
-        if f.ring != ZZ and f.ring != QQ:
-            raise ValueError("curve coefficients must lie in ZZ or QQ")
+        if f.ring != ZZ:
+            raise ValueError("curve coefficients must lie in ZZ")
         if f.degree < 1:
             raise ValueError("deg f must be >= 1")
         if not squarefree(f):
@@ -95,7 +94,11 @@ def make_xd(d: int) -> HyperellipticCurve:
 
 
 class MonomialAutomorphism:
-    """(x, y) -> (gamma * x^s, delta * x^t * y), coefficients in Q(zeta_n)."""
+    """(x, y) -> (gamma * x^s, delta * x^t * y), coefficients in Z[zeta_n].
+
+    gamma and delta are units +-zeta^k wherever a map is inverted or
+    pulled back (CyclotomicElement.inverse).
+    """
 
     __slots__ = ("context", "gamma", "s", "delta", "t")
 
@@ -197,7 +200,7 @@ class MonomialAutomorphism:
 def automorphism_valid(curve: HyperellipticCurve, auto: MonomialAutomorphism) -> bool:
     """Exact check that (delta*x^t*y)^2 = f(gamma*x^s) given y^2 = f(x)."""
     ctx = auto.context
-    f_laurent = LaurentPolynomial(ctx, 0, [ctx.coerce(c) for c in curve.f.coeffs])
+    f_laurent = LaurentPolynomial(ctx, 0, curve.f.coeffs)
     lhs = (
         LaurentPolynomial.monomial(ctx, auto.delta * auto.delta, 2 * auto.t)
         * f_laurent
@@ -208,36 +211,13 @@ def automorphism_valid(curve: HyperellipticCurve, auto: MonomialAutomorphism) ->
     return lhs == rhs
 
 
-class PullbackMatrix:
-    """g x g matrix of a pullback on the basis omega_j = x^(j-1) dx / y.
+def pullback_matrix(curve: HyperellipticCurve, auto: MonomialAutomorphism) -> list:
+    """g x g matrix (list of rows) of the pullback of auto on the basis
+    omega_j = x^(j-1) dx / y, by formal substitution.
 
     Entry (i, j) is the coefficient of omega_(i+1) in the pullback of
     omega_(j+1), so matrices compose contravariantly:
-    matrix(a after b) = matrix(b) . matrix(a).
-    """
-
-    __slots__ = ("curve", "automorphism", "matrix")
-
-    def __init__(self, curve, automorphism, matrix):
-        self.curve = curve
-        self.automorphism = automorphism
-        self.matrix = matrix
-
-    @property
-    def context(self):
-        return self.automorphism.context
-
-    def __eq__(self, other):
-        if isinstance(other, PullbackMatrix):
-            return self.curve == other.curve and self.matrix == other.matrix
-        return NotImplemented
-
-    def __repr__(self):
-        return f"PullbackMatrix({self.curve.label}, {self.automorphism!r})"
-
-
-def pullback_matrix(curve: HyperellipticCurve, auto: MonomialAutomorphism) -> PullbackMatrix:
-    """Pullback of auto on regular differentials, by formal substitution.
+    pullback_matrix(a after b) = pullback_matrix(b) . pullback_matrix(a).
 
     pullback of h(x) dx/y = h(gamma x^s) * gamma*s*x^(s-1) / (delta*x^t) dx/y.
     Raises MapNotValidError when the map does not preserve the curve, or
@@ -259,8 +239,7 @@ def pullback_matrix(curve: HyperellipticCurve, auto: MonomialAutomorphism) -> Pu
                 f"pullback of omega_{j} is not in the regular basis span"
             )
         cols.append([image.coefficient(i) for i in range(g)])
-    rows = [[cols[j][i] for j in range(g)] for i in range(g)]
-    return PullbackMatrix(curve, auto, rows)
+    return [[cols[j][i] for j in range(g)] for i in range(g)]
 
 
 def mat_identity(g: int, ring):
@@ -302,13 +281,12 @@ def mat_vec(a, v, ring):
     return out
 
 
-def invariant_subspace(m: PullbackMatrix):
-    """Basis of the fixed subspace of the pullback of an involution."""
-    auto = m.automorphism
+def invariant_subspace(curve: HyperellipticCurve, auto: MonomialAutomorphism):
+    """Basis of the differentials fixed by the pullback of an involution."""
     if not auto.compose(auto).is_identity():
         raise ValueError("automorphism is not an involution on the curve")
-    ctx = m.context
-    rows = mat_sub(m.matrix, mat_identity(m.curve.genus, ctx))
+    ctx = auto.context
+    rows = mat_sub(pullback_matrix(curve, auto), mat_identity(curve.genus, ctx))
     return matrix_kernel(rows, ctx)
 
 
@@ -318,8 +296,8 @@ def case1_automorphisms(d: int):
     The rotation is lifted as (x, y) -> (zeta_4d^2 x, zeta_4d y): the lift
     (zeta_4d x, zeta_4d y) does not preserve y^2 = x^(2d+1) + x, so the
     valid lift doubles the exponent on x.  Verifies order 4d, that the
-    2d-th power is the hyperelliptic involution, and tau zeta tau =
-    zeta^(2d-1), all as exact maps.
+    2d-th power is the hyperelliptic involution, that tau is an involution
+    and tau zeta tau = zeta^(2d-1), all as exact maps.
     """
     if d < 2 or d % 2 != 0:
         raise ValueError("even d >= 2 required")
@@ -335,6 +313,8 @@ def case1_automorphisms(d: int):
         raise VerificationError("rotation does not have order 4d")
     if z.power(2 * d) != MonomialAutomorphism.hyperelliptic_involution(ctx):
         raise VerificationError("zeta^(2d) is not the hyperelliptic involution")
+    if not tau.compose(tau).is_identity():
+        raise VerificationError("tau is not an involution")
     if tau.compose(z).compose(tau) != z.power(2 * d - 1):
         raise VerificationError("tau zeta tau != zeta^(2d-1)")
     return curve, z, tau
@@ -403,12 +383,12 @@ def endo_quotient_details(d: int) -> dict:
         half = (d - 1) // 2
     ctx = z.context
     g = curve.genus
-    e = mat_sub(pullback_matrix(curve, z).matrix, pullback_matrix(curve, z.inverse()).matrix)
-    pm_invol = pullback_matrix(curve, invol)
-    m_invol = pm_invol.matrix
+    e = mat_sub(pullback_matrix(curve, z), pullback_matrix(curve, z.inverse()))
+    m_invol = pullback_matrix(curve, invol)
     commutes = mat_mul(e, m_invol, ctx) == mat_mul(m_invol, e, ctx)
 
-    kernel = invariant_subspace(pm_invol)
+    # the case constructors verify that invol is an involution
+    kernel = matrix_kernel(mat_sub(m_invol, mat_identity(g, ctx)), ctx)
     expected_vectors = []
     for j in range(1, half + 1):
         v = [ctx.zero] * g

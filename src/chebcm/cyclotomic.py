@@ -1,26 +1,23 @@
-"""Exact arithmetic in Q(zeta_n): power-basis elements mod the n-th cyclotomic
-polynomial, Galois action zeta -> zeta^a, and minimal polynomials over Q.
+"""Exact arithmetic in Z[zeta_n]: power-basis elements mod the n-th
+cyclotomic polynomial, Galois action zeta -> zeta^a, and minimal
+polynomials over Z.
 
 The elements eta_n = zeta_n - zeta_n^(-1) generate the CM fields this
 package certifies; their Galois stabilizers are computed here by plain
 cyclotomic arithmetic so they can be checked against the congruence
-description in unitgroups.
+description in unitgroups.  Every element on these paths is an algebraic
+integer, and the only inverses taken are of the units +-zeta^k, so the
+coefficients stay integers throughout.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import (
-    QQ,
-    PowerBasisElement,
-    RingMismatchError,
-    UniPolynomial,
-    ZZ,
-    poly_xgcd,
-)
+from .algebra import PowerBasisElement, RingMismatchError, UniPolynomial, ZZ
 from .unitgroups import euler_phi, kd_kernel, unit_group
 
 
@@ -44,42 +41,28 @@ def cyclotomic_polynomial(n: int) -> UniPolynomial:
 
 class CyclotomicElement(PowerBasisElement):
     __slots__ = ()
-    _scalars = (int, Fraction)
 
     def __init__(self, ring, coeffs):
-        cs = list(coeffs)
+        cs = list(map(operator.index, coeffs))
         cs += [0] * (ring.degree - len(cs))
         self.ring = ring
         self.coeffs = tuple(cs[: ring.degree])
 
     def inverse(self):
+        """Inverse of a unit +-zeta^k, the only inverses the CM layer takes;
+        any other element raises ZeroDivisionError."""
         ctx = self.ring
-        nz = [(i, c) for i, c in enumerate(self.coeffs) if c != 0]
-        if not nz:
-            raise ZeroDivisionError("inverse of zero in cyclotomic field")
-        if len(nz) == 1:
-            # c * zeta^k inverts to c^(-1) * zeta^(n-k)
-            k, c = nz[0]
-            inv = Fraction(1) / Fraction(c)
-            vec = [inv * t for t in ctx.power(-k)]
-            return CyclotomicElement(ctx, vec)
-        a = UniPolynomial(QQ, self.coeffs)
-        g, u, _ = poly_xgcd(a, ctx.phi_qq)
-        if g.degree != 0:
-            raise ZeroDivisionError("element not invertible (should not happen)")
-        u = u % ctx.phi_qq
-        return CyclotomicElement(ctx, u.coeffs)
+        for sign in (1, -1):
+            k = ctx._exponent.get(tuple(sign * c for c in self.coeffs))
+            if k is not None:
+                return CyclotomicElement(ctx, [sign * c for c in ctx.power(-k)])
+        raise ZeroDivisionError(f"{self!r} is not a unit +-zeta^k")
 
     def is_rational(self):
         return all(c == 0 for c in self.coeffs[1:])
 
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("element is not rational")
-        return Fraction(self.coeffs[0]) if self.coeffs else Fraction(0)
-
     def __hash__(self):
-        return hash((self.ring.n, tuple(Fraction(c) for c in self.coeffs)))
+        return hash((self.ring.n, self.coeffs))
 
     def __str__(self):
         terms = []
@@ -106,7 +89,7 @@ class CyclotomicElement(PowerBasisElement):
 
 
 class CyclotomicContext:
-    """Q(zeta_n) in the power basis 1, zeta, ..., zeta^(phi(n)-1).
+    """Z[zeta_n] in the power basis 1, zeta, ..., zeta^(phi(n)-1).
 
     Doubles as a coefficient ring for UniPolynomial.  Construction
     sanity-checks that Phi_n divides x^n - 1.
@@ -132,7 +115,6 @@ class CyclotomicContext:
         self.n = n
         self.degree = phi.degree
         self.phi = phi
-        self.phi_qq = phi.map_coefficients(Fraction, QQ)
         # power_table[k] = zeta^k reduced mod Phi_n, for 0 <= k < n
         neg = [-c for c in phi.coeffs[: self.degree]]
         table = []
@@ -144,11 +126,12 @@ class CyclotomicContext:
             if top:
                 row = [a + top * b for a, b in zip(row, neg)]
         self._table = table
+        self._exponent = {row: k for k, row in enumerate(table)}  # zeta^k -> k
         self.zero = CyclotomicElement(self, ())
         self.one = CyclotomicElement(self, (1,))
         self.zeta = CyclotomicElement(self, self.power(1))
 
-    is_field = True
+    is_field = False
 
     def power(self, k: int):
         """Coefficient vector of zeta^k (any integer k)."""
@@ -180,13 +163,10 @@ class CyclotomicContext:
         return out
 
     def coerce(self, v):
-        if isinstance(v, CyclotomicElement):
-            if v.ring != self:
-                raise RingMismatchError("element of a different cyclotomic field")
-            return v
-        if isinstance(v, (int, Fraction)) and not isinstance(v, bool):
-            return CyclotomicElement(self, (v,))
-        raise RingMismatchError(f"cannot coerce {v!r} into Q(zeta_{self.n})")
+        out = self.one._lift(v)
+        if out is None:
+            raise RingMismatchError(f"cannot coerce {v!r} into Z[zeta_{self.n}]")
+        return out
 
     def __call__(self, v):
         return self.coerce(v)
@@ -225,8 +205,9 @@ def galois_apply(a: int, x: CyclotomicElement) -> CyclotomicElement:
 
 
 def minimal_polynomial(x: CyclotomicElement) -> UniPolynomial:
-    """Monic minimal polynomial of x over Q, from the first linear dependence
-    among 1, x, x^2, ...; the result annihilates x exactly."""
+    """Monic minimal polynomial of x, from the first linear dependence among
+    1, x, x^2, ... (eliminated over Q); x is an algebraic integer, so the
+    result lies in Z[t], and it annihilates x exactly."""
     ctx = x.ring
     dim = ctx.degree
     basis = []  # rows: (reduced vector, combination over previous powers)
@@ -247,7 +228,7 @@ def minimal_polynomial(x: CyclotomicElement) -> UniPolynomial:
         nz = next((i for i, c in enumerate(vec) if c), None)
         if nz is None:
             # 0 = sum combo[i] * x^i with combo[m] = 1: that is the minimal polynomial
-            poly = UniPolynomial(QQ, combo)
+            poly = UniPolynomial(ZZ, combo)
             check = poly(x)
             if check != ctx.zero:
                 raise AssertionError("minimal polynomial fails to annihilate")
@@ -273,12 +254,9 @@ def minimal_polynomial_orbit(x: CyclotomicElement) -> UniPolynomial:
     prod = UniPolynomial(ctx, (ctx.one,))
     for y in images:
         prod = prod * UniPolynomial(ctx, (-y, ctx.one))
-    coeffs = []
-    for c in prod.coeffs:
-        if not c.is_rational():
-            raise AssertionError("orbit product has an irrational coefficient")
-        coeffs.append(c.rational_value())
-    return UniPolynomial(QQ, coeffs)
+    if not all(c.is_rational() for c in prod.coeffs):
+        raise AssertionError("orbit product has an irrational coefficient")
+    return UniPolynomial(ZZ, [c.coeffs[0] for c in prod.coeffs])
 
 
 def eta_stabilizer(n: int) -> frozenset:

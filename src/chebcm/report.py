@@ -221,10 +221,10 @@ def build_report(d: int, cap: int = COUNT_CAP) -> VerificationReport:
         if case == 1:
             curve, z, tau = case1_automorphisms(d)  # raises on any broken relation
             ctx = z.context
-            mz = pullback_matrix(curve, z).matrix
-            mt = pullback_matrix(curve, tau).matrix
+            mz = pullback_matrix(curve, z)
+            mt = pullback_matrix(curve, tau)
             lhs = mat_mul(mt, mat_mul(mz, mt, ctx), ctx)
-            rhs = pullback_matrix(curve, z.power(2 * d - 1)).matrix
+            rhs = pullback_matrix(curve, z.power(2 * d - 1))
             ok = lhs == rhs
             return ("pass" if ok else "fail"), f"order {4 * d} lift (z^2 x, z y) on X_{d}; matrix identity checked"
         curve, z, sigma = case2_automorphisms(d)

@@ -98,13 +98,13 @@ def good_reduction(curve: HyperellipticCurve, p: int) -> bool:
 
 
 def _reduced_coeffs(curve: HyperellipticCurve, p: int) -> list[int]:
-    return [int(c) % p for c in curve.f.coeffs]
+    return [c % p for c in curve.f.coeffs]
 
 
 def _infinity_points(curve: HyperellipticCurve, p: int, k: int) -> int:
     if curve.f.degree % 2 == 1:
         return 1
-    lc = int(curve.f.coeffs[-1]) % p
+    lc = curve.f.coeffs[-1] % p
     # lc in F_p*; square in F_(p^k) iff lc^((q-1)/2) = 1, exponent taken mod p-1
     e = ((p**k - 1) // 2) % (p - 1) if p > 2 else 0
     return 2 if pow(lc, e, p) == 1 else 0

@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
-from chebcm.algebra import ZZ, UniPolynomial
+from chebcm.algebra import QQ, ZZ, UniPolynomial
 from chebcm.curves import (
     HyperellipticCurve,
     MapNotValidError,
@@ -44,6 +46,10 @@ class TestCurveModels:
             HyperellipticCurve(UniPolynomial(ZZ, (1, 2, 1)))  # (x+1)^2
         with pytest.raises(ValueError):
             HyperellipticCurve(UniPolynomial(ZZ, (5,)))  # constant
+        with pytest.raises(ValueError):
+            # models are integral: reducing 3/2 as int(3/2) = 1 would give
+            # x^3 + x + 1, good at 7, while x^3 + x + 5 is bad at 7
+            HyperellipticCurve(UniPolynomial(QQ, (Fraction(3, 2), 1, 0, 1)))
         with pytest.raises(ValueError):
             make_xd(3)
         with pytest.raises(ValueError):
@@ -111,14 +117,14 @@ class TestPullbacks:
         # tau on y^2 = x^5 + x sends omega_1 -> -omega_2, omega_2 -> -omega_1
         curve, _, tau = case1_automorphisms(2)
         ctx = tau.context
-        m = pullback_matrix(curve, tau).matrix
+        m = pullback_matrix(curve, tau)
         assert m == [[ctx.zero, -ctx.one], [-ctx.one, ctx.zero]]
 
     def test_rotation_matrix_diagonal_frozen(self):
         # zeta on X_2 acts as diag(zeta_8, zeta_8^3) on (omega_1, omega_2)
         curve, z, _ = case1_automorphisms(2)
         ctx = z.context
-        m = pullback_matrix(curve, z).matrix
+        m = pullback_matrix(curve, z)
         assert m == [
             [ctx.zeta_power(1), ctx.zero],
             [ctx.zero, ctx.zeta_power(3)],
@@ -128,7 +134,7 @@ class TestPullbacks:
         # (zeta_6 x, y) on y^2 = x^6 + 1 acts as diag(zeta_6, zeta_6^2)
         curve, z, _ = case2_automorphisms(3)
         ctx = z.context
-        m = pullback_matrix(curve, z).matrix
+        m = pullback_matrix(curve, z)
         assert m == [
             [ctx.zeta_power(1), ctx.zero],
             [ctx.zero, ctx.zeta_power(2)],
@@ -139,7 +145,7 @@ class TestPullbacks:
             curve = make(arg)
             ctx = CyclotomicContext(4)
             w = MonomialAutomorphism.hyperelliptic_involution(ctx)
-            m = pullback_matrix(curve, w).matrix
+            m = pullback_matrix(curve, w)
             g = curve.genus
             minus_i = [
                 [-ctx.one if i == j else ctx.zero for j in range(g)] for i in range(g)
@@ -152,10 +158,8 @@ class TestPullbacks:
         ctx = z.context
         pairs = [(z, tau), (tau, z), (z, z), (tau, tau), (z.power(3), tau.compose(z))]
         for a, b in pairs:
-            lhs = pullback_matrix(curve, a.compose(b)).matrix
-            rhs = mat_mul(
-                pullback_matrix(curve, b).matrix, pullback_matrix(curve, a).matrix, ctx
-            )
+            lhs = pullback_matrix(curve, a.compose(b))
+            rhs = mat_mul(pullback_matrix(curve, b), pullback_matrix(curve, a), ctx)
             assert lhs == rhs
 
     @pytest.mark.parametrize("p", [3, 5, 7])
@@ -163,17 +167,15 @@ class TestPullbacks:
         curve, z, sigma = case2_automorphisms(p)
         ctx = z.context
         for a, b in [(z, sigma), (sigma, z), (z.power(2), sigma)]:
-            lhs = pullback_matrix(curve, a.compose(b)).matrix
-            rhs = mat_mul(
-                pullback_matrix(curve, b).matrix, pullback_matrix(curve, a).matrix, ctx
-            )
+            lhs = pullback_matrix(curve, a.compose(b))
+            rhs = mat_mul(pullback_matrix(curve, b), pullback_matrix(curve, a), ctx)
             assert lhs == rhs
 
     def test_pullback_of_inverse_is_matrix_inverse(self):
         curve, z, _ = case1_automorphisms(4)
         ctx = z.context
-        m = pullback_matrix(curve, z).matrix
-        mi = pullback_matrix(curve, z.inverse()).matrix
+        m = pullback_matrix(curve, z)
+        mi = pullback_matrix(curve, z.inverse())
         assert mat_mul(m, mi, ctx) == mat_identity(curve.genus, ctx)
 
     @pytest.mark.parametrize("d", [2, 4, 8])
@@ -181,9 +183,9 @@ class TestPullbacks:
         # tau zeta tau = zeta^(2d-1) transfers to pullbacks in reverse order
         curve, z, tau = case1_automorphisms(d)
         ctx = z.context
-        mz = pullback_matrix(curve, z).matrix
-        mt = pullback_matrix(curve, tau).matrix
-        rhs = pullback_matrix(curve, z.power(2 * d - 1)).matrix
+        mz = pullback_matrix(curve, z)
+        mt = pullback_matrix(curve, tau)
+        rhs = pullback_matrix(curve, z.power(2 * d - 1))
         assert mat_mul(mt, mat_mul(mz, mt, ctx), ctx) == rhs
 
 
@@ -194,13 +196,13 @@ class TestInvariantSubspace:
             curve, _, invol = case1_automorphisms(d)
         else:
             curve, _, invol = case2_automorphisms(d)
-        basis = invariant_subspace(pullback_matrix(curve, invol))
+        basis = invariant_subspace(curve, invol)
         assert len(basis) == genus_of_cd(d)
 
     def test_rejects_non_involution(self):
         curve, z, _ = case1_automorphisms(4)
         with pytest.raises(ValueError):
-            invariant_subspace(pullback_matrix(curve, z))
+            invariant_subspace(curve, z)
 
 
 class TestQuotientIdentity:
@@ -236,6 +238,12 @@ class TestQuotientEndomorphism:
         assert det["invariant_dimension"] == genus_of_cd(d)
         assert det["diagonal"]
         assert len(det["eigenvalues"]) == genus_of_cd(d)
+
+    @pytest.mark.parametrize("d", [13, 16])
+    def test_coefficients_stay_integers(self, d):
+        det = endo_quotient_details(d)
+        elements = [x for row in det["operator"] for x in row] + det["eigenvalues"]
+        assert all(type(c) is int for x in elements for c in x.coeffs)
 
     def test_eigenvalues_distinct(self):
         for d in (8, 7):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from chebcm.algebra import RingMismatchError
 from chebcm.cyclotomic import (
     CyclotomicContext,
     CyclotomicElement,
@@ -58,19 +59,32 @@ class TestContextArithmetic:
         assert z**2 != ctx.one
 
     def test_inverse(self):
+        # the units +-zeta^k are the ones the CM layer inverts
+        for n in (5, 8, 10, 12):
+            ctx = CyclotomicContext(n)
+            for k in range(n):
+                for sign in (1, -1):
+                    x = sign * ctx.zeta_power(k)
+                    assert x * x.inverse() == ctx.one
+
+    def test_inverse_rejects_non_units(self):
         ctx = CyclotomicContext(5)
-        x = CyclotomicElement(ctx, (1, 2, 0, 1))
-        assert x * x.inverse() == ctx.one
-        with pytest.raises(ZeroDivisionError):
-            ctx.zero.inverse()
+        for x in (ctx.zero, CyclotomicElement(ctx, (1, 2, 0, 1)), 2 * ctx.zeta):
+            with pytest.raises(ZeroDivisionError):
+                x.inverse()
 
     def test_rational_detection(self):
         ctx = CyclotomicContext(12)
         assert (ctx.zeta**12).is_rational()
-        assert (ctx.zeta**12).rational_value() == 1
+        assert (ctx.zeta**12).coeffs[0] == 1
         assert not ctx.zeta.is_rational()
-        half = ctx.coerce(Fraction(1, 2))
-        assert (half + half).rational_value() == 1
+
+    def test_integer_coefficients_only(self):
+        ctx = CyclotomicContext(12)
+        with pytest.raises(RingMismatchError):
+            ctx.coerce(Fraction(1, 2))
+        with pytest.raises(TypeError):
+            CyclotomicElement(ctx, (Fraction(1, 2),))
 
     def test_zeta_power_wraps_mod_n(self):
         ctx = CyclotomicContext(7)
@@ -115,8 +129,8 @@ def test_minimal_polynomial_two_routes_agree():
 
 def test_minimal_polynomial_of_rational_is_linear():
     ctx = CyclotomicContext(8)
-    mp = minimal_polynomial(ctx.coerce(Fraction(3, 2)))
-    assert tuple(mp.coeffs) == (Fraction(-3, 2), Fraction(1))
+    mp = minimal_polynomial(ctx.coerce(3))
+    assert mp.coeffs == (-3, 1)
 
 
 def test_stabilizer_three_routes_agree():
