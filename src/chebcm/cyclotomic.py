@@ -44,9 +44,12 @@ class CyclotomicElement(PowerBasisElement):
 
     def __init__(self, ring, coeffs):
         cs = list(map(operator.index, coeffs))
-        cs += [0] * (ring.degree - len(cs))
+        low = cs[: ring.degree] + [0] * (ring.degree - len(cs))
+        for k, c in enumerate(cs[ring.degree :], ring.degree):
+            if c:  # c zeta^k with k >= phi(n), reduced mod Phi_n
+                low = [a + c * b for a, b in zip(low, ring.power(k))]
         self.ring = ring
-        self.coeffs = tuple(cs[: ring.degree])
+        self.coeffs = tuple(low)
 
     def inverse(self):
         """Inverse of a unit +-zeta^k, the only inverses the CM layer takes;

@@ -13,20 +13,26 @@ from functools import lru_cache
 SUBGROUP_CAP = 2**12
 
 
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, in increasing order."""
+    primes, r = [], 2
+    while r * r <= n:
+        if n % r == 0:
+            primes.append(r)
+            while n % r == 0:
+                n //= r
+        r += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        result -= result // m
+    for r in prime_factors(n):
+        result -= result // r
     return result
 
 

@@ -8,10 +8,12 @@ character (chi(0) = 0).  The engine has two parts, chosen by k.
   chunks of F_p, and a squares table that decides chi by lookup.
 - k >= 2: Zech logarithms.  F_(p^k) = F_p[x]/(m) for the first monic m
   in encoding order modulo which x is primitive (_primitive_modulus),
-  and g = x.  Two int32 tables give log(y) and Z(n) = log(1 + g^n).  At
-  x = g^i each term c x^e has log (e i + log c) mod (q - 1), a sum of
-  logs a, b is a + Z(b - a), and chi(y) = +1 exactly when log y is even.
-  x = 0 is counted apart.
+  and g = x.  Two int32 tables give log(y) and the index of g^n, and
+  Z(n) = log(1 + g^n) is read from both.  At x = g^i each term c x^e has
+  log (e i + log c) mod (q - 1), a sum of logs a, b is a + Z(b - a), and
+  chi(y) = +1 exactly when log y is even.  With G the gcd of q - 1 and
+  the exponents of f, i runs over one period (q - 1)/G, counted G times,
+  and a two-term f looks Z up only there.  x = 0 is counted apart.
 
 The tables are built per call from the linear recurring sequence
 s_i = L(x^i) of F_p (see _zech_tables): one chunk of s gives the next by
@@ -55,6 +57,7 @@ from .algebra import (
 )
 from .chebyshev import classify_d, is_prime
 from .curves import HyperellipticCurve, VerificationError, make_cd, make_dm
+from .unitgroups import prime_factors
 
 COUNT_CAP = 10**7
 
@@ -110,19 +113,6 @@ def _infinity_points(curve: HyperellipticCurve, p: int, k: int) -> int:
     return 2 if pow(lc, e, p) == 1 else 0
 
 
-def _prime_factors(n: int) -> list[int]:
-    primes, r = [], 2
-    while r * r <= n:
-        if n % r == 0:
-            primes.append(r)
-            while n % r == 0:
-                n //= r
-        r += 1
-    if n > 1:
-        primes.append(n)
-    return primes
-
-
 @lru_cache(maxsize=None)
 def _primitive_modulus(p: int, k: int) -> tuple[int, ...]:
     """First monic m of degree k, low degree first, in encoding order
@@ -132,17 +122,28 @@ def _primitive_modulus(p: int, k: int) -> tuple[int, ...]:
     The norm of x, (-1)^k m_0 = x^(n/(p-1)), then has order p - 1; that
     cheap necessary condition is tested first and changes no result.  It
     also makes x nonzero in the field F_p[x]/(m), so x^n = 1, and the
-    order is n exactly when x^(n/r) != 1 for every prime r | n.
+    order is n exactly when x^(n/r) != 1 for every prime r | n; the norm
+    test has decided it for r | p - 1.  Irreducibility is Ben-Or's test,
+    which stops at the first d <= k/2 with gcd(m, x^(p^d) - x) != 1.
     """
     n = p**k - 1
-    primes = _prime_factors(n)
-    norm_cofactors = [(p - 1) // r for r in _prime_factors(p - 1)]
+    primes = [r for r in prime_factors(n) if (p - 1) % r]
+    norm_cofactors = [(p - 1) // r for r in prime_factors(p - 1)]
+
+    def irreducible(m):
+        xq = [0, 1]  # x^(p^d) mod m
+        for _ in range(k // 2):
+            xq = _powmod(xq, p, m, p)
+            if _gcd_mod(m, [c - (j == 1) for j, c in enumerate(xq + [0, 0])], p) != [1]:
+                return False
+        return True
+
     for m in _monics(p, k):
         norm = (-1) ** k * m[0] % p
         if (
             norm
             and all(pow(norm, e, p) != 1 for e in norm_cofactors)
-            and _factor_degrees_mod(m, p) == [k]
+            and irreducible(m)
             and all(_powmod([0, 1], n // r, m, p) != [1] for r in primes)
         ):
             return tuple(m)
@@ -160,7 +161,7 @@ def _jump(s: np.ndarray, a: list[int], count: int, p: int) -> np.ndarray:
 
 
 def _zech_tables(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """int32 (log, zech) tables of F_(p^k) = F_p[x]/(m) for g = x, with m
+    """int32 (log, index) tables of F_(p^k) = F_p[x]/(m) for g = x, with m
     = _primitive_modulus(p, k).
 
     Elements are indexed in the window basis of the linear recurring
@@ -172,10 +173,10 @@ def _zech_tables(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     s is produced in chunks of _CHUNK windows, each chunk from the last by
     k scalar multiply-adds over int64 and one reduction mod p.
 
-    log[index(g^i)] = i and log[0] = _ZERO_LOG.  zech[n] is log(1 + g^n),
-    or _ZERO_LOG where 1 + g^n = 0.  zech is first filled with the indices
-    of g^0, g^1, ..., then rewritten in place, so the peak is the two
-    tables plus one chunk of s.
+    index[i] = index(g^i), log[index(g^i)] = i and log[0] = _ZERO_LOG.
+    The build stops after that scatter: Zech logs are looked up from the
+    two tables only at the positions a count reads (_zech), so the peak is
+    the two tables plus one chunk of s.
     """
     m = _primitive_modulus(p, k)
     q, n = p**k, p**k - 1
@@ -191,26 +192,29 @@ def _zech_tables(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
         s = np.concatenate([s, _jump(s, a, min(w, size - w), p)])
         xw = _mulmod(xw, xw, m, p)
     a = _powmod([0, 1], size + k - 1, m, p)
-    zech = np.empty(n, dtype=np.int32)
+    index = np.empty(n, dtype=np.int32)
     for start in range(0, n, size):
         count = min(size, n - start)
         idx = s[k - 1 : k - 1 + count].copy()
         for j in range(k - 2, -1, -1):
             idx *= p
             idx += s[j : j + count]
-        zech[start : start + count] = idx
+        index[start : start + count] = idx
         if start + size < n:
             s = np.concatenate([s[size:], _jump(s, a, size, p)])
     log = np.empty(q, dtype=np.int32)
     log[0] = _ZERO_LOG
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
-        log[zech[start:stop]] = np.arange(start, stop, dtype=np.int32)
-    for start in range(0, n, _CHUNK):
-        idx = zech[start : start + _CHUNK]
-        # 1 + g^n: add 1 to the constant digit, mod p
-        zech[start : start + _CHUNK] = log[idx - idx % p + (idx + 1) % p]
-    return log, zech
+        log[index[start:stop]] = np.arange(start, stop, dtype=np.int32)
+    return log, index
+
+
+def _zech(log: np.ndarray, index: np.ndarray, pos, p: int) -> np.ndarray:
+    """Zech logs log(1 + g^i) for i in pos (an index array or a slice), or
+    _ZERO_LOG where 1 + g^i = 0: adding 1 adds 1 to the constant digit."""
+    idx = index[pos]
+    return log[idx - idx % p + (idx + 1) % p]
 
 
 def _affine_count_prime(coeffs: list[int], p: int) -> int:
@@ -236,25 +240,37 @@ def _affine_count_prime(coeffs: list[int], p: int) -> int:
 def _affine_count_extension(coeffs: list[int], p: int, k: int) -> int:
     """sum over x in F_(p^k), k >= 2, of (1 + chi(f(x))) in the log domain.
 
-    x = g^i; each term c x^e has log (e i + log c) mod (q-1), a sum of
-    logs a, b is a + zech[b - a], and chi(y) = +1 exactly when log y is
-    even.  _ZERO_LOG is odd, so zeros never count as squares.
+    x = g^i; each term c x^e has log (e i + log c) mod n, n = q - 1, a sum
+    of logs a, b is a + Z(b - a), and chi(y) = +1 exactly when log y is
+    even.  _ZERO_LOG is odd, so zeros never count as squares.  With G =
+    gcd(n, every exponent of f), f(g^i) has period n/G in i, so i runs below
+    n/G and that sum counts G times.  A two-term f looks Z up at just those
+    n/G positions; with more terms, index is rewritten into Z once.
     """
-    log, zech = _zech_tables(p, k)
+    log, index = _zech_tables(p, k)
     n = p**k - 1
-    (e0, l0), *terms = [(e % n, int(log[c])) for e, c in enumerate(coeffs) if c]
+    exponents = [e for e, c in enumerate(coeffs) if c]
+    (e0, l0), *terms = [(e % n, int(log[coeffs[e]])) for e in exponents]
+    period = n // gcd(n, *exponents)
+    table = len(terms) > 1
+    if table:
+        for start in range(0, n, _CHUNK):
+            window = slice(start, start + _CHUNK)
+            index[window] = _zech(log, index, window, p)
     c0 = coeffs[0]
-    total = 1 if c0 == 0 else 2 * (int(log[c0]) % 2 == 0)  # x = 0
-    for start in range(0, n, _CHUNK):
-        i = np.arange(start, min(start + _CHUNK, n), dtype=np.int64)
+    zero = 1 if c0 == 0 else 2 * (int(log[c0]) % 2 == 0)  # x = 0
+    total = 0
+    for start in range(0, period, _CHUNK):
+        i = np.arange(start, min(start + _CHUNK, period), dtype=np.int64)
         acc = (e0 * i + l0) % n
         for e, lc in terms:
             t = (e * i + lc) % n
-            z = zech[(t - acc) % n]
+            pos = (t - acc) % n
+            z = index[pos] if table else _zech(log, index, pos, p)
             s = np.where(z == _ZERO_LOG, _ZERO_LOG, (acc + z) % n)
             acc = np.where(acc == _ZERO_LOG, t, s)
         total += int((acc == _ZERO_LOG).sum()) + 2 * int(((acc & 1) == 0).sum())
-    return total
+    return zero + (n // period) * total
 
 
 def count_points(

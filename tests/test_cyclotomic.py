@@ -86,6 +86,16 @@ class TestContextArithmetic:
         with pytest.raises(TypeError):
             CyclotomicElement(ctx, (Fraction(1, 2),))
 
+    def test_long_coefficient_lists_reduce_mod_modulus(self):
+        ctx = CyclotomicContext(5)
+        assert CyclotomicElement(ctx, (0, 0, 0, 0, 1)) == ctx.zeta**4
+        assert CyclotomicElement(ctx, (0, 0, 0, 0, 1)).coeffs == (-1, -1, -1, -1)
+        # entries past zeta^(n-1) wrap too: 2 + 3 zeta^5 - zeta^13 in Z[zeta_12]
+        ctx = CyclotomicContext(12)
+        z = ctx.zeta
+        long = (2, 0, 0, 0, 0, 3) + (0,) * 7 + (-1,)
+        assert CyclotomicElement(ctx, long) == 2 + 3 * z**5 - z**13
+
     def test_zeta_power_wraps_mod_n(self):
         ctx = CyclotomicContext(7)
         assert ctx.zeta_power(-1) == ctx.zeta_power(6)

@@ -1,4 +1,5 @@
 import tracemalloc
+from math import gcd
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from chebcm.algebra import (
     field_tower,
     squarefree,
 )
+from chebcm import zeta
 from chebcm.chebyshev import is_prime
 from chebcm.curves import HyperellipticCurve, VerificationError, make_cd, make_dm, make_xd
 from chebcm.zeta import (
@@ -36,6 +38,7 @@ from chebcm.zeta import (
     _sturm_chain,
     _subset_scan,
     _weil_interval_ok,
+    _zech,
     _zech_tables,
 )
 
@@ -174,8 +177,10 @@ class TestCountPoints:
         for p, k in ((5, 2), (3, 4), (7, 3), (11, 1)):
             field = ExtensionField(p, k, _primitive_modulus(p, k))
             g = field.gen()
-            log, zech = _zech_tables(p, k)
+            log, index = _zech_tables(p, k)
             n = p**k - 1
+            zech = _zech(log, index, np.arange(n), p)
+            assert (log[index] == np.arange(n)).all()
             assert log[0] == _ZERO_LOG
             assert sorted(log[1:].tolist()) == list(range(n))
             for c in range(1, p):
@@ -237,6 +242,51 @@ class TestCountPoints:
                 tracemalloc.stop()
         (q1, m1), (q2, m2) = peaks
         assert (m2 - m1) / (q2 - q1) < 9
+
+    def test_binomials_match_naive_oracle(self):
+        # a x^m + b x^e on every F_(p^k), k >= 2, p^k <= 3000; the engine
+        # sums one period n/G of i, n = p^k - 1 and G = gcd(n, m, e).  b is
+        # a non-residue mod p, so a non-square constant when k is odd;
+        # x^(m+1) + b x (on the fields below 1000, to bound the oracle's
+        # time) is the X_d shape, with f(0) = 0; x^n + 1 (D_8 over F_3^2)
+        # has m = 0 mod n, so the period is 1
+        checked = 0
+        for p in _odd_primes(54):  # p^2 <= 3000
+            for k in range(2, 8):
+                if p**k > 3000:
+                    break
+                n = p**k - 1
+                b = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+                m = max(range(3, 7), key=lambda m: (gcd(n, m), -m))
+                # each binomial as {exponent: coefficient}
+                shapes = [{0: b, m: 2}] + [{1: b, m + 1: 1}] * (n < 1000)
+                shapes += [{0: 1, n: 1}] * (n < 30)
+                for terms in shapes:
+                    coeffs = [terms.get(e, 0) for e in range(max(terms) + 1)]
+                    curve = HyperellipticCurve(UniPolynomial(ZZ, coeffs))
+                    if not good_reduction(curve, p):
+                        continue
+                    fast = count_points(curve, p, k).count
+                    assert fast == count_points_naive(curve, p, k), (terms, p, k)
+                    checked += 1
+        assert checked >= 40
+
+    def test_zech_lookups_only_where_the_count_reads(self, monkeypatch):
+        # over F_7^2 (n = 48): x^6 + 1 and x^8 + 1 read Z at n/G = 8 and
+        # 6 positions; C_3, with more terms, rewrites all n of them
+        lookup = zeta._zech
+        sizes = []
+
+        def spy(log, index, pos, p):
+            out = lookup(log, index, pos, p)
+            sizes.append(len(out))
+            return out
+
+        monkeypatch.setattr(zeta, "_zech", spy)
+        for curve, positions in ((make_dm(6), 8), (make_dm(8), 6), (make_cd(3), 48)):
+            sizes.clear()
+            count_points(curve, 7, 2)
+            assert sum(sizes) == positions, curve.label
 
     def test_engine_matches_naive_cubic_extension(self):
         assert count_points(make_cd(2), 3, 3).count == count_points_naive(make_cd(2), 3, 3)
