@@ -4,8 +4,9 @@ Counting is exhaustive enumeration: N_k = sum over x in F_(p^k) of
 (1 + chi(f(x))) plus the points at infinity, with chi the quadratic
 character (chi(0) = 0).  The engine has two parts, chosen by k.
 
-- k = 1: integer Horner, acc = (acc * x + c) mod p, over numpy int64
-  chunks of F_p, and a squares table that decides chi by lookup.
+- k = 1: integer Horner acc = acc * x + c over numpy int64 chunks of F_p,
+  reduced mod p by floor division (a scalar // is a multiply in numpy) only
+  before a step that could pass 2^63, and a squares table for chi.
 - k >= 2: Zech logarithms.  F_(p^k) = F_p[x]/(m) for the first monic m
   in encoding order modulo which x is primitive (_primitive_modulus),
   and g = x.  Two int32 tables give log(y) and the index of g^n, and
@@ -43,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -62,7 +63,7 @@ from .unitgroups import prime_factors
 COUNT_CAP = 10**7
 
 _CHUNK = 1 << 16
-_TABLE_LIMIT = 2**31  # field sizes the int32 tables and int64 Horner can hold
+_TABLE_LIMIT = 2**31  # q the int32 tables hold; Horner bounds its int64 per step
 _ZERO_LOG = -1  # log-domain code for 0; odd, so never a square
 # primes l at which lpoly_is_irreducible reads the factor degrees of h mod l
 _PROOF_PRIMES = tuple(ell for ell in range(2, 200) if is_prime(ell))
@@ -217,22 +218,37 @@ def _zech(log: np.ndarray, index: np.ndarray, pos, p: int) -> np.ndarray:
     return log[idx - idx % p + (idx + 1) % p]
 
 
+def _reduce(a: np.ndarray, p: int, scratch: np.ndarray) -> np.ndarray:
+    """a %= p in place for 0 <= a < 2^63 as a -= (a // p) * p; numpy's // multiplies."""
+    quot = np.floor_divide(a, p, out=scratch[: len(a)])
+    quot *= p
+    a -= quot
+    return a
+
+
 def _affine_count_prime(coeffs: list[int], p: int) -> int:
-    """sum over x in F_p of (1 + chi(f(x))): integer Horner on int64 and a
-    squares table."""
+    """sum over x in F_p of (1 + chi(f(x))) by integer Horner on int64 and a
+    squares table.  From acc <= bound, acc * x + c <= bound * p, so acc is
+    reduced only before a step with bound * p >= 2^63, and once at the end."""
+    scratch = np.empty(min(p, _CHUNK), dtype=np.int64)
     square = np.zeros(p, dtype=bool)
     for start in range(0, p // 2 + 1, _CHUNK):
         x = np.arange(start, min(start + _CHUNK, p // 2 + 1), dtype=np.int64)
-        square[x * x % p] = True
+        square[_reduce(x * x, p, scratch)] = True
     square[0] = False
     total = 0
     for start in range(0, p, _CHUNK):
         x = np.arange(start, min(start + _CHUNK, p), dtype=np.int64)
         acc = np.full(len(x), coeffs[-1], dtype=np.int64)
+        bound = p - 1
         for c in reversed(coeffs[:-1]):
+            if bound * p >= 2**63:
+                _reduce(acc, p, scratch)
+                bound = p - 1
             acc *= x
             acc += c
-            acc %= p
+            bound *= p
+        _reduce(acc, p, scratch)
         total += int((acc == 0).sum()) + 2 * int(square[acc].sum())
     return total
 
@@ -679,11 +695,20 @@ def remark_lpolys(d: int, q: int, cap: int = COUNT_CAP, threads: int = 1) -> dic
 
 
 def cm_trace_pattern_c2(bound: int, cap: int = COUNT_CAP) -> bool:
-    """a_q(C_2) = 0 exactly when -2 is a non-square mod q, for odd q <= bound."""
+    """a_q(C_2) = 0 exactly when -2 is a non-square mod q, for odd q <= bound.
+    The primes come from one sieve up to at most 2 cap, which holds a prime
+    above cap (Bertrand) whenever bound does; that prime is refused first."""
+    top = max(min(bound, 2 * cap), 4)
+    sieve = np.ones(top + 1, dtype=bool)
+    sieve[:3] = sieve[4::2] = False
+    for i in range(3, isqrt(top) + 1, 2):
+        if sieve[i]:
+            sieve[i * i :: 2 * i] = False
+    primes = [q for q in np.flatnonzero(sieve).tolist() if q <= bound]
+    if primes and primes[-1] > cap:
+        raise CapExceededError(f"field size {primes[-1]} exceeds cap {cap}")
     c2 = make_cd(2)
-    for q in range(3, bound + 1, 2):
-        if not is_prime(q):
-            continue
+    for q in primes:
         try:
             a = q + 1 - count_points(c2, q, 1, cap=cap).count
         except BadReductionError:

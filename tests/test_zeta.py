@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from math import gcd
 
@@ -287,6 +288,37 @@ class TestCountPoints:
             sizes.clear()
             count_points(curve, 7, 2)
             assert sum(sizes) == positions, curve.label
+
+    def test_horner_reduces_partway_matches_naive(self):
+        # p^(deg+1) >= 2^63, so the k = 1 Horner must reduce mod p inside
+        # its loop, not only at the end; p = 1 (mod 52) puts the roots of
+        # x^26 + 1 in F_p, and the degree-10 f has no zero coefficient
+        rng = random.Random(10)
+        coeffs = [rng.choice([-1, 1]) * rng.randint(1, 50) for _ in range(11)]
+        random_f = HyperellipticCurve(UniPolynomial(ZZ, coeffs))
+        assert squarefree(random_f.f)
+        for curve in (make_dm(26), random_f):
+            for p in (1093, 2029, 4993):
+                assert p ** (curve.f.degree + 1) >= 2**63
+                assert good_reduction(curve, p), (curve.label, p)
+                fast = count_points(curve, p, 1).count
+                assert fast == count_points_naive(curve, p), (curve.label, p)
+
+    def test_horner_reduces_partway_over_several_chunks(self):
+        # 196,613 > 3 * 2^16: four chunks, and p^3 (p - 1) >= 2^63 forces
+        # a reduction before the third Horner step, which negative
+        # coefficients (near p once reduced) would really overflow; the
+        # oracle is Euler's criterion over Python ints
+        coeffs, p = [7, -3, -1, -5, -2], 196613
+        curve = HyperellipticCurve(UniPolynomial(ZZ, coeffs))
+        assert p ** (curve.f.degree + 1) >= 2**63 and p > 3 << 16
+        assert good_reduction(curve, p)
+        affine = 0
+        for x in range(p):
+            v = sum(c * pow(x, e, p) for e, c in enumerate(coeffs)) % p
+            affine += 1 if v == 0 else 2 * (pow(v, (p - 1) // 2, p) == 1)
+        expected = affine + (2 if pow(-2 % p, (p - 1) // 2, p) == 1 else 0)
+        assert count_points(curve, p, 1).count == expected
 
     def test_engine_matches_naive_cubic_extension(self):
         assert count_points(make_cd(2), 3, 3).count == count_points_naive(make_cd(2), 3, 3)
@@ -631,3 +663,13 @@ class TestRemark:
 
 def test_c2_trace_pattern_small():
     assert cm_trace_pattern_c2(60)
+
+
+def test_c2_trace_pattern_refuses_cap_before_counting(monkeypatch):
+    # the primes are known up front: a bound past the cap is refused before
+    # the first count, not after counting every prime below the cap
+    calls = []
+    monkeypatch.setattr(zeta, "count_points", lambda *a, **kw: calls.append(a))
+    with pytest.raises(CapExceededError):
+        cm_trace_pattern_c2(10**6, cap=100)
+    assert calls == []
