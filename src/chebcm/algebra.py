@@ -455,9 +455,6 @@ class LaurentPolynomial:
             e >>= 1
         return result
 
-    def is_polynomial(self):
-        return self.is_zero() or self.minexp >= 0
-
     def __eq__(self, other):
         o = self._coerce_operand(other)
         if o is None:
@@ -825,53 +822,3 @@ def field_tower(p, k):
         if _factor_degrees_mod(coeffs, p) == [k]:
             return ExtensionField(p, k, coeffs)
     raise AssertionError("no irreducible monic found (unreachable)")
-
-
-# --- small exact linear algebra --------------------------------------------
-
-def row_reduce(rows, ring):
-    """Reduced row echelon form over a field ring; returns (rows, pivot columns)."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != ring.zero:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = ring.one / rows[r][c]
-        if inv != ring.one:
-            rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != ring.zero:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
-def matrix_kernel(rows, ring):
-    """Basis of the right kernel of a matrix over a field ring."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    rref, pivots = row_reduce(rows, ring)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [ring.zero] * ncols
-        v[fc] = ring.one
-        for r, pc in enumerate(pivots):
-            v[pc] = -rref[r][fc]
-        basis.append(v)
-    return basis

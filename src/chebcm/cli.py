@@ -12,7 +12,7 @@ import sys
 
 from .chebyshev import classify_d, is_prime
 from .curves import make_cd, make_dm, make_xd
-from .report import VERSION, build_batch, build_report, emit_json
+from .report import D_MAX, VERSION, build_batch, build_report, emit_json
 from .unitgroups import euler_phi
 from .zeta import (
     BadReductionError,
@@ -29,6 +29,8 @@ _STATUS = {"pass": "PASS", "fail": "FAIL", "skip": "skip"}
 def _out_of_scope_message(d: int) -> str:
     if d < 2:
         return f"d={d} is out of scope: need d >= 2"
+    if d > D_MAX:
+        return f"d={d} is out of scope: need d <= {D_MAX}"
     if d % 2 == 0:
         return (
             f"d={d} is out of scope: phi(4d) = phi({4 * d}) = {euler_phi(4 * d)} "
@@ -46,7 +48,7 @@ def _write_out(path: str, text: str) -> None:
 
 
 def _cmd_verify(args) -> int:
-    if classify_d(args.d) is None:
+    if args.d > D_MAX or classify_d(args.d) is None:
         print(_out_of_scope_message(args.d), file=sys.stderr)
         return 2
     report = build_report(args.d)
@@ -153,8 +155,8 @@ def _cmd_remark(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    if args.dmax > 64:
-        print("dmax must be <= 64", file=sys.stderr)
+    if args.dmax > D_MAX:
+        print(f"dmax must be <= {D_MAX}", file=sys.stderr)
         return 2
     doc = build_batch(args.dmax)
     if not doc["family"]:

@@ -3,10 +3,12 @@ on the basis of regular differentials.
 
 A monomial automorphism is (x, y) -> (gamma * x^s, delta * x^t * y) with
 s = +-1; this covers the rotations (alpha*x, beta*y) and the inversions
-(gamma/x, delta*y/x^m) that occur here.  Pullbacks on the differential
-basis omega_j = x^(j-1) dx / y (j = 1..g) are computed by substituting
-into h(x) dx / y and reducing with the curve equation; index reflections
-and signs fall out of the computation rather than being hardcoded.
+(gamma/x, delta*y/x^m) that occur here.  It sends each differential
+omega_j = x^(j-1) dx / y (j = 1..g) to one multiple of another, so
+pullback_matrix gives its pullback in closed form as a monomial matrix,
+one (index, coefficient) pair per omega_j.  Index reflections and signs
+follow from s, t, gamma and delta; the tests check the closed form
+against formal substitution into h(x) dx / y.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .algebra import (
     UniPolynomial,
     ZZ,
     laurent_compose,
-    matrix_kernel,
     monomial_substitute,
     squarefree,
 )
@@ -212,82 +213,37 @@ def automorphism_valid(curve: HyperellipticCurve, auto: MonomialAutomorphism) ->
 
 
 def pullback_matrix(curve: HyperellipticCurve, auto: MonomialAutomorphism) -> list:
-    """g x g matrix (list of rows) of the pullback of auto on the basis
-    omega_j = x^(j-1) dx / y, by formal substitution.
+    """Pullback of auto on the basis omega_j = x^(j-1) dx / y, as a
+    monomial matrix: entry j - 1 is the pair (i, c) with
+    auto^* omega_j = c * omega_(i+1).
 
-    Entry (i, j) is the coefficient of omega_(i+1) in the pullback of
-    omega_(j+1), so matrices compose contravariantly:
-    pullback_matrix(a after b) = pullback_matrix(b) . pullback_matrix(a).
-
-    pullback of h(x) dx/y = h(gamma x^s) * gamma*s*x^(s-1) / (delta*x^t) dx/y.
+    Substituting x -> gamma x^s, y -> delta x^t y gives
+    (gamma x^s)^(j-1) d(gamma x^s) / (delta x^t y) = (s gamma^j / delta) x^(sj-t-1) dx/y,
+    so i = sj - t - 1 and c = s gamma^j / delta.  Pullbacks compose
+    contravariantly: pullback_matrix(a after b) is
+    compose_pullbacks(pullback_matrix(a), pullback_matrix(b)).
     Raises MapNotValidError when the map does not preserve the curve, or
-    when some pullback leaves the span of the regular basis.
+    when some omega_j lands outside the regular basis (i not in [0, g)).
     """
     if not automorphism_valid(curve, auto):
         raise MapNotValidError(f"{auto!r} does not preserve {curve.label}")
-    ctx = auto.context
     g = curve.genus
-    dx_factor = LaurentPolynomial.monomial(
-        ctx, auto.gamma * auto.s / auto.delta, auto.s - 1 - auto.t
-    )
-    cols = []
+    c = auto.s / auto.delta
+    out = []
     for j in range(1, g + 1):
-        h = LaurentPolynomial.monomial(ctx, ctx.one, j - 1)
-        image = monomial_substitute(h, auto.gamma, auto.s, ctx) * dx_factor
-        if not image.is_polynomial() or (not image.is_zero() and image.maxexp > g - 1):
+        c = c * auto.gamma
+        i = auto.s * j - auto.t - 1
+        if not 0 <= i < g:
             raise MapNotValidError(
                 f"pullback of omega_{j} is not in the regular basis span"
             )
-        cols.append([image.coefficient(i) for i in range(g)])
-    return [[cols[j][i] for j in range(g)] for i in range(g)]
-
-
-def mat_identity(g: int, ring):
-    return [
-        [ring.one if i == j else ring.zero for j in range(g)] for i in range(g)
-    ]
-
-
-def mat_mul(a, b, ring):
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[ring.zero] * m for _ in range(n)]
-    for i in range(n):
-        for kk in range(k):
-            aik = a[i][kk]
-            if aik == ring.zero:
-                continue
-            row_b = b[kk]
-            row_o = out[i]
-            for j in range(m):
-                bkj = row_b[j]
-                if bkj == ring.zero:
-                    continue
-                row_o[j] = row_o[j] + aik * bkj
+        out.append((i, c))
     return out
 
 
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_vec(a, v, ring):
-    out = []
-    for row in a:
-        acc = ring.zero
-        for x, y in zip(row, v):
-            if x != ring.zero and y != ring.zero:
-                acc = acc + x * y
-        out.append(acc)
-    return out
-
-
-def invariant_subspace(curve: HyperellipticCurve, auto: MonomialAutomorphism):
-    """Basis of the differentials fixed by the pullback of an involution."""
-    if not auto.compose(auto).is_identity():
-        raise ValueError("automorphism is not an involution on the curve")
-    ctx = auto.context
-    rows = mat_sub(pullback_matrix(curve, auto), mat_identity(curve.genus, ctx))
-    return matrix_kernel(rows, ctx)
+def compose_pullbacks(first: list, second: list) -> list:
+    """Pull back by first, then by second: the matrix product second . first."""
+    return [(second[i][0], c * second[i][1]) for i, c in first]
 
 
 def case1_automorphisms(d: int):
@@ -366,11 +322,25 @@ def quotient_identity(d: int, case: int | None = None) -> bool:
 def endo_quotient_details(d: int) -> dict:
     """Action of [zeta] - [zeta^(-1)] on the involution-invariant differentials.
 
-    Computes pullback matrices by substitution, checks that the operator
-    commutes with the involution pullback, restricts it to the invariant
-    subspace, and compares the diagonal against the closed forms
+    Works on the monomial pullbacks of pullback_matrix in O(g) ring
+    operations.  A rotation has s = 1, t = 0, so it fixes every index and
+    e = [zeta]^* - [zeta^(-1)]^* is diagonal; if either permutation is not
+    the identity, "diagonal" is false.  Commutation with the involution
+    pullback P is checked entrywise through compose_pullbacks.
+
+    Invariant dimension: the involution squares to the identity (the case
+    constructors check it), so P^2 = 1 and its permutation pi is an
+    involution on indices.  On a 2-cycle a -> b, P omega_a = c_a omega_b
+    and P omega_b = c_b omega_a with c_a c_b = 1, and x omega_a + y omega_b
+    is fixed exactly when y = c_a x: one dimension.  On a fixed point,
+    P omega_a = c_a omega_a with c_a^2 = 1, so c_a = +-1 in the domain
+    Z[zeta_n], and omega_a is fixed exactly when c_a = 1.  The dimension
+    is therefore the number of 2-cycles plus the fixed points with c = 1.
+
+    The expected invariant vectors are omega_j - omega_(g+1-j), and their
+    eigenvalues under e are compared against the closed forms
     zeta_4d^(2j-1) - zeta_4d^(1-2j) (d even) or zeta_2d^j - zeta_2d^(-j)
-    (d an odd prime).
+    (d an odd prime).  "operator" is e as a monomial matrix.
     """
     case = classify_d(d)
     if case is None:
@@ -383,33 +353,28 @@ def endo_quotient_details(d: int) -> dict:
         half = (d - 1) // 2
     ctx = z.context
     g = curve.genus
-    e = mat_sub(pullback_matrix(curve, z), pullback_matrix(curve, z.inverse()))
+    mz = pullback_matrix(curve, z)
+    mzi = pullback_matrix(curve, z.inverse())
+    diagonal = all(i == k == j for j, ((i, _), (k, _)) in enumerate(zip(mz, mzi)))
+    e = [(j, a - b) for j, ((_, a), (_, b)) in enumerate(zip(mz, mzi))]
     m_invol = pullback_matrix(curve, invol)
-    commutes = mat_mul(e, m_invol, ctx) == mat_mul(m_invol, e, ctx)
+    commutes = compose_pullbacks(e, m_invol) == compose_pullbacks(m_invol, e)
 
     # the case constructors verify that invol is an involution
-    kernel = matrix_kernel(mat_sub(m_invol, mat_identity(g, ctx)), ctx)
-    expected_vectors = []
-    for j in range(1, half + 1):
-        v = [ctx.zero] * g
-        v[j - 1] = ctx.one
-        v[g - j] = -ctx.one
-        expected_vectors.append(v)
-    span_ok = len(kernel) == half == genus_of_cd(d) and all(
-        mat_vec(m_invol, v, ctx) == v for v in expected_vectors
-    )
+    dimension = sum(i > j or (i == j and c == ctx.one) for j, (i, c) in enumerate(m_invol))
 
-    eigenvalues = []
-    diagonal = True
-    for v in expected_vectors:
-        w = mat_vec(e, v, ctx)
-        i = next(i for i, c in enumerate(v) if c != ctx.zero)
-        lam = w[i] / v[i]
-        if [lam * c for c in v] != w:
-            diagonal = False
-            eigenvalues.append(None)
-        else:
-            eigenvalues.append(lam)
+    def fixes(a, b):
+        """P (omega_(a+1) - omega_(b+1)) == omega_(a+1) - omega_(b+1), a != b."""
+        (ia, ca), (ib, cb) = m_invol[a], m_invol[b]
+        return {ia: ca, ib: -cb} == {a: ctx.one, b: -ctx.one}
+
+    pairs = [(j - 1, g - j) for j in range(1, half + 1)]
+    span_ok = dimension == half == genus_of_cd(d) and all(fixes(a, b) for a, b in pairs)
+
+    eigenvalues = [
+        e[a][1] if diagonal and e[a][1] == e[b][1] else None for a, b in pairs
+    ]
+    diagonal = diagonal and all(v is not None for v in eigenvalues)
 
     if case == 1:
         closed = [
@@ -427,11 +392,10 @@ def endo_quotient_details(d: int) -> dict:
         "context": ctx,
         "operator": e,
         "commutes": commutes,
-        "invariant_dimension": len(kernel),
+        "invariant_dimension": dimension,
         "invariant_ok": span_ok,
         "diagonal": diagonal,
         "eigenvalues": eigenvalues,
         "closed_form_match": closed_match,
         "ok": commutes and span_ok and closed_match,
     }
-

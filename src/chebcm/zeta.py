@@ -63,7 +63,9 @@ from .unitgroups import prime_factors
 COUNT_CAP = 10**7
 
 _CHUNK = 1 << 16
-_TABLE_LIMIT = 2**31  # q the int32 tables hold; Horner bounds its int64 per step
+# q refused before any table is built: for k >= 2 the int32 Zech tables
+# index the field, for k = 1 the squares table takes p bytes
+_TABLE_LIMIT = 2**31
 _ZERO_LOG = -1  # log-domain code for 0; odd, so never a square
 # primes l at which lpoly_is_irreducible reads the factor degrees of h mod l
 _PROOF_PRIMES = tuple(ell for ell in range(2, 200) if is_prime(ell))
@@ -304,8 +306,9 @@ def count_points(
     if q > cap:
         raise CapExceededError(f"field size {p}^{k} = {q} exceeds cap {cap}")
     if q >= _TABLE_LIMIT:
+        table = "the int32 Zech tables" if k > 1 else "a p-byte squares table"
         raise CapExceededError(
-            f"field size {p}^{k} = {q} does not fit the int32 tables (< 2^31)"
+            f"field size {p}^{k} = {q} is too large for {table} (< 2^31)"
         )
 
     coeffs = _reduced_coeffs(curve, p)

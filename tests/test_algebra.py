@@ -15,11 +15,9 @@ from chebcm.algebra import (
     ZZ,
     field_tower,
     laurent_compose,
-    matrix_kernel,
     monomial_substitute,
     poly_gcd,
     poly_xgcd,
-    row_reduce,
     squarefree,
 )
 from chebcm.cyclotomic import CyclotomicContext
@@ -210,12 +208,6 @@ class TestLaurent:
         out = monomial_substitute(L, Fraction(3), 1, QQ)
         assert out == LaurentPolynomial(QQ, 2, (9,))
 
-    def test_is_polynomial(self):
-        f = zpoly(1, 0, 4)
-        lf = LaurentPolynomial.from_poly(f)
-        assert lf.is_polynomial() and (lf.minexp, lf.coeffs) == (0, f.coeffs)
-        assert not LaurentPolynomial(ZZ, -1, (1, 1)).is_polynomial()
-
 
 @settings(max_examples=60, deadline=None)
 @given(
@@ -289,32 +281,3 @@ class TestExtensionFields:
         field = field_tower(2, 3)
         seen = {field.from_index(m) for m in range(8)}
         assert len(seen) == 8
-
-
-class TestLinearAlgebra:
-    def test_row_reduce_pivots(self):
-        rows = [
-            [QQ.coerce(1), QQ.coerce(2)],
-            [QQ.coerce(2), QQ.coerce(4)],
-        ]
-        reduced, pivots = row_reduce(rows, QQ)
-        assert pivots == [0]
-        assert reduced[0] == [QQ.one, QQ.coerce(2)]
-
-    def test_kernel_vectors_annihilate(self):
-        rows = [
-            [QQ.coerce(1), QQ.coerce(1), QQ.coerce(0)],
-            [QQ.coerce(0), QQ.coerce(1), QQ.coerce(1)],
-        ]
-        basis = matrix_kernel(rows, QQ)
-        assert len(basis) == 1
-        v = basis[0]
-        for row in rows:
-            assert sum((c * x for c, x in zip(row, v)), QQ.zero) == QQ.zero
-
-    def test_full_rank_kernel_empty(self):
-        rows = [
-            [QQ.coerce(1), QQ.coerce(0)],
-            [QQ.coerce(1), QQ.coerce(1)],
-        ]
-        assert matrix_kernel(rows, QQ) == []

@@ -27,6 +27,10 @@ def test_verify_out_of_scope_messages(capsys):
     assert "phi(9) = 6" in capsys.readouterr().err
     assert main(["verify", "--d", "1"]) == 2
     assert "d >= 2" in capsys.readouterr().err
+    # refused before any work: Phi_(2d) alone would build x^(2d) - 1
+    for d in (128, 257):
+        assert main(["verify", "--d", str(d)]) == 2
+        assert "d <= 64" in capsys.readouterr().err
 
 
 def test_verify_json(capsys):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from chebcm.algebra import QQ, ZZ, UniPolynomial
+from chebcm.algebra import QQ, ZZ, LaurentPolynomial, UniPolynomial, monomial_substitute
 from chebcm.curves import (
     HyperellipticCurve,
     MapNotValidError,
@@ -11,17 +11,15 @@ from chebcm.curves import (
     automorphism_valid,
     case1_automorphisms,
     case2_automorphisms,
+    compose_pullbacks,
     endo_quotient_details,
-    invariant_subspace,
     make_cd,
     make_dm,
     make_xd,
-    mat_identity,
-    mat_mul,
     pullback_matrix,
     quotient_identity,
 )
-from chebcm.chebyshev import classify_d, genus_of_cd
+from chebcm.chebyshev import classify_d, genus_of_cd, in_scope_family
 from chebcm.cmtypes import paper_type_case1, paper_type_case2, sum_criterion
 from chebcm.cyclotomic import CyclotomicContext, cyclotomic_polynomial, eta, minimal_polynomial
 
@@ -112,33 +110,54 @@ class TestValidity:
         assert sigma.compose(sigma).is_identity()
 
 
+def substitution_pullback(curve, auto):
+    """Dense g x g pullback of auto by formal substitution into
+    h(x) dx / y, the oracle for the closed form: entry (i, j) is the
+    coefficient of omega_(i+1) in the pullback of omega_(j+1)."""
+    assert automorphism_valid(curve, auto)
+    ctx = auto.context
+    g = curve.genus
+    dx_factor = LaurentPolynomial.monomial(
+        ctx, auto.gamma * auto.s / auto.delta, auto.s - 1 - auto.t
+    )
+    cols = []
+    for j in range(1, g + 1):
+        h = LaurentPolynomial.monomial(ctx, ctx.one, j - 1)
+        image = monomial_substitute(h, auto.gamma, auto.s, ctx) * dx_factor
+        assert image.is_zero() or (image.minexp >= 0 and image.maxexp <= g - 1)
+        cols.append([image.coefficient(i) for i in range(g)])
+    return [[cols[j][i] for j in range(g)] for i in range(g)]
+
+
+def dense(monomial, ctx):
+    g = len(monomial)
+    out = [[ctx.zero] * g for _ in range(g)]
+    for j, (i, c) in enumerate(monomial):
+        out[i][j] = c
+    return out
+
+
 class TestPullbacks:
     def test_inversion_matrix_on_genus_two_frozen(self):
         # tau on y^2 = x^5 + x sends omega_1 -> -omega_2, omega_2 -> -omega_1
         curve, _, tau = case1_automorphisms(2)
         ctx = tau.context
         m = pullback_matrix(curve, tau)
-        assert m == [[ctx.zero, -ctx.one], [-ctx.one, ctx.zero]]
+        assert m == [(1, -ctx.one), (0, -ctx.one)]
 
     def test_rotation_matrix_diagonal_frozen(self):
         # zeta on X_2 acts as diag(zeta_8, zeta_8^3) on (omega_1, omega_2)
         curve, z, _ = case1_automorphisms(2)
         ctx = z.context
         m = pullback_matrix(curve, z)
-        assert m == [
-            [ctx.zeta_power(1), ctx.zero],
-            [ctx.zero, ctx.zeta_power(3)],
-        ]
+        assert m == [(0, ctx.zeta_power(1)), (1, ctx.zeta_power(3))]
 
     def test_case2_rotation_diagonal_frozen(self):
         # (zeta_6 x, y) on y^2 = x^6 + 1 acts as diag(zeta_6, zeta_6^2)
         curve, z, _ = case2_automorphisms(3)
         ctx = z.context
         m = pullback_matrix(curve, z)
-        assert m == [
-            [ctx.zeta_power(1), ctx.zero],
-            [ctx.zero, ctx.zeta_power(2)],
-        ]
+        assert m == [(0, ctx.zeta_power(1)), (1, ctx.zeta_power(2))]
 
     def test_hyperelliptic_involution_pulls_back_to_minus_identity(self):
         for make, arg in ((make_xd, 4), (make_dm, 10), (make_cd, 5)):
@@ -146,29 +165,23 @@ class TestPullbacks:
             ctx = CyclotomicContext(4)
             w = MonomialAutomorphism.hyperelliptic_involution(ctx)
             m = pullback_matrix(curve, w)
-            g = curve.genus
-            minus_i = [
-                [-ctx.one if i == j else ctx.zero for j in range(g)] for i in range(g)
-            ]
-            assert m == minus_i
+            assert m == [(j, -ctx.one) for j in range(curve.genus)]
 
     @pytest.mark.parametrize("d", [2, 4, 8])
     def test_contravariant_functoriality_case1(self, d):
         curve, z, tau = case1_automorphisms(d)
-        ctx = z.context
         pairs = [(z, tau), (tau, z), (z, z), (tau, tau), (z.power(3), tau.compose(z))]
         for a, b in pairs:
             lhs = pullback_matrix(curve, a.compose(b))
-            rhs = mat_mul(pullback_matrix(curve, b), pullback_matrix(curve, a), ctx)
+            rhs = compose_pullbacks(pullback_matrix(curve, a), pullback_matrix(curve, b))
             assert lhs == rhs
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_contravariant_functoriality_case2(self, p):
         curve, z, sigma = case2_automorphisms(p)
-        ctx = z.context
         for a, b in [(z, sigma), (sigma, z), (z.power(2), sigma)]:
             lhs = pullback_matrix(curve, a.compose(b))
-            rhs = mat_mul(pullback_matrix(curve, b), pullback_matrix(curve, a), ctx)
+            rhs = compose_pullbacks(pullback_matrix(curve, a), pullback_matrix(curve, b))
             assert lhs == rhs
 
     def test_pullback_of_inverse_is_matrix_inverse(self):
@@ -176,33 +189,38 @@ class TestPullbacks:
         ctx = z.context
         m = pullback_matrix(curve, z)
         mi = pullback_matrix(curve, z.inverse())
-        assert mat_mul(m, mi, ctx) == mat_identity(curve.genus, ctx)
+        assert compose_pullbacks(m, mi) == [(j, ctx.one) for j in range(curve.genus)]
 
     @pytest.mark.parametrize("d", [2, 4, 8])
     def test_conjugation_relation_on_matrices(self, d):
         # tau zeta tau = zeta^(2d-1) transfers to pullbacks in reverse order
         curve, z, tau = case1_automorphisms(d)
-        ctx = z.context
         mz = pullback_matrix(curve, z)
         mt = pullback_matrix(curve, tau)
         rhs = pullback_matrix(curve, z.power(2 * d - 1))
-        assert mat_mul(mt, mat_mul(mz, mt, ctx), ctx) == rhs
+        assert compose_pullbacks(compose_pullbacks(mt, mz), mt) == rhs
 
-
-class TestInvariantSubspace:
-    @pytest.mark.parametrize("d", [2, 4, 8, 3, 5, 7, 11])
-    def test_dimension_is_quotient_genus(self, d):
-        if d % 2 == 0:
-            curve, _, invol = case1_automorphisms(d)
-        else:
-            curve, _, invol = case2_automorphisms(d)
-        basis = invariant_subspace(curve, invol)
-        assert len(basis) == genus_of_cd(d)
-
-    def test_rejects_non_involution(self):
-        curve, z, _ = case1_automorphisms(4)
-        with pytest.raises(ValueError):
-            invariant_subspace(curve, z)
+    def test_closed_form_matches_substitution_oracle(self):
+        # every in-scope d <= 64: seven automorphisms each, from the
+        # rotation and the involution of the ambient curve
+        for d in in_scope_family(64):
+            if classify_d(d) == 1:
+                curve, z, invol = case1_automorphisms(d)
+            else:
+                curve, z, invol = case2_automorphisms(d)
+            ctx = z.context
+            autos = (
+                z,
+                z.inverse(),
+                invol,
+                z.compose(invol),
+                invol.compose(z),
+                z.power(3),
+                MonomialAutomorphism.hyperelliptic_involution(ctx),
+            )
+            for auto in autos:
+                closed = dense(pullback_matrix(curve, auto), ctx)
+                assert closed == substitution_pullback(curve, auto), (d, auto)
 
 
 class TestQuotientIdentity:
@@ -230,7 +248,7 @@ class TestQuotientEndomorphism:
         assert len(vals) == 1
         assert vals[0] * vals[0] == ctx.coerce(-3)
 
-    @pytest.mark.parametrize("d", [2, 4, 8, 3, 5, 7, 13])
+    @pytest.mark.parametrize("d", [2, 4, 8, 3, 5, 7, 11, 13])
     def test_details_all_green(self, d):
         det = endo_quotient_details(d)
         assert det["ok"]
@@ -242,7 +260,7 @@ class TestQuotientEndomorphism:
     @pytest.mark.parametrize("d", [13, 16])
     def test_coefficients_stay_integers(self, d):
         det = endo_quotient_details(d)
-        elements = [x for row in det["operator"] for x in row] + det["eigenvalues"]
+        elements = [c for _, c in det["operator"]] + det["eigenvalues"]
         assert all(type(c) is int for x in elements for c in x.coeffs)
 
     def test_eigenvalues_distinct(self):

@@ -230,6 +230,18 @@ class TestCountPoints:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_squares_table_guard(self):
+        # p = 2147483659 > 2^31 at k = 1: no int32 table is involved, the
+        # p-byte squares table is what is refused, before it is allocated
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError, match="p-byte squares table"):
+                count_points(make_cd(2), 2147483659, 1, cap=2**40)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_tables_take_eight_bytes_per_element(self):
         # both fields span many chunks, so the chunk-sized temporaries are
         # the same and the difference in peak is the two int32 tables
