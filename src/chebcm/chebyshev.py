@@ -8,6 +8,8 @@ y^2 = (x + 2) * phi_d(x).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .algebra import ZZ, LaurentPolynomial, UniPolynomial, laurent_compose, squarefree
 
 _CACHE = [
@@ -43,6 +45,7 @@ def curve_polynomial(d: int) -> UniPolynomial:
     return UniPolynomial(ZZ, (2, 1)) * chebyshev(d)
 
 
+@lru_cache(maxsize=None)
 def genus_of_cd(d: int) -> int:
     """Genus of y^2 = (x+2)*phi_d(x); requires d >= 2 and a squarefree model."""
     if d < 2:

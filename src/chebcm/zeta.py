@@ -6,7 +6,11 @@ character (chi(0) = 0).  The engine has two parts, chosen by k.
 
 - k = 1: integer Horner acc = acc * x + c over numpy int64 chunks of F_p,
   reduced mod p by floor division (a scalar // is a multiply in numpy) only
-  before a step that could pass 2^63, and a squares table for chi.
+  before a step that could pass 2^63, and a squares table for chi.  Every
+  chunk is computed in place in int64 rows that each thread makes on its
+  first count and reuses across chunks and calls (threading.local), so a
+  count allocates only the p-byte squares table and two bool masks of a
+  chunk.
 - k >= 2: Zech logarithms.  F_(p^k) = F_p[x]/(m) for the first monic m
   in encoding order modulo which x is primitive (_primitive_modulus),
   and g = x.  Two int32 tables give log(y) and the index of g^n, and
@@ -41,6 +45,7 @@ q^k + 1 - N_k, and Newton's identities with that sign give the b_k.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -67,6 +72,7 @@ _CHUNK = 1 << 16
 # index the field, for k = 1 the squares table takes p bytes
 _TABLE_LIMIT = 2**31
 _ZERO_LOG = -1  # log-domain code for 0; odd, so never a square
+_workspace = threading.local()  # per-thread chunk rows, see _chunk_rows
 # primes l at which lpoly_is_irreducible reads the factor degrees of h mod l
 _PROOF_PRIMES = tuple(ell for ell in range(2, 200) if is_prime(ell))
 # usable primes in a row that may rule out no degree before the proof
@@ -228,20 +234,35 @@ def _reduce(a: np.ndarray, p: int, scratch: np.ndarray) -> np.ndarray:
     return a
 
 
+def _chunk_rows() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """This thread's int64 rows of _CHUNK elements, made on its first count
+    over F_p and reused by every later one: the ramp 0, 1, ..., _CHUNK - 1,
+    x, acc and the quotient scratch of _reduce."""
+    rows = getattr(_workspace, "rows", None)
+    if rows is None:
+        ramp = np.arange(_CHUNK, dtype=np.int64)
+        rows = _workspace.rows = (ramp, *np.empty((3, _CHUNK), dtype=np.int64))
+    return rows
+
+
 def _affine_count_prime(coeffs: list[int], p: int) -> int:
     """sum over x in F_p of (1 + chi(f(x))) by integer Horner on int64 and a
     squares table.  From acc <= bound, acc * x + c <= bound * p, so acc is
-    reduced only before a step with bound * p >= 2^63, and once at the end."""
-    scratch = np.empty(min(p, _CHUNK), dtype=np.int64)
+    reduced only before a step with bound * p >= 2^63, and once at the end.
+    Each chunk is computed in place in this thread's _chunk_rows."""
+    ramp, x_row, acc_row, scratch = _chunk_rows()
     square = np.zeros(p, dtype=bool)
     for start in range(0, p // 2 + 1, _CHUNK):
-        x = np.arange(start, min(start + _CHUNK, p // 2 + 1), dtype=np.int64)
-        square[_reduce(x * x, p, scratch)] = True
+        n = min(_CHUNK, p // 2 + 1 - start)
+        x = np.add(ramp[:n], start, out=x_row[:n])
+        square[_reduce(np.multiply(x, x, out=x), p, scratch)] = True
     square[0] = False
     total = 0
     for start in range(0, p, _CHUNK):
-        x = np.arange(start, min(start + _CHUNK, p), dtype=np.int64)
-        acc = np.full(len(x), coeffs[-1], dtype=np.int64)
+        n = min(_CHUNK, p - start)
+        x = np.add(ramp[:n], start, out=x_row[:n])
+        acc = acc_row[:n]
+        acc.fill(coeffs[-1])
         bound = p - 1
         for c in reversed(coeffs[:-1]):
             if bound * p >= 2**63:
@@ -251,7 +272,7 @@ def _affine_count_prime(coeffs: list[int], p: int) -> int:
             acc += c
             bound *= p
         _reduce(acc, p, scratch)
-        total += int((acc == 0).sum()) + 2 * int(square[acc].sum())
+        total += np.count_nonzero(acc == 0) + 2 * np.count_nonzero(square[acc])
     return total
 
 

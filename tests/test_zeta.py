@@ -1,5 +1,8 @@
 import random
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from math import gcd
 
 import numpy as np
@@ -241,6 +244,68 @@ class TestCountPoints:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_guards_refuse_before_the_workspace(self):
+        # in a thread that has not counted yet, a refusal does not build
+        # that thread's chunk rows (4 x 512 KB) either
+        def peaks():
+            out = []
+            for p, k, match in ((3, 20, "int32"), (2147483659, 1, "squares table")):
+                tracemalloc.start()
+                try:
+                    with pytest.raises(CapExceededError, match=match):
+                        count_points(make_cd(2), p, k, cap=2**40)
+                    out.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            return out
+
+        with ThreadPoolExecutor(1) as pool:
+            assert max(pool.submit(peaks).result()) < 1 << 20
+
+    def test_chunk_workspace_is_reused(self):
+        # after a first count near _CHUNK, the next one allocates only the
+        # p-byte squares table and two bool masks of a chunk: no int64 rows
+        curve = make_cd(2)
+        count_points(curve, 65519)
+        tracemalloc.start()
+        try:
+            count_points(curve, 65497)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 65497 < 4
+
+    def test_threads_count_like_a_sequential_run(self):
+        # each thread counts in its own chunk rows: three threads (more than
+        # a 2-CPU machine has cores) counting the same fields at once, most
+        # of them several chunks long, in different orders and with a short
+        # switch interval, get the counts of one thread
+        curves = (make_cd(2), make_cd(5), make_dm(6))
+        cells = [
+            (curve, p)
+            for curve in curves
+            for p in (101, 65537, 131071, 196613)
+            if good_reduction(curve, p)
+        ] * 2
+        expected = {i: count_points(*cell).count for i, cell in enumerate(cells)}
+        shuffled = list(expected)
+        random.Random(12).shuffle(shuffled)
+        orders = (list(expected), list(reversed(expected)), shuffled)
+        start = threading.Barrier(len(orders))
+
+        def run(order):
+            start.wait(timeout=60)
+            return {i: count_points(*cells[i]).count for i in order}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(len(orders)) as pool:
+                for future in [pool.submit(run, order) for order in orders]:
+                    assert future.result(timeout=120) == expected
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_tables_take_eight_bytes_per_element(self):
         # both fields span many chunks, so the chunk-sized temporaries are
