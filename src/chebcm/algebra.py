@@ -15,7 +15,7 @@ Polynomials over F_p also have a plain integer-list layer (_int_poly_divmod,
 _gcd_mod, _mulmod, _powmod, _factor_degrees_mod): coefficient lists low
 degree first, no element objects.  field_tower proves its moduli
 irreducible with it, and zeta uses it for good_reduction, for the
-primitive modulus behind its Zech tables and for the factor degrees of
+primitive modulus behind its field tables and for the factor degrees of
 the real Weil polynomial mod small primes.
 """
 

@@ -11,22 +11,31 @@ character (chi(0) = 0).  The engine has two parts, chosen by k.
   first count and reuses across chunks and calls (threading.local), so a
   count allocates only the p-byte squares table and two bool masks of a
   chunk.
-- k >= 2: Zech logarithms.  F_(p^k) = F_p[x]/(m) for the first monic m
-  in encoding order modulo which x is primitive (_primitive_modulus),
-  and g = x.  Two int32 tables give log(y) and the index of g^n, and
-  Z(n) = log(1 + g^n) is read from both.  At x = g^i each term c x^e has
-  log (e i + log c) mod (q - 1), a sum of logs a, b is a + Z(b - a), and
-  chi(y) = +1 exactly when log y is even.  With G the gcd of q - 1 and
-  the exponents of f, i runs over one period (q - 1)/G, counted G times,
-  and a two-term f looks Z up only there.  x = 0 is counted apart.
+- k >= 2: F_(p^k) = F_p[x]/(m) for the first monic m in encoding order
+  modulo which x is primitive (_primitive_modulus), and g = x.  An int32
+  table gives the index of g^i, and adding 1 to an element adds 1 to the
+  constant digit of its index.  Two routes, chosen by the shape of f:
+  - f = c0 + c1 x^e with c0 != 0, such as every D_m: with L = log c1 -
+    log c0, chi(f(g^i)) = chi(c0) chi(1 + g^(L + e i)).  As i runs over
+    Z/(q - 1), L + e i runs G = gcd(q - 1, e) times over one coset of
+    G Z/(q - 1), a strided view of the index table.  chi(1 + y) is read
+    from a q-byte bitmap of the squares, the even powers of g; no log
+    table is built.
+  - any other f, in the log domain: an int32 table gives log(y), and the
+    index table is rewritten into Z(n) = log(1 + g^n).  At x = g^i each
+    term c x^e has log (e i + log c) mod (q - 1), a sum of logs a, b is
+    a + Z(b - a), and chi(y) = +1 exactly when log y is even.  With G the
+    gcd of q - 1 and the exponents of f, i runs over one period
+    (q - 1)/G, counted G times.
+  x = 0 is counted apart.
 
 The tables are built per call from the linear recurring sequence
-s_i = L(x^i) of F_p (see _zech_tables): one chunk of s gives the next by
-k multiply-adds, with no field arithmetic, at about 40-60 ns per element
-on a 2-CPU machine.  They are freed on return; fields of 2^31 elements
-or more are refused.  Counting uses integers only and does not call
-field_tower; count_points_naive, which enumerates field_tower(p, k) for
-every k (F_p is k = 1), is the independent slow oracle.
+s_i = L(x^i) of F_p (see _index_table): one chunk of s gives the next by
+k multiply-adds over int32, with no field arithmetic, at about 3-8 ns per
+element on a 2-CPU machine.  They are freed on return; fields of 2^31
+elements or more are refused.  Counting uses integers only and does not
+call field_tower; count_points_naive, which enumerates field_tower(p, k)
+for every k (F_p is k = 1), is the independent slow oracle.
 
 L-polynomials are checked through the real Weil polynomial h, with
 T^(2g) L(1/T) = T^g h(T + q/T): the Weil bound |alpha| = sqrt q is an
@@ -68,8 +77,8 @@ from .unitgroups import prime_factors
 COUNT_CAP = 10**7
 
 _CHUNK = 1 << 16
-# q refused before any table is built: for k >= 2 the int32 Zech tables
-# index the field, for k = 1 the squares table takes p bytes
+# q refused before any table is built: for k >= 2 the int32 tables index
+# the field, for k = 1 the squares table takes p bytes
 _TABLE_LIMIT = 2**31
 _ZERO_LOG = -1  # log-domain code for 0; odd, so never a square
 _workspace = threading.local()  # per-thread chunk rows, see _chunk_rows
@@ -159,59 +168,81 @@ def _primitive_modulus(p: int, k: int) -> tuple[int, ...]:
     raise AssertionError("F_q^* is cyclic (unreachable)")
 
 
-def _jump(s: np.ndarray, a: list[int], count: int, p: int) -> np.ndarray:
-    """s_(J+t) = sum_j a_j s_(t+j) mod p for t < count, a = x^J mod m."""
-    out = np.zeros(count, dtype=np.int64)
-    for j, c in enumerate(a):
-        if c:
-            out += c * s[j : j + count]
-    out %= p
-    return out
+def _jump(
+    s: np.ndarray, a: list[int], p: int, out: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """out[t] = s_(J+t) = sum_j a_j s_(t+j) mod p for t < len(out), a = x^J
+    mod m, over int32 rows with 0 <= s < p.  A term adds at most a_j (p - 1)
+    and (p - 1)^2 < 2^31 on every field _TABLE_LIMIT lets through at k >= 2,
+    so out is reduced (_reduce) only before a term that could pass 2^31,
+    and once at the end; scratch holds len(out) int32."""
+    count = len(out)
+    (j, c), *terms = [(j, c) for j, c in enumerate(a) if c]
+    np.multiply(s[j : j + count], c, out=out)
+    bound = c * (p - 1)
+    for j, c in terms:
+        if bound + c * (p - 1) >= 2**31:
+            _reduce(out, p, scratch)
+            bound = p - 1
+        out += np.multiply(s[j : j + count], c, out=scratch[:count])
+        bound += c * (p - 1)
+    return _reduce(out, p, scratch)
 
 
-def _zech_tables(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """int32 (log, index) tables of F_(p^k) = F_p[x]/(m) for g = x, with m
-    = _primitive_modulus(p, k).
+def _index_table(p: int, k: int) -> np.ndarray:
+    """int32 index[i] = index(g^i), i < n = p^k - 1, in F_(p^k) = F_p[x]/(m)
+    for g = x, with m = _primitive_modulus(p, k).
 
     Elements are indexed in the window basis of the linear recurring
     sequence s_i = L(x^i), where L is the F_p-linear form with s_0 = 1
     and s_1 = ... = s_(k-1) = 0: v has index sum_j L(x^j v) p^j, so g^i
     has index sum_j s_(i+j) p^j.  The map is linear and sends 1 to 1, so
-    a constant c has index c and adding 1 adds 1 to digit 0, mod p.
-    Since x^(i+J) = x^i a for a = x^J mod m, s_(i+J) = sum_j a_j s_(i+j):
-    s is produced in chunks of _CHUNK windows, each chunk from the last by
-    k scalar multiply-adds over int64 and one reduction mod p.
-
-    index[i] = index(g^i), log[index(g^i)] = i and log[0] = _ZERO_LOG.
-    The build stops after that scatter: Zech logs are looked up from the
-    two tables only at the positions a count reads (_zech), so the peak is
-    the two tables plus one chunk of s.
+    a constant c has index c and adding 1 adds 1 to digit 0, mod p
+    (_add_one).  Since x^(i+J) = x^i a for a = x^J mod m, s_(i+J) =
+    sum_j a_j s_(i+j): s is produced in chunks of _CHUNK windows, each
+    chunk from the last by _jump, in two int32 rows that take turns, and
+    each chunk of index by Horner over its windows, in place.  About 3-8
+    ns per element on a 2-CPU machine (F_43^4 to F_3^12); the peak is the
+    table plus three int32 rows of a chunk.
     """
     m = _primitive_modulus(p, k)
-    q, n = p**k, p**k - 1
+    n = p**k - 1
     size = min(_CHUNK, n)
-    # s holds s_i .. s_(i+w+k-2), the digits of the w windows i .. i+w-1;
-    # the first chunk grows from s_0 .. s_(k-1) by doubling w
-    s = np.zeros(k, dtype=np.int64)
-    s[0] = 1
-    xw = [0, 1]  # x^w mod m
-    while len(s) - k + 1 < size:
-        w = len(s) - k + 1
-        a = _mulmod(xw, [0] * (k - 1) + [1], m, p)  # x^(w+k-1) = x^len(s)
-        s = np.concatenate([s, _jump(s, a, min(w, size - w), p)])
+    # cur holds s_i .. s_(i+size+k-2), the digits of the windows i ..
+    # i+size-1; the first chunk grows from s_0 .. s_(k-1) by doubling
+    cur, nxt, scratch = np.zeros((3, size + k - 1), dtype=np.int32)
+    cur[0] = 1
+    filled, xw = k, [0, 1]  # xw = x^w mod m
+    while filled - k + 1 < size:
+        w = filled - k + 1
+        a = _mulmod(xw, [0] * (k - 1) + [1], m, p)  # x^(w+k-1) = x^filled
+        grow = min(w, size - w)
+        _jump(cur, a, p, cur[filled : filled + grow], scratch)
+        filled += grow
         xw = _mulmod(xw, xw, m, p)
     a = _powmod([0, 1], size + k - 1, m, p)
     index = np.empty(n, dtype=np.int32)
     for start in range(0, n, size):
         count = min(size, n - start)
-        idx = s[k - 1 : k - 1 + count].copy()
+        idx = index[start : start + count]
+        idx[:] = cur[k - 1 : k - 1 + count]
         for j in range(k - 2, -1, -1):
             idx *= p
-            idx += s[j : j + count]
-        index[start : start + count] = idx
+            idx += cur[j : j + count]
         if start + size < n:
-            s = np.concatenate([s[size:], _jump(s, a, size, p)])
-    log = np.empty(q, dtype=np.int32)
+            nxt[: k - 1] = cur[size:]
+            _jump(cur, a, p, nxt[k - 1 :], scratch)
+            cur, nxt = nxt, cur
+    return index
+
+
+def _zech_tables(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """int32 (log, index) tables of F_(p^k): index from _index_table, and
+    log[index(g^i)] = i with log[0] = _ZERO_LOG, filled by a scatter of q
+    int32.  Zech logs are looked up from the two tables (_zech)."""
+    index = _index_table(p, k)
+    n = len(index)
+    log = np.empty(p**k, dtype=np.int32)
     log[0] = _ZERO_LOG
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
@@ -219,15 +250,20 @@ def _zech_tables(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return log, index
 
 
+def _add_one(idx: np.ndarray, p: int) -> np.ndarray:
+    """index(1 + y) from index(y): 1 is added to the constant digit, mod p."""
+    out = idx + 1
+    return np.subtract(out, p, out=out, where=idx % p == p - 1)
+
+
 def _zech(log: np.ndarray, index: np.ndarray, pos, p: int) -> np.ndarray:
     """Zech logs log(1 + g^i) for i in pos (an index array or a slice), or
-    _ZERO_LOG where 1 + g^i = 0: adding 1 adds 1 to the constant digit."""
-    idx = index[pos]
-    return log[idx - idx % p + (idx + 1) % p]
+    _ZERO_LOG where 1 + g^i = 0."""
+    return log[_add_one(index[pos], p)]
 
 
 def _reduce(a: np.ndarray, p: int, scratch: np.ndarray) -> np.ndarray:
-    """a %= p in place for 0 <= a < 2^63 as a -= (a // p) * p; numpy's // multiplies."""
+    """a %= p in place for a >= 0 as a -= (a // p) * p; numpy's // multiplies."""
     quot = np.floor_divide(a, p, out=scratch[: len(a)])
     quot *= p
     a -= quot
@@ -273,7 +309,41 @@ def _affine_count_prime(coeffs: list[int], p: int) -> int:
             bound *= p
         _reduce(acc, p, scratch)
         total += np.count_nonzero(acc == 0) + 2 * np.count_nonzero(square[acc])
-    return total
+    return int(total)
+
+
+def _binomial_count(c0: int, c1: int, e: int, p: int, k: int) -> int:
+    """sum over x in F_(p^k), k >= 2, of (1 + chi(f(x))) for f = c0 + c1 x^e
+    with c0, c1 nonzero in F_p, from the index table and a q-byte bitmap.
+
+    f(g^i) = c0 (1 + g^(L + e i)) with L = log c1 - log c0, so chi(f(g^i))
+    = chi(c0) chi(1 + g^(L + e i)).  As i runs below n = q - 1, L + e i
+    runs over the coset L + G Z/n exactly G = gcd(n, e) times, and that
+    coset is the strided view index[L mod G :: G].  1 + y is a nonzero
+    square exactly when square[index(1 + y)], where square is set at the
+    even powers index[0::2], and zero exactly when y = -1, of index p - 1.
+    The constants of F_p^* are the p - 1 powers g^(j n/(p-1)).
+    """
+    index = _index_table(p, k)
+    n = len(index)
+    square = np.zeros(p**k, dtype=bool)
+    for start in range(0, n, 2 * _CHUNK):
+        np.put(square, index[start : start + 2 * _CHUNK : 2], True)
+    step = n // (p - 1)
+    constants = index[::step]
+    log0, log1 = (step * int(np.flatnonzero(constants == c)[0]) for c in (c0, c1))
+    chi0 = 1 if log0 % 2 == 0 else -1
+    G = gcd(n, e)
+    coset = index[(log1 - log0) % G :: G]
+    zeros = squares = 0
+    for start in range(0, len(coset), _CHUNK):
+        idx = coset[start : start + _CHUNK]
+        zeros += np.count_nonzero(idx == p - 1)
+        squares += np.count_nonzero(square[_add_one(idx, p)])
+    # x = 0 counts 1 + chi0; x = g^i counts 1 where f(x) = 0, else
+    # 1 + chi0 chi(1 + y) for its y in the coset
+    nonsquares = len(coset) - zeros - squares
+    return int(1 + chi0 + G * (len(coset) + chi0 * (squares - nonsquares)))
 
 
 def _affine_count_extension(coeffs: list[int], p: int, k: int) -> int:
@@ -281,21 +351,18 @@ def _affine_count_extension(coeffs: list[int], p: int, k: int) -> int:
 
     x = g^i; each term c x^e has log (e i + log c) mod n, n = q - 1, a sum
     of logs a, b is a + Z(b - a), and chi(y) = +1 exactly when log y is
-    even.  _ZERO_LOG is odd, so zeros never count as squares.  With G =
-    gcd(n, every exponent of f), f(g^i) has period n/G in i, so i runs below
-    n/G and that sum counts G times.  A two-term f looks Z up at just those
-    n/G positions; with more terms, index is rewritten into Z once.
+    even.  _ZERO_LOG is odd, so zeros never count as squares.  index is
+    rewritten into Z once; with G = gcd(n, every exponent of f), f(g^i)
+    has period n/G in i, so i runs below n/G and that sum counts G times.
     """
     log, index = _zech_tables(p, k)
     n = p**k - 1
     exponents = [e for e, c in enumerate(coeffs) if c]
     (e0, l0), *terms = [(e % n, int(log[coeffs[e]])) for e in exponents]
     period = n // gcd(n, *exponents)
-    table = len(terms) > 1
-    if table:
-        for start in range(0, n, _CHUNK):
-            window = slice(start, start + _CHUNK)
-            index[window] = _zech(log, index, window, p)
+    for start in range(0, n, _CHUNK):
+        window = slice(start, start + _CHUNK)
+        index[window] = _zech(log, index, window, p)
     c0 = coeffs[0]
     zero = 1 if c0 == 0 else 2 * (int(log[c0]) % 2 == 0)  # x = 0
     total = 0
@@ -304,8 +371,7 @@ def _affine_count_extension(coeffs: list[int], p: int, k: int) -> int:
         acc = (e0 * i + l0) % n
         for e, lc in terms:
             t = (e * i + lc) % n
-            pos = (t - acc) % n
-            z = index[pos] if table else _zech(log, index, pos, p)
+            z = index[(t - acc) % n]
             s = np.where(z == _ZERO_LOG, _ZERO_LOG, (acc + z) % n)
             acc = np.where(acc == _ZERO_LOG, t, s)
         total += int((acc == _ZERO_LOG).sum()) + 2 * int(((acc & 1) == 0).sum())
@@ -327,14 +393,17 @@ def count_points(
     if q > cap:
         raise CapExceededError(f"field size {p}^{k} = {q} exceeds cap {cap}")
     if q >= _TABLE_LIMIT:
-        table = "the int32 Zech tables" if k > 1 else "a p-byte squares table"
+        table = "the int32 field tables" if k > 1 else "a p-byte squares table"
         raise CapExceededError(
             f"field size {p}^{k} = {q} is too large for {table} (< 2^31)"
         )
 
     coeffs = _reduced_coeffs(curve, p)
+    exponents = [e for e, c in enumerate(coeffs) if c]
     if k == 1:
         affine = _affine_count_prime(coeffs, p)
+    elif len(exponents) == 2 and exponents[0] == 0:
+        affine = _binomial_count(coeffs[0], coeffs[-1], exponents[1], p, k)
     else:
         affine = _affine_count_extension(coeffs, p, k)
 

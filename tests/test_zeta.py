@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 import threading
@@ -148,9 +149,10 @@ class TestCountPoints:
         assert count_points(make(arg), p, 1).count == expected
 
     def test_engine_matches_naive_oracle(self):
-        # X_4 has f(0) = 0; D_m at p = 1 (mod m) has all roots of x^m + 1
-        # in F_p, so log-domain sums hit the zero code
-        curves = [make_cd(2), make_cd(3), make_xd(2), make_xd(4), make_dm(5), make_dm(6)]
+        # X_d has f(0) = 0, so it stays in the log domain; D_m at p = 1
+        # (mod m) has all roots of x^m + 1 in F_p, so its sums hit zeros
+        curves = [make_cd(2), make_cd(3), make_dm(5), make_dm(6)]
+        curves += [make_xd(2), make_xd(4), make_xd(8)]
         cells = [(c, p, k) for c in curves for p in (3, 5, 7) for k in (1, 2)]
         cells += [(c, 3, k) for c in curves for k in (3, 4)]
         cells += [(c, 5, 3) for c in curves]
@@ -196,6 +198,19 @@ class TestCountPoints:
                 else:
                     assert g ** int(zech[i]) == power + 1, (p, k, i)
                 power = power * g
+
+    def test_jump_reduces_before_int32_overflow(self):
+        # near the k = 2 limit, p^2 < 2^31, one term (p - 1)^2 fits int32
+        # but two do not, so _jump must reduce between them; the oracle is
+        # Python ints
+        p = 46337
+        s = np.random.default_rng(5).integers(0, p, 1000).astype(np.int32)
+        s[:3] = p - 1
+        a = [p - 1, p - 2]
+        out, scratch = np.empty((2, 999), dtype=np.int32)
+        zeta._jump(s, a, p, out, scratch)
+        expected = [(a[0] * int(s[t]) + a[1] * int(s[t + 1])) % p for t in range(999)]
+        assert out.tolist() == expected
 
     def test_primitive_modulus_search(self):
         # brute force: x has order exactly p^k - 1 modulo m, m is
@@ -307,19 +322,28 @@ class TestCountPoints:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_tables_take_eight_bytes_per_element(self):
+    @staticmethod
+    def _peak_bytes_per_element(curve):
         # both fields span many chunks, so the chunk-sized temporaries are
-        # the same and the difference in peak is the two int32 tables
+        # the same and the difference in peak is the per-field tables
         peaks = []
         for p in (29, 37):
             tracemalloc.start()
             try:
-                count_points(make_dm(6), p, 4)
+                count_points(curve, p, 4)
                 peaks.append((p**4, tracemalloc.get_traced_memory()[1]))
             finally:
                 tracemalloc.stop()
         (q1, m1), (q2, m2) = peaks
-        assert (m2 - m1) / (q2 - q1) < 9
+        return (m2 - m1) / (q2 - q1)
+
+    def test_tables_take_eight_bytes_per_element(self):
+        # the log domain (X_2 = x + x^5, f(0) = 0): two int32 tables
+        assert self._peak_bytes_per_element(make_xd(2)) < 9
+
+    def test_binomial_tables_take_five_bytes_per_element(self):
+        # D_6: the int32 index table and the q-byte squares bitmap
+        assert self._peak_bytes_per_element(make_dm(6)) < 6
 
     def test_binomials_match_naive_oracle(self):
         # a x^m + b x^e on every F_(p^k), k >= 2, p^k <= 3000; the engine
@@ -350,21 +374,84 @@ class TestCountPoints:
         assert checked >= 40
 
     def test_zech_lookups_only_where_the_count_reads(self, monkeypatch):
-        # over F_7^2 (n = 48): x^6 + 1 and x^8 + 1 read Z at n/G = 8 and
-        # 6 positions; C_3, with more terms, rewrites all n of them
-        lookup = zeta._zech
-        sizes = []
+        # over F_7^2 (n = 48): x^6 + 1 and x^8 + 1 build no int32 log table
+        # and add 1 to index entries at n/G = 8 and 6 positions only; C_3,
+        # with more terms, builds the log table once and rewrites all n
+        build, add_one = zeta._zech_tables, zeta._add_one
+        builds, sizes = [], []
 
-        def spy(log, index, pos, p):
-            out = lookup(log, index, pos, p)
-            sizes.append(len(out))
-            return out
+        def spy_build(p, k):
+            builds.append((p, k))
+            return build(p, k)
 
-        monkeypatch.setattr(zeta, "_zech", spy)
-        for curve, positions in ((make_dm(6), 8), (make_dm(8), 6), (make_cd(3), 48)):
+        def spy_add_one(idx, p):
+            sizes.append(len(idx))
+            return add_one(idx, p)
+
+        monkeypatch.setattr(zeta, "_zech_tables", spy_build)
+        monkeypatch.setattr(zeta, "_add_one", spy_add_one)
+        for curve, tables, positions in (
+            (make_dm(6), 0, 8),
+            (make_dm(8), 0, 6),
+            (make_cd(3), 1, 48),
+        ):
+            builds.clear()
             sizes.clear()
             count_points(curve, 7, 2)
-            assert sum(sizes) == positions, curve.label
+            assert (len(builds), sum(sizes)) == (tables, positions), curve.label
+
+    def test_counts_are_python_ints(self):
+        # PointCount.count is an int on every route, so a count serializes
+        for curve, p, k in (
+            (make_dm(5), 11, 1),
+            (make_dm(5), 11, 2),
+            (make_cd(3), 7, 2),
+            (make_xd(2), 5, 3),
+        ):
+            count = count_points(curve, p, k).count
+            assert type(count) is int, (curve.label, p, k)
+            assert json.loads(json.dumps(count)) == count
+
+    def test_binomial_route_matches_naive_oracle(self):
+        # c0 + c1 x^e over every F_(p^k), k = 2..6, p^k <= 3000: seeded
+        # binomials whose c0 and c1/c0 are non-squares mod p (so not 1, and
+        # chi(c0) = -1 when k is odd), one with e prime to n = p^k - 1 and
+        # one with gcd(n, e) > 1, and D_m on the fields below 1000 (to
+        # bound the oracle's time)
+        rng = random.Random(13)
+        checked = 0
+        for p in _odd_primes(54):
+            for k in range(2, 7):
+                if p**k > 3000:
+                    break
+                n = p**k - 1
+                nonsquares = [c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1]
+                exps = [e for e in range(3, 13) if e % p]
+                coprime = rng.choice([e for e in exps if gcd(n, e) == 1])
+                shared = rng.choice([e for e in exps if gcd(n, e) > 1])
+                curves = [make_dm(rng.choice((4, 6, 9)))] * (n < 1000)
+                for e in (coprime, shared):
+                    c0, ratio = rng.choice(nonsquares), rng.choice(nonsquares)
+                    coeffs = [c0] + [0] * (e - 1) + [c0 * ratio % p]
+                    curves.append(HyperellipticCurve(UniPolynomial(ZZ, coeffs)))
+                for curve in curves:
+                    if not good_reduction(curve, p):
+                        continue
+                    fast = count_points(curve, p, k).count
+                    assert fast == count_points_naive(curve, p, k), (curve.f, p, k)
+                    checked += 1
+        assert checked >= 60
+
+    def test_binomial_route_matches_log_domain_engine(self):
+        # the largest fields of the isogeny grid, and a binomial with a
+        # non-square constant over an odd-degree extension, against the
+        # log-domain engine called directly on the same coefficients
+        cells = [(make_dm(10), 43, 4), (make_dm(14), 11, 6), (make_dm(7), 5, 7)]
+        cells.append((HyperellipticCurve(UniPolynomial(ZZ, [3, 0, 0, 0, 0, 0, 2])), 7, 5))
+        for curve, p, k in cells:
+            coeffs = [c % p for c in curve.f.coeffs]
+            fast = zeta._binomial_count(coeffs[0], coeffs[-1], len(coeffs) - 1, p, k)
+            assert fast == zeta._affine_count_extension(coeffs, p, k), (curve.f, p, k)
 
     def test_horner_reduces_partway_matches_naive(self):
         # p^(deg+1) >= 2^63, so the k = 1 Horner must reduce mod p inside
