@@ -114,6 +114,9 @@ def _cmd_remark(args) -> int:
     if classify_d(args.d) != 2:
         print(f"remark needs an odd prime d, got {args.d}", file=sys.stderr)
         return 2
+    if args.pmax < 3:
+        print(f"pmax must be >= 3, the least odd prime; got {args.pmax}", file=sys.stderr)
+        return 2
     rows = []
     failed = False
     for q in (q for q in range(3, args.pmax + 1) if is_prime(q)):

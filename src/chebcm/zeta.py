@@ -12,30 +12,34 @@ character (chi(0) = 0).  The engine has two parts, chosen by k.
   count allocates only the p-byte squares table and two bool masks of a
   chunk.
 - k >= 2: F_(p^k) = F_p[x]/(m) for the first monic m in encoding order
-  modulo which x is primitive (_primitive_modulus), and g = x.  An int32
-  table gives the index of g^i, and adding 1 to an element adds 1 to the
-  constant digit of its index.  Two routes, chosen by the shape of f:
+  modulo which x is primitive (_primitive_modulus), and g = x.  The index
+  of g^i comes in int32 chunks (_index_chunks), and adding 1 to an
+  element adds 1 to the constant digit of its index.  Two routes, chosen
+  by the shape of f:
   - f = c0 + c1 x^e with c0 != 0, such as every D_m: with L = log c1 -
     log c0, chi(f(g^i)) = chi(c0) chi(1 + g^(L + e i)).  As i runs over
     Z/(q - 1), L + e i runs G = gcd(q - 1, e) times over one coset of
-    G Z/(q - 1), a strided view of the index table.  chi(1 + y) is read
-    from a q-byte bitmap of the squares, the even powers of g; no log
-    table is built.
-  - any other f, in the log domain: an int32 table gives log(y), and the
-    index table is rewritten into Z(n) = log(1 + g^n).  At x = g^i each
-    term c x^e has log (e i + log c) mod (q - 1), a sum of logs a, b is
-    a + Z(b - a), and chi(y) = +1 exactly when log y is even.  With G the
-    gcd of q - 1 and the exponents of f, i runs over one period
-    (q - 1)/G, counted G times.
+    G Z/(q - 1).  One pass over the chunks sets a q-byte bitmap of the
+    squares, the even powers of g, and keeps the (q - 1)/G indices of the
+    coset; chi(1 + y) is then read from the bitmap.  L comes from the
+    norm of x before the pass, and no table of the field is built.
+  - any other f, in the log domain: the chunks fill an int32 index table
+    and an int32 table of log(y), and the index table is rewritten into
+    Z(n) = log(1 + g^n).  At x = g^i each term c x^e has log
+    (e i + log c) mod (q - 1), a sum of logs a, b is a + Z(b - a), and
+    chi(y) = +1 exactly when log y is even.  With G the gcd of q - 1 and
+    the exponents of f, i runs over one period (q - 1)/G, counted G
+    times.
   x = 0 is counted apart.
 
-The tables are built per call from the linear recurring sequence
-s_i = L(x^i) of F_p (see _index_table): one chunk of s gives the next by
-k multiply-adds over int32, with no field arithmetic, at about 3-8 ns per
-element on a 2-CPU machine.  They are freed on return; fields of 2^31
-elements or more are refused.  Counting uses integers only and does not
-call field_tower; count_points_naive, which enumerates field_tower(p, k)
-for every k (F_p is k = 1), is the independent slow oracle.
+The index chunks come from the linear recurring sequence s_i = L(x^i) of
+F_p (see _index_chunks): one chunk of s gives the next by k multiply-adds
+over int32, with no field arithmetic.  Whatever a count holds (the
+binomial route's q + 4(q - 1)/G bytes, the log domain's two int32 tables)
+is made per call and freed on return; fields of 2^31 elements or more
+are refused.  Counting uses integers only and does not call field_tower;
+count_points_naive, which enumerates field_tower(p, k) for every k (F_p
+is k = 1), is the independent slow oracle.
 
 L-polynomials are checked through the real Weil polynomial h, with
 T^(2g) L(1/T) = T^g h(T + q/T): the Weil bound |alpha| = sqrt q is an
@@ -77,8 +81,8 @@ from .unitgroups import prime_factors
 COUNT_CAP = 10**7
 
 _CHUNK = 1 << 16
-# q refused before any table is built: for k >= 2 the int32 tables index
-# the field, for k = 1 the squares table takes p bytes
+# q refused before any table is built: for k >= 2 field elements are
+# indexed in int32, for k = 1 the squares table takes p bytes
 _TABLE_LIMIT = 2**31
 _ZERO_LOG = -1  # log-domain code for 0; odd, so never a square
 _workspace = threading.local()  # per-thread chunk rows, see _chunk_rows
@@ -189,9 +193,11 @@ def _jump(
     return _reduce(out, p, scratch)
 
 
-def _index_table(p: int, k: int) -> np.ndarray:
-    """int32 index[i] = index(g^i), i < n = p^k - 1, in F_(p^k) = F_p[x]/(m)
-    for g = x, with m = _primitive_modulus(p, k).
+def _index_chunks(p: int, k: int):
+    """Yield (start, idx) with int32 idx[t] = index(g^(start+t)) for the
+    chunks of i < n = p^k - 1, in F_(p^k) = F_p[x]/(m) for g = x, with
+    m = _primitive_modulus(p, k).  idx is one row, rewritten after each
+    yield, so the caller reads it before asking for the next chunk.
 
     Elements are indexed in the window basis of the linear recurring
     sequence s_i = L(x^i), where L is the F_p-linear form with s_0 = 1
@@ -201,16 +207,16 @@ def _index_table(p: int, k: int) -> np.ndarray:
     (_add_one).  Since x^(i+J) = x^i a for a = x^J mod m, s_(i+J) =
     sum_j a_j s_(i+j): s is produced in chunks of _CHUNK windows, each
     chunk from the last by _jump, in two int32 rows that take turns, and
-    each chunk of index by Horner over its windows, in place.  About 3-8
-    ns per element on a 2-CPU machine (F_43^4 to F_3^12); the peak is the
-    table plus three int32 rows of a chunk.
+    each chunk of index by Horner over its windows.  About 2-5 ns per
+    element on a 2-CPU machine (F_43^4 to F_3^12).  No table of the field
+    is held: the peak is four int32 rows of a chunk.
     """
     m = _primitive_modulus(p, k)
     n = p**k - 1
     size = min(_CHUNK, n)
     # cur holds s_i .. s_(i+size+k-2), the digits of the windows i ..
     # i+size-1; the first chunk grows from s_0 .. s_(k-1) by doubling
-    cur, nxt, scratch = np.zeros((3, size + k - 1), dtype=np.int32)
+    cur, nxt, scratch, row = np.zeros((4, size + k - 1), dtype=np.int32)
     cur[0] = 1
     filled, xw = k, [0, 1]  # xw = x^w mod m
     while filled - k + 1 < size:
@@ -221,32 +227,33 @@ def _index_table(p: int, k: int) -> np.ndarray:
         filled += grow
         xw = _mulmod(xw, xw, m, p)
     a = _powmod([0, 1], size + k - 1, m, p)
-    index = np.empty(n, dtype=np.int32)
     for start in range(0, n, size):
         count = min(size, n - start)
-        idx = index[start : start + count]
+        idx = row[:count]
         idx[:] = cur[k - 1 : k - 1 + count]
         for j in range(k - 2, -1, -1):
             idx *= p
             idx += cur[j : j + count]
+        yield start, idx
         if start + size < n:
             nxt[: k - 1] = cur[size:]
             _jump(cur, a, p, nxt[k - 1 :], scratch)
             cur, nxt = nxt, cur
-    return index
 
 
 def _zech_tables(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """int32 (log, index) tables of F_(p^k): index from _index_table, and
-    log[index(g^i)] = i with log[0] = _ZERO_LOG, filled by a scatter of q
-    int32.  Zech logs are looked up from the two tables (_zech)."""
-    index = _index_table(p, k)
-    n = len(index)
-    log = np.empty(p**k, dtype=np.int32)
+    """int32 (log, index) tables of F_(p^k): index[i] = index(g^i) from
+    _index_chunks, and log[index(g^i)] = i with log[0] = _ZERO_LOG, set by
+    a scatter per chunk.  Zech logs are looked up from the two tables
+    (_zech)."""
+    n = p**k - 1
+    index = np.empty(n, dtype=np.int32)
+    log = np.empty(n + 1, dtype=np.int32)
     log[0] = _ZERO_LOG
-    for start in range(0, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
-        log[index[start:stop]] = np.arange(start, stop, dtype=np.int32)
+    for start, idx in _index_chunks(p, k):
+        stop = start + len(idx)
+        index[start:stop] = idx
+        log[idx] = np.arange(start, stop, dtype=np.int32)
     return log, index
 
 
@@ -314,27 +321,40 @@ def _affine_count_prime(coeffs: list[int], p: int) -> int:
 
 def _binomial_count(c0: int, c1: int, e: int, p: int, k: int) -> int:
     """sum over x in F_(p^k), k >= 2, of (1 + chi(f(x))) for f = c0 + c1 x^e
-    with c0, c1 nonzero in F_p, from the index table and a q-byte bitmap.
+    with c0, c1 nonzero in F_p, in one pass over _index_chunks.
 
     f(g^i) = c0 (1 + g^(L + e i)) with L = log c1 - log c0, so chi(f(g^i))
     = chi(c0) chi(1 + g^(L + e i)).  As i runs below n = q - 1, L + e i
-    runs over the coset L + G Z/n exactly G = gcd(n, e) times, and that
-    coset is the strided view index[L mod G :: G].  1 + y is a nonzero
-    square exactly when square[index(1 + y)], where square is set at the
-    even powers index[0::2], and zero exactly when y = -1, of index p - 1.
-    The constants of F_p^* are the p - 1 powers g^(j n/(p-1)).
+    runs over the coset L + G Z/n exactly G = gcd(n, e) times.  1 + y is a
+    nonzero square exactly when square[index(1 + y)], where the q-byte
+    bitmap square is set at the even powers of g, and zero exactly when
+    y = -1, of index p - 1.  The pass sets square and copies the n/G
+    indices of the coset, so the peak is q + 4n/G bytes and no table of
+    the field is held.
+
+    L is known before the pass: g^step, step = n/(p - 1), is the norm of
+    x, N = (-1)^k m_0 mod p, and a constant c has index c, so log c =
+    step j for the j < p - 1 with N^j = c mod p.
     """
-    index = _index_table(p, k)
-    n = len(index)
-    square = np.zeros(p**k, dtype=bool)
-    for start in range(0, n, 2 * _CHUNK):
-        np.put(square, index[start : start + 2 * _CHUNK : 2], True)
+    n = p**k - 1
     step = n // (p - 1)
-    constants = index[::step]
-    log0, log1 = (step * int(np.flatnonzero(constants == c)[0]) for c in (c0, c1))
+    norm = (-1) ** k * _primitive_modulus(p, k)[0] % p
+    logs, power = {}, 1
+    for j in range(p - 1):
+        logs[power] = step * j
+        power = power * norm % p
+    log0, log1 = logs[c0], logs[c1]
     chi0 = 1 if log0 % 2 == 0 else -1
     G = gcd(n, e)
-    coset = index[(log1 - log0) % G :: G]
+    r = (log1 - log0) % G
+    square = np.zeros(p**k, dtype=bool)
+    coset = np.empty(n // G, dtype=np.int32)  # coset[t] = index(g^(r + G t))
+    for start, idx in _index_chunks(p, k):
+        np.put(square, idx[start % 2 :: 2], True)
+        first = (r - start) % G
+        part = idx[first::G]
+        t = (start + first - r) // G
+        coset[t : t + len(part)] = part
     zeros = squares = 0
     for start in range(0, len(coset), _CHUNK):
         idx = coset[start : start + _CHUNK]
@@ -393,7 +413,7 @@ def count_points(
     if q > cap:
         raise CapExceededError(f"field size {p}^{k} = {q} exceeds cap {cap}")
     if q >= _TABLE_LIMIT:
-        table = "the int32 field tables" if k > 1 else "a p-byte squares table"
+        table = "int32 field indices" if k > 1 else "a p-byte squares table"
         raise CapExceededError(
             f"field size {p}^{k} = {q} is too large for {table} (< 2^31)"
         )

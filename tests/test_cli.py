@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from chebcm import __version__
+from chebcm import __version__, cli
 from chebcm.cli import main
 
 
@@ -103,6 +103,19 @@ def test_remark_json(capsys):
 def test_remark_rejects_non_prime(capsys):
     assert main(["remark", "--d", "4"]) == 2
     assert "odd prime" in capsys.readouterr().err
+
+
+def test_remark_rejects_pmax_below_three(capsys, monkeypatch):
+    # no odd prime q <= pmax: refused before any curve is counted
+    def no_work(*args, **kwargs):
+        raise AssertionError("remark_lpolys called")
+
+    monkeypatch.setattr(cli, "remark_lpolys", no_work)
+    for pmax in ("2", "0", "-5"):
+        assert main(["remark", "--d", "3", "--pmax", pmax]) == 2
+        captured = capsys.readouterr()
+        assert "pmax must be >= 3" in captured.err
+        assert captured.out == ""
 
 
 def test_report_warning_on_empty_family(capsys):

@@ -341,9 +341,17 @@ class TestCountPoints:
         # the log domain (X_2 = x + x^5, f(0) = 0): two int32 tables
         assert self._peak_bytes_per_element(make_xd(2)) < 9
 
-    def test_binomial_tables_take_five_bytes_per_element(self):
-        # D_6: the int32 index table and the q-byte squares bitmap
-        assert self._peak_bytes_per_element(make_dm(6)) < 6
+    def test_binomial_count_takes_under_two_bytes_per_element(self):
+        # D_6, G = gcd(q - 1, 6) = 6 on both fields: the q-byte squares
+        # bitmap and the (q - 1)/6 int32 indices of one coset, 1.67 bytes;
+        # no int32 table of the field (5 bytes per element with one)
+        assert self._peak_bytes_per_element(make_dm(6)) < 2
+
+    def test_coprime_binomial_takes_under_six_bytes_per_element(self):
+        # D_11, with 11 prime to 29^4 - 1 and 37^4 - 1: G = 1, so the coset
+        # is all q - 1 indices, 5 bytes per element with the bitmap
+        assert all(gcd(p**4 - 1, 11) == 1 for p in (29, 37))
+        assert self._peak_bytes_per_element(make_dm(11)) < 6
 
     def test_binomials_match_naive_oracle(self):
         # a x^m + b x^e on every F_(p^k), k >= 2, p^k <= 3000; the engine
@@ -441,6 +449,43 @@ class TestCountPoints:
                     assert fast == count_points_naive(curve, p, k), (curve.f, p, k)
                     checked += 1
         assert checked >= 60
+
+    def test_binomial_chunk_seams_match_naive_oracle(self, monkeypatch):
+        # with 7- and 64-element chunks, chunk starts fall on both parities
+        # (the squares bitmap is set from the even positions of each chunk)
+        # and on every offset of the coset, so the copy of the coset
+        # straddles chunk seams; G = gcd(q - 1, e) covers 1, 2, 3, 5, 7, 10
+        # and 14, among others.  Only _binomial_count runs while _CHUNK is
+        # patched: the k = 1 chunk rows are sized from it on a thread's
+        # first count
+        cells = [(29, 2, e) for e in (11, 2, 3, 5, 7, 10, 14)]
+        cells += [(3, 4, 5), (3, 4, 10), (13, 2, 14), (7, 3, 9), (5, 3, 4)]
+        curves = []
+        for p, k, e in cells:
+            c0 = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+            coeffs = [c0] + [0] * (e - 1) + [1]
+            curve = HyperellipticCurve(UniPolynomial(ZZ, coeffs))
+            assert good_reduction(curve, p), (p, k, e)
+            curves.append((curve, coeffs, p, k, count_points_naive(curve, p, k)))
+        assert {gcd(p**k - 1, e) for p, k, e in cells} >= {1, 2, 3, 5, 7, 10, 14}
+        for size in (7, 64):
+            monkeypatch.setattr(zeta, "_CHUNK", size)
+            for curve, coeffs, p, k, expected in curves:
+                fast = zeta._binomial_count(coeffs[0], coeffs[-1], len(coeffs) - 1, p, k)
+                fast += zeta._infinity_points(curve, p, k)
+                assert fast == expected, (size, curve.f, p, k)
+
+    def test_index_of_the_norm_powers(self):
+        # g^(step j), step = (q - 1)/(p - 1), is N^j for the norm
+        # N = (-1)^k m_0 of x, and a constant c has index c: the binomial
+        # route reads log c0 and log c1 from this before building anything
+        for p, k in SMALL_TOWERS:
+            n = p**k - 1
+            step = n // (p - 1)
+            norm = (-1) ** k * _primitive_modulus(p, k)[0] % p
+            _, index = _zech_tables(p, k)
+            expected = [pow(norm, j, p) for j in range(p - 1)]
+            assert index[::step].tolist() == expected, (p, k)
 
     def test_binomial_route_matches_log_domain_engine(self):
         # the largest fields of the isogeny grid, and a binomial with a
