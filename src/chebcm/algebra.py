@@ -4,7 +4,9 @@ Rings are lightweight descriptors whose elements overload the usual
 operators; everything is immutable after construction.  ZZ and QQ use
 plain ``int`` / ``fractions.Fraction`` as element types.  Polynomials are
 dense coefficient tuples indexed by degree; degrees in this package stay
-below a few hundred, so schoolbook algorithms are used throughout.
+below a few hundred, so schoolbook algorithms are used throughout.  Over
+ZZ, squarefree reads the last member of the integer Sturm chain
+(_sturm_chain, also zeta's Weil-bound check) and takes no gcd over QQ.
 
 Rings given in a power basis (F_(p^k) = F_p[x]/(m) here, Z[zeta_n] in
 cyclotomic) share one element base, PowerBasisElement, which writes the
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 
 class RingMismatchError(TypeError):
@@ -247,9 +250,6 @@ class UniPolynomial:
             return self
         return UniPolynomial(self.ring, [c / lc for c in self.coeffs])
 
-    def map_coefficients(self, func, new_ring):
-        return UniPolynomial(new_ring, [func(c) for c in self.coeffs])
-
     def __eq__(self, other):
         if isinstance(other, UniPolynomial):
             return self.ring == other.ring and self.coeffs == other.coeffs
@@ -319,17 +319,49 @@ def poly_xgcd(a, b):
     return r0.monic(), u0 * scale, v0 * scale
 
 
+def _primitive_part(a: list[int]) -> list[int]:
+    """a divided by the gcd of its coefficients (a positive number)."""
+    c = gcd(*a)
+    return [x // c for x in a] if c > 1 else a
+
+
+def _sturm_chain(f: list[int]) -> list[list[int]]:
+    """Sturm sequence f, f', -rem, ... of an integer polynomial (low degree
+    first), each member scaled by a positive number to stay primitive over
+    Z.  The last member is gcd(f, f') up to a constant factor."""
+    chain = [f, _primitive_part([i * c for i, c in enumerate(f)][1:])]
+    while len(chain[-1]) > 1:
+        a, b = chain[-2], chain[-1]
+        # pseudo-division: r = lc(b)^(deg a - deg b + 1) a mod b
+        r, db, lc = list(a), len(b) - 1, b[-1]
+        for k in range(len(a) - 1 - db, -1, -1):
+            c = r[k + db]
+            r = [x * lc for x in r]
+            for i, bc in enumerate(b):
+                r[k + i] -= c * bc
+        r = r[:db]
+        while r and r[-1] == 0:
+            r.pop()
+        if not r:
+            break
+        # the Sturm member is -(r / lc^(deg a - deg b + 1))
+        flip = lc < 0 and (len(a) - len(b)) % 2 == 0
+        chain.append(_primitive_part(r if flip else [-x for x in r]))
+    return chain
+
+
 def squarefree(f):
     """True when f has no repeated roots over the algebraic closure.
 
-    Over ZZ the check is done in QQ.  In characteristic p a vanishing
-    derivative (f a polynomial in x^p) reports non-squarefree rather
-    than crashing.
+    Over ZZ, f is squarefree exactly when the last member of its integer
+    Sturm chain, gcd(f, f') up to a constant, is a constant.  Over a field
+    the gcd is taken there; in characteristic p a vanishing derivative (f
+    a polynomial in x^p) reports non-squarefree rather than crashing.
     """
-    if f.ring == ZZ:
-        f = f.map_coefficients(Fraction, QQ)
     if f.degree <= 0:
         return not f.is_zero()
+    if f.ring == ZZ:
+        return len(_sturm_chain(list(f.coeffs))[-1]) == 1
     g = poly_gcd(f, f.derivative())
     return g.degree == 0
 

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 all checks pass, 1 at least one claim or verdict failed,
-2 usage errors and out-of-scope inputs (d outside the family, bad
-reduction, enumeration cap).
+2 usage errors and out-of-scope inputs (d outside the family, p not
+prime, bad reduction, enumeration cap).
 """
 
 from __future__ import annotations
@@ -75,6 +75,9 @@ def _make_curve(kind: str, d: int):
 
 
 def _cmd_lpoly(args) -> int:
+    if not is_prime(args.p):
+        print(f"p must be prime, got {args.p}", file=sys.stderr)
+        return 2
     try:
         curve = _make_curve(args.curve, args.d)
     except ValueError as exc:

@@ -198,8 +198,11 @@ class MonomialAutomorphism:
         return f"(x, y) -> ({x}, {y})"
 
 
+@lru_cache(maxsize=None)
 def automorphism_valid(curve: HyperellipticCurve, auto: MonomialAutomorphism) -> bool:
-    """Exact check that (delta*x^t*y)^2 = f(gamma*x^s) given y^2 = f(x)."""
+    """Exact check that (delta*x^t*y)^2 = f(gamma*x^s) given y^2 = f(x);
+    run once per (curve, map), as pullback_matrix re-checks the maps that
+    the case constructors have checked."""
     ctx = auto.context
     f_laurent = LaurentPolynomial(ctx, 0, curve.f.coeffs)
     lhs = (
@@ -246,6 +249,7 @@ def compose_pullbacks(first: list, second: list) -> list:
     return [(second[i][0], c * second[i][1]) for i, c in first]
 
 
+@lru_cache(maxsize=None)
 def case1_automorphisms(d: int):
     """The order-4d rotation and the inversion tau on X_d (even d).
 
@@ -253,7 +257,7 @@ def case1_automorphisms(d: int):
     (zeta_4d x, zeta_4d y) does not preserve y^2 = x^(2d+1) + x, so the
     valid lift doubles the exponent on x.  Verifies order 4d, that the
     2d-th power is the hyperelliptic involution, that tau is an involution
-    and tau zeta tau = zeta^(2d-1), all as exact maps.
+    and tau zeta tau = zeta^(2d-1), all as exact maps, once per d.
     """
     if d < 2 or d % 2 != 0:
         raise ValueError("even d >= 2 required")
@@ -276,8 +280,10 @@ def case1_automorphisms(d: int):
     return curve, z, tau
 
 
+@lru_cache(maxsize=None)
 def case2_automorphisms(p: int):
-    """The order-2p rotation (zeta_2p x, y) and sigma (1/x, y/x^p) on D_2p."""
+    """The order-2p rotation (zeta_2p x, y) and sigma (1/x, y/x^p) on D_2p,
+    verified once per p."""
     if classify_d(p) != 2:
         raise ValueError("odd prime p required")
     curve = make_dm(2 * p)

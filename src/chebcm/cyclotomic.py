@@ -1,23 +1,26 @@
 """Exact arithmetic in Z[zeta_n]: power-basis elements mod the n-th
-cyclotomic polynomial, Galois action zeta -> zeta^a, and minimal
-polynomials over Z.
+cyclotomic polynomial, and the Galois stabilizer and minimal polynomial
+over Z of eta_n.
 
 The elements eta_n = zeta_n - zeta_n^(-1) generate the CM fields this
 package certifies; their Galois stabilizers are computed here by plain
 cyclotomic arithmetic so they can be checked against the congruence
-description in unitgroups.  Every element on these paths is an algebraic
-integer, and the only inverses taken are of the units +-zeta^k, so the
-coefficients stay integers throughout.
+description in unitgroups.  The minimal polynomial of eta_n is written
+down from Phi_m and the Chebyshev phi_j, checked to annihilate eta_n, and
+proved minimal by a rank count mod a large prime, without the Galois
+action (eta_minimal_polynomial).  Every element on these paths is an
+algebraic integer, and the only inverses taken are of the units
++-zeta^k, so the coefficients stay integers throughout.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import PowerBasisElement, RingMismatchError, UniPolynomial, ZZ
+from .chebyshev import chebyshev, is_prime
 from .unitgroups import euler_phi, kd_kernel, unit_group
 
 
@@ -94,8 +97,8 @@ class CyclotomicElement(PowerBasisElement):
 class CyclotomicContext:
     """Z[zeta_n] in the power basis 1, zeta, ..., zeta^(phi(n)-1).
 
-    Doubles as a coefficient ring for UniPolynomial.  Construction
-    sanity-checks that Phi_n divides x^n - 1.
+    Doubles as a coefficient ring for UniPolynomial.  That Phi_n divides
+    x^n - 1 is checked once, by cyclotomic_polynomial.
     """
 
     _instances: dict = {}
@@ -112,9 +115,6 @@ class CyclotomicContext:
         if n < 1:
             raise ValueError("n must be >= 1")
         phi = cyclotomic_polynomial(n)
-        xn = UniPolynomial(ZZ, (-1,) + (0,) * (n - 1) + (1,))
-        if not (xn % phi).is_zero():
-            raise AssertionError(f"Phi_{n} does not divide x^{n} - 1")
         self.n = n
         self.degree = phi.degree
         self.phi = phi
@@ -190,99 +190,88 @@ def eta(n: int) -> CyclotomicElement:
     return ctx.zeta_power(1) - ctx.zeta_power(-1)
 
 
-def galois_apply(a: int, x: CyclotomicElement) -> CyclotomicElement:
-    """Image of x under zeta -> zeta^a; a must be a unit mod n."""
-    ctx = x.ring
-    n = ctx.n
-    if n > 1 and math.gcd(a % n, n) != 1:
-        raise ValueError(f"{a} is not a unit mod {n}")
-    out = [0] * ctx.degree
-    for i, c in enumerate(x.coeffs):
-        if c == 0:
-            continue
-        row = ctx.power(a * i)
-        for j in range(ctx.degree):
-            if row[j]:
-                out[j] += c * row[j]
-    return CyclotomicElement(ctx, out)
-
-
-def minimal_polynomial(x: CyclotomicElement) -> UniPolynomial:
-    """Monic minimal polynomial of x, from the first linear dependence among
-    1, x, x^2, ... (eliminated over Q); x is an algebraic integer, so the
-    result lies in Z[t], and it annihilates x exactly."""
-    ctx = x.ring
-    dim = ctx.degree
-    basis = []  # rows: (reduced vector, combination over previous powers)
-    powers = [ctx.one]
-    while True:
-        m = len(powers) - 1
-        vec = [Fraction(c) for c in powers[-1].coeffs]
-        combo = [Fraction(0)] * (m + 1)
-        combo[m] = Fraction(1)
-        for pivot_col, bvec, bcombo in basis:
-            c = vec[pivot_col]
-            if c:
-                vec = [a - c * b for a, b in zip(vec, bvec)]
-                combo = [
-                    a - c * (bcombo[i] if i < len(bcombo) else 0)
-                    for i, a in enumerate(combo)
-                ]
-        nz = next((i for i, c in enumerate(vec) if c), None)
-        if nz is None:
-            # 0 = sum combo[i] * x^i with combo[m] = 1: that is the minimal polynomial
-            poly = UniPolynomial(ZZ, combo)
-            check = poly(x)
-            if check != ctx.zero:
-                raise AssertionError("minimal polynomial fails to annihilate")
-            return poly
-        inv = Fraction(1) / vec[nz]
-        vec = [c * inv for c in vec]
-        combo = [c * inv for c in combo]
-        basis.append((nz, vec, combo))
-        if m > dim:
-            raise AssertionError("no dependence found below field degree")
-        powers.append(powers[-1] * x)
-
-
-def minimal_polynomial_orbit(x: CyclotomicElement) -> UniPolynomial:
-    """Same minimal polynomial, built as the product of (t - image) over the
-    distinct Galois images of x; cross-check path for the dependence method."""
-    ctx = x.ring
-    images = []
-    for a in unit_group(ctx.n):
-        y = galois_apply(a, x)
-        if y not in images:
-            images.append(y)
-    prod = UniPolynomial(ctx, (ctx.one,))
-    for y in images:
-        prod = prod * UniPolynomial(ctx, (-y, ctx.one))
-    if not all(c.is_rational() for c in prod.coeffs):
-        raise AssertionError("orbit product has an irrational coefficient")
-    return UniPolynomial(ZZ, [c.coeffs[0] for c in prod.coeffs])
-
-
 def eta_stabilizer(n: int) -> frozenset:
-    """Units a mod n with galois_apply(a, eta(n)) == eta(n), by direct
-    cyclotomic arithmetic on zeta^a - zeta^(-a)."""
+    """Units a mod n whose automorphism zeta -> zeta^a fixes eta(n), by
+    direct cyclotomic arithmetic on zeta^a - zeta^(-a)."""
     if n == 1:
         return frozenset({0})
     ctx = CyclotomicContext(n)
     target = eta(n).coeffs
     out = set()
     for a in unit_group(n):
-        img = tuple(
-            p - q for p, q in zip(ctx.power(a), ctx.power(-a))
-        )
+        img = tuple(p - q for p, q in zip(ctx.power(a), ctx.power(-a)))
         if img == target:
             out.add(a)
     return frozenset(out)
 
 
+def _times_eta(ctx: CyclotomicContext, v: list) -> list:
+    """eta_n * v on coefficient lists, as zeta v - zeta^(-1) v: two shifts
+    plus multiples of the reduced zeta^(phi(n)) and zeta^(-1)."""
+    up, down, top, low = [0] + v[:-1], v[1:] + [0], v[-1], v[0]
+    rows = zip(up, down, ctx.power(ctx.degree), ctx.power(-1))
+    return [a - b + top * r - low * s for a, b, r, s in rows]
+
+
+def _eta_rank_mod(n: int, count: int, ell: int) -> int:
+    """Rank over F_ell of 1, eta_n, ..., eta_n^(count-1)."""
+    ctx = CyclotomicContext(n)
+    pivots = []  # (column, row that is 1 there and 0 at earlier pivot columns)
+    v = list(ctx.power(0))
+    for _ in range(count):
+        w = v
+        for col, row in pivots:
+            if c := w[col]:
+                w = [(a - c * b) % ell for a, b in zip(w, row)]
+        col = next((i for i, a in enumerate(w) if a), None)
+        if col is not None:
+            inv = pow(w[col], -1, ell)
+            pivots.append((col, [a * inv % ell for a in w]))
+        v = [a % ell for a in _times_eta(ctx, v)]
+    return len(pivots)
+
+
+_RANK_PRIME = 2**31 - 1  # first prime of the minimality proof; 8 are tried
+
+
 @lru_cache(maxsize=None)
 def eta_minimal_polynomial(n: int) -> UniPolynomial:
-    """minimal_polynomial(eta(n)), computed once per n."""
-    return minimal_polynomial(eta(n))
+    """Minimal polynomial over Z of eta_n, n >= 3, built once per n.
+
+    xi = zeta_n^2 has order m = n / gcd(n, 2) and eta^2 + 2 = xi + xi^(-1),
+    so eta is a root of P(X) = Psi_m(X^2 + 2), where Phi_m(x) =
+    x^h Psi_m(x + 1/x), h = phi(m)/2.  As Phi_m = sum c_i x^i is
+    palindromic and x^j + x^(-j) = phi_j(x + 1/x), Psi_m = c_h +
+    sum_(j>=1) c_(h+j) phi_j; Psi_2 = u + 2, from xi = -1.  P(eta) = 0 is
+    checked by Horner in Z[zeta_n].  1, eta, ..., eta^(D-1), D = deg P,
+    have rank D over F_ell (ell = 2^31 - 1, or the next prime while the
+    rank drops), so no nonzero polynomial over Q of degree below D
+    annihilates eta, and the monic P is minimal.  The proof does not use
+    the Galois action, so it stays independent of eta_stabilizer.
+    """
+    if n < 3:
+        raise ValueError("n must be >= 3")
+    m = n // math.gcd(n, 2)
+    if m == 2:
+        psi = UniPolynomial(ZZ, (2, 1))
+    else:
+        c = cyclotomic_polynomial(m).coeffs
+        h = len(c) // 2
+        psi = sum((c[h + j] * chebyshev(j) for j in range(1, h + 1)), c[h])
+    poly = psi(UniPolynomial(ZZ, (2, 0, 1)))
+    ctx = CyclotomicContext(n)
+    acc = [0] * ctx.degree
+    for a in reversed(poly.coeffs):
+        acc = _times_eta(ctx, acc)
+        acc[0] += a
+    if any(acc):
+        raise AssertionError(f"Psi_{m}(X^2 + 2) does not annihilate eta_{n}")
+    ell = _RANK_PRIME
+    for _ in range(8):
+        if _eta_rank_mod(n, poly.degree, ell) == poly.degree:
+            return poly
+        ell = next(q for q in range(ell + 1, 2 * ell) if is_prime(q))
+    raise AssertionError(f"powers of eta_{n} not proved independent")
 
 
 def kd_degree_check(n: int) -> bool:

@@ -72,6 +72,7 @@ from .algebra import (
     _monics,
     _mulmod,
     _powmod,
+    _sturm_chain,
     field_tower,
 )
 from .chebyshev import classify_d, is_prime
@@ -453,39 +454,6 @@ def count_points_naive(curve: HyperellipticCurve, p: int, k: int = 1) -> int:
         elif v in squares:
             total += 2
     return total + _infinity_points(curve, p, k)
-
-
-def _primitive_part(a: list[int]) -> list[int]:
-    """a divided by the gcd of its coefficients (a positive number)."""
-    c = 0
-    for x in a:
-        c = gcd(c, x)
-    return [x // c for x in a] if c > 1 else a
-
-
-def _sturm_chain(f: list[int]) -> list[list[int]]:
-    """Sturm sequence f, f', -rem, ... of an integer polynomial (low degree
-    first), each member scaled by a positive number to stay primitive over
-    Z.  The last member is gcd(f, f') up to a constant factor."""
-    chain = [f, _primitive_part([i * c for i, c in enumerate(f)][1:])]
-    while len(chain[-1]) > 1:
-        a, b = chain[-2], chain[-1]
-        # pseudo-division: r = lc(b)^(deg a - deg b + 1) a mod b
-        r, db, lc = list(a), len(b) - 1, b[-1]
-        for k in range(len(a) - 1 - db, -1, -1):
-            c = r[k + db]
-            r = [x * lc for x in r]
-            for i, bc in enumerate(b):
-                r[k + i] -= c * bc
-        r = r[:db]
-        while r and r[-1] == 0:
-            r.pop()
-        if not r:
-            break
-        # the Sturm member is -(r / lc^(deg a - deg b + 1))
-        flip = lc < 0 and (len(a) - len(b)) % 2 == 0
-        chain.append(_primitive_part(r if flip else [-x for x in r]))
-    return chain
 
 
 def _surd_sign(a: int, b: int, q: int) -> int:

@@ -1,0 +1,88 @@
+"""Slow exact oracles for the test suite; nothing under src/ imports them.
+
+galois_apply is the automorphism zeta -> zeta^a of Z[zeta_n].
+minimal_polynomial eliminates over Q on the powers of an element of
+Z[zeta_n]; minimal_polynomial_orbit multiplies (t - y) over its distinct
+Galois images.  Both pin cyclotomic.eta_minimal_polynomial, which builds
+the minimal polynomial of eta_n in integers from Phi_m.
+"""
+
+import math
+from fractions import Fraction
+
+from chebcm.algebra import UniPolynomial, ZZ
+from chebcm.cyclotomic import CyclotomicElement
+from chebcm.unitgroups import unit_group
+
+
+def galois_apply(a: int, x: CyclotomicElement) -> CyclotomicElement:
+    """Image of x under zeta -> zeta^a; a must be a unit mod n."""
+    ctx = x.ring
+    n = ctx.n
+    if n > 1 and math.gcd(a % n, n) != 1:
+        raise ValueError(f"{a} is not a unit mod {n}")
+    out = [0] * ctx.degree
+    for i, c in enumerate(x.coeffs):
+        if c == 0:
+            continue
+        row = ctx.power(a * i)
+        for j in range(ctx.degree):
+            if row[j]:
+                out[j] += c * row[j]
+    return CyclotomicElement(ctx, out)
+
+
+def minimal_polynomial(x: CyclotomicElement) -> UniPolynomial:
+    """Monic minimal polynomial of x, from the first linear dependence among
+    1, x, x^2, ... (eliminated over Q); x is an algebraic integer, so the
+    result lies in Z[t], and it annihilates x exactly."""
+    ctx = x.ring
+    dim = ctx.degree
+    basis = []  # rows: (reduced vector, combination over previous powers)
+    powers = [ctx.one]
+    while True:
+        m = len(powers) - 1
+        vec = [Fraction(c) for c in powers[-1].coeffs]
+        combo = [Fraction(0)] * (m + 1)
+        combo[m] = Fraction(1)
+        for pivot_col, bvec, bcombo in basis:
+            c = vec[pivot_col]
+            if c:
+                vec = [a - c * b for a, b in zip(vec, bvec)]
+                combo = [
+                    a - c * (bcombo[i] if i < len(bcombo) else 0)
+                    for i, a in enumerate(combo)
+                ]
+        nz = next((i for i, c in enumerate(vec) if c), None)
+        if nz is None:
+            # 0 = sum combo[i] * x^i with combo[m] = 1: that is the minimal polynomial
+            poly = UniPolynomial(ZZ, combo)
+            check = poly(x)
+            if check != ctx.zero:
+                raise AssertionError("minimal polynomial fails to annihilate")
+            return poly
+        inv = Fraction(1) / vec[nz]
+        vec = [c * inv for c in vec]
+        combo = [c * inv for c in combo]
+        basis.append((nz, vec, combo))
+        if m > dim:
+            raise AssertionError("no dependence found below field degree")
+        powers.append(powers[-1] * x)
+
+
+def minimal_polynomial_orbit(x: CyclotomicElement) -> UniPolynomial:
+    """Same minimal polynomial, built as the product of (t - image) over the
+    distinct Galois images of x; cross-check path for the dependence method."""
+    ctx = x.ring
+    images = []
+    for a in unit_group(ctx.n):
+        y = galois_apply(a, x)
+        if y not in images:
+            images.append(y)
+    prod = UniPolynomial(ctx, (ctx.one,))
+    for y in images:
+        prod = prod * UniPolynomial(ctx, (-y, ctx.one))
+    if not all(c.is_rational() for c in prod.coeffs):
+        raise AssertionError("orbit product has an irrational coefficient")
+    return UniPolynomial(ZZ, [c.coeffs[0] for c in prod.coeffs])
+

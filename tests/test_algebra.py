@@ -20,6 +20,8 @@ from chebcm.algebra import (
     poly_xgcd,
     squarefree,
 )
+from chebcm.chebyshev import curve_polynomial, in_scope_family
+from chebcm.curves import make_cd, make_dm, make_xd
 from chebcm.cyclotomic import CyclotomicContext
 
 
@@ -148,6 +150,43 @@ class TestGcd:
         fp = field_tower(3, 1)
         f3 = UniPolynomial(fp, [fp.coerce(1), fp.zero, fp.zero, fp.coerce(1)])
         assert not squarefree(f3)
+
+    def test_integer_route_matches_the_gcd_over_q_on_every_model(self):
+        models = [make_cd(d).f for d in in_scope_family(64)]
+        models += [make_dm(m).f for m in range(3, 131)]
+        models += [make_xd(d).f for d in range(2, 65, 2)]
+        models += [curve_polynomial(d) for d in range(1, 65)]
+        for f in models:
+            assert squarefree(f) == squarefree_over_q(f), f
+
+    def test_integer_route_small_degrees(self):
+        assert not squarefree(zpoly())
+        assert squarefree(zpoly(-6))
+        assert squarefree(zpoly(4, 6))  # content 2, leading coefficient 6
+        assert not squarefree(zpoly(0, 0, 3))  # 3x^2
+        assert squarefree(zpoly(0, 0, 3).derivative())
+
+
+def squarefree_over_q(f):
+    """The gcd-over-Q route the integer Sturm chain replaced."""
+    fq = UniPolynomial(QQ, f.coeffs)
+    if fq.degree <= 0:
+        return not fq.is_zero()
+    return poly_gcd(fq, fq.derivative()).degree == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.integers(-9, 9), min_size=1, max_size=6),
+    st.lists(st.integers(-9, 9), min_size=2, max_size=4),
+    st.integers(-12, 12).filter(bool),
+)
+def test_squarefree_integer_route_matches_q_on_square_factors(a, b, content):
+    f, g = zpoly(*a), zpoly(*b)
+    for h in (content * f, content * f * g * g):
+        assert squarefree(h) == squarefree_over_q(h)
+    if g.degree >= 1 and not f.is_zero():
+        assert not squarefree(content * f * g * g)
 
 
 class TestPrimeField:

@@ -70,6 +70,20 @@ def test_lpoly_bad_reduction(capsys):
     assert "bad reduction" in capsys.readouterr().err
 
 
+def test_lpoly_rejects_non_prime_p(capsys, monkeypatch):
+    # refused before any curve is built: 9, -7 and 1 have no reduction
+    def no_curve(*args, **kwargs):
+        raise AssertionError("curve built")
+
+    monkeypatch.setattr(cli, "_make_curve", no_curve)
+    for p in ("9", "-7", "1"):
+        assert main(["lpoly", "--curve", "D", "--d", "3", "--p", p]) == 2
+        captured = capsys.readouterr()
+        assert f"p must be prime, got {p}" in captured.err
+        assert "bad reduction" not in captured.err
+        assert captured.out == ""
+
+
 def test_lpoly_unbuildable_curve(capsys):
     assert main(["lpoly", "--curve", "X", "--d", "3", "--p", "5"]) == 2
     assert "cannot build X_3" in capsys.readouterr().err

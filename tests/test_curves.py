@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import chebcm.curves as curves
 from chebcm.algebra import QQ, ZZ, LaurentPolynomial, UniPolynomial, monomial_substitute
 from chebcm.curves import (
     HyperellipticCurve,
@@ -21,7 +22,8 @@ from chebcm.curves import (
 )
 from chebcm.chebyshev import classify_d, genus_of_cd, in_scope_family
 from chebcm.cmtypes import paper_type_case1, paper_type_case2, sum_criterion
-from chebcm.cyclotomic import CyclotomicContext, cyclotomic_polynomial, eta, minimal_polynomial
+from chebcm.report import build_batch
+from chebcm.cyclotomic import CyclotomicContext, cyclotomic_polynomial, eta_minimal_polynomial
 
 
 class TestCurveModels:
@@ -108,6 +110,37 @@ class TestValidity:
         curve, z, sigma = case2_automorphisms(5)
         assert z.order() == 10
         assert sigma.compose(sigma).is_identity()
+
+
+class TestBuiltOnce:
+    def test_batch_builds_and_checks_each_map_once(self, monkeypatch):
+        for cached in (case1_automorphisms, case2_automorphisms, automorphism_valid):
+            cached.cache_clear()
+        pairs = []
+        valid = curves.automorphism_valid
+
+        def spy(curve, auto):
+            pairs.append((curve, auto))
+            return valid(curve, auto)
+
+        monkeypatch.setattr(curves, "automorphism_valid", spy)
+        assert build_batch(16)["ok"]
+        # d = 2, 4, 8, 16 and 3, 5, 7, 11, 13, each built by claim_rotation
+        # and endo_quotient_details
+        assert case1_automorphisms.cache_info().misses == 4
+        assert case2_automorphisms.cache_info().misses == 5
+        assert case1_automorphisms.cache_info().hits >= 4
+        assert case2_automorphisms.cache_info().hits >= 5
+        assert valid.cache_info().misses == len(set(pairs)) < len(pairs)
+
+    def test_invalid_map_raises_on_every_call(self):
+        curve = make_xd(4)
+        ctx = CyclotomicContext(16)
+        bad = MonomialAutomorphism.scale(ctx, ctx.zeta, ctx.zeta)
+        for _ in range(2):
+            with pytest.raises(MapNotValidError):
+                pullback_matrix(curve, bad)
+        assert automorphism_valid.cache_info().hits >= 1
 
 
 def substitution_pullback(curve, auto):
@@ -280,7 +313,7 @@ class TestCmSummary:
     def test_d2_frozen(self):
         assert classify_d(2) == 1
         assert genus_of_cd(2) == 1
-        field_poly = minimal_polynomial(eta(8))  # n = 4d
+        field_poly = eta_minimal_polynomial(8)  # n = 4d
         assert field_poly.coeffs == (2, 0, 1)
         assert field_poly.degree == 2 * genus_of_cd(2)
         t = paper_type_case1(1)
@@ -291,7 +324,7 @@ class TestCmSummary:
     def test_d5_frozen(self):
         assert classify_d(5) == 2
         assert genus_of_cd(5) == 2
-        assert minimal_polynomial(eta(10)).degree == 4  # n = 2d
+        assert eta_minimal_polynomial(10).degree == 4  # n = 2d
         field_poly = cyclotomic_polynomial(5)
         assert field_poly.coeffs == (1, 1, 1, 1, 1)
         assert field_poly.degree == 4
@@ -303,7 +336,7 @@ class TestCmSummary:
 
     def test_d8_degrees(self):
         assert genus_of_cd(8) == 4
-        assert minimal_polynomial(eta(32)).degree == 8
+        assert eta_minimal_polynomial(32).degree == 8
         t = paper_type_case1(3)
         assert t.is_valid() and t.is_primitive()
         assert endo_quotient_details(8)["ok"]

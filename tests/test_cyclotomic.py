@@ -2,19 +2,20 @@ from fractions import Fraction
 
 import pytest
 
+import chebcm.cyclotomic as cyclotomic
 from chebcm.algebra import RingMismatchError
+from chebcm.chebyshev import chebyshev
 from chebcm.cyclotomic import (
     CyclotomicContext,
     CyclotomicElement,
     cyclotomic_polynomial,
     eta,
+    eta_minimal_polynomial,
     eta_stabilizer,
-    galois_apply,
     kd_degree_check,
-    minimal_polynomial,
-    minimal_polynomial_orbit,
 )
 from chebcm.unitgroups import kd_kernel, unit_group
+from oracles import galois_apply, minimal_polynomial, minimal_polynomial_orbit
 
 
 @pytest.mark.parametrize(
@@ -135,6 +136,56 @@ def test_minimal_polynomial_two_routes_agree():
     for n in (3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 24):
         x = eta(n)
         assert minimal_polynomial(x) == minimal_polynomial_orbit(x)
+
+
+def test_eta_minimal_polynomial_matches_the_elimination():
+    # covers every n whose Galois group is not cyclic up to 40 (15, 20, 21,
+    # 24, ...), where one prime cannot prove P irreducible from its factor
+    # degrees
+    for n in list(range(3, 41)) + [64]:
+        assert eta_minimal_polynomial(n) == minimal_polynomial(eta(n)), n
+
+
+def test_eta_minimal_polynomial_small_cases():
+    assert eta_minimal_polynomial(4).coeffs == (4, 0, 1)  # m = 2: Psi_2 = u + 2
+    assert eta_minimal_polynomial(3).coeffs == (3, 0, 1)  # eta_3 = sqrt(-3)
+    for n in (1, 2):
+        with pytest.raises(ValueError):
+            eta_minimal_polynomial(n)
+
+
+def test_eta_minimal_polynomial_refuses_a_perturbed_psi(monkeypatch):
+    # Psi_5 built with phi_1 + 1: P no longer annihilates eta_10
+    monkeypatch.setattr(cyclotomic, "chebyshev", lambda j: chebyshev(j) + int(j == 1))
+    with pytest.raises(AssertionError, match="does not annihilate"):
+        eta_minimal_polynomial.__wrapped__(10)
+
+
+def test_eta_rank_deficit_moves_on_to_the_next_prime(monkeypatch):
+    # eta_4 = 2i is 0 mod 2, so 1, eta_4 have rank 1 there and 2 mod 3
+    seen = []
+    rank = cyclotomic._eta_rank_mod
+
+    def spy(n, count, ell):
+        seen.append(ell)
+        return rank(n, count, ell)
+
+    monkeypatch.setattr(cyclotomic, "_RANK_PRIME", 2)
+    monkeypatch.setattr(cyclotomic, "_eta_rank_mod", spy)
+    assert eta_minimal_polynomial.__wrapped__(4).coeffs == (4, 0, 1)
+    assert seen == [2, 3]
+    assert rank(4, 2, 2) == 1
+
+
+def test_eta_minimality_proof_gives_up_after_eight_primes(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cyclotomic, "_RANK_PRIME", 2)
+    monkeypatch.setattr(
+        cyclotomic, "_eta_rank_mod", lambda n, count, ell: seen.append(ell) or 0
+    )
+    with pytest.raises(AssertionError, match="not proved independent"):
+        eta_minimal_polynomial.__wrapped__(8)
+    assert seen == [2, 3, 5, 7, 11, 13, 17, 19]
 
 
 def test_minimal_polynomial_of_rational_is_linear():

@@ -56,14 +56,17 @@ def test_report_builds_each_curve_once(monkeypatch):
 
 
 def test_report_finds_the_eta_minimal_polynomial_once(monkeypatch):
+    # built once per n: cm-degree and eta-field-structure both read it
     cyclotomic.eta_minimal_polynomial.cache_clear()
-    args = []
-    minpoly = cyclotomic.minimal_polynomial
+    proofs = []
+    rank = cyclotomic._eta_rank_mod
     monkeypatch.setattr(
-        cyclotomic, "minimal_polynomial", lambda x: args.append(x) or minpoly(x)
+        cyclotomic, "_eta_rank_mod", lambda n, *a: proofs.append(n) or rank(n, *a)
     )
     assert not build_report(13).failed
-    assert args == [cyclotomic.eta(26)]
+    assert proofs == [26]
+    info = cyclotomic.eta_minimal_polynomial.cache_info()
+    assert (info.misses, info.currsize) == (1, 1) and info.hits >= 1
 
 
 def test_report_out_of_scope_rejected():
