@@ -1,29 +1,24 @@
-"""Exact arithmetic substrate: coefficient rings and dense polynomials.
+"""Exact arithmetic substrate: the integer ring and dense polynomials.
 
-Rings are lightweight descriptors whose elements overload the usual
-operators; everything is immutable after construction.  ZZ and QQ use
-plain ``int`` / ``fractions.Fraction`` as element types.  Polynomials are
-dense coefficient tuples indexed by degree; degrees in this package stay
-below a few hundred, so schoolbook algorithms are used throughout.  Over
-ZZ, squarefree reads the last member of the integer Sturm chain
-(_sturm_chain, also zeta's Weil-bound check) and takes no gcd over QQ.
+ZZ is a lightweight ring descriptor whose elements are plain ``int``;
+cyclotomic's Z[zeta_n] is the only other coefficient ring.  Polynomials
+are dense coefficient tuples indexed by degree; degrees in this package
+stay below a few hundred, so schoolbook algorithms are used throughout.
+No rational arithmetic is used: a polynomial divisor must have leading
+coefficient +-1, and squarefree reads the last member of the integer
+Sturm chain (_sturm_chain, also zeta's Weil-bound check).
 
-Rings given in a power basis (F_(p^k) = F_p[x]/(m) here, Z[zeta_n] in
-cyclotomic) share one element base, PowerBasisElement, which writes the
-ring operators once; each ring supplies its multiplication.  F_p is
-field_tower(p, 1), the degree-one case of the same class.
-
-Polynomials over F_p also have a plain integer-list layer (_int_poly_divmod,
-_gcd_mod, _mulmod, _powmod, _factor_degrees_mod): coefficient lists low
-degree first, no element objects.  field_tower proves its moduli
-irreducible with it, and zeta uses it for good_reduction, for the
-primitive modulus behind its field tables and for the factor degrees of
-the real Weil polynomial mod small primes.
+Polynomials over F_p are plain integer lists (_int_poly_divmod, _gcd_mod,
+_mulmod, _powmod, _factor_degrees_mod): coefficients low degree first,
+no element objects.  An element of F_(p^k) = F_p[x]/(m) is such a list
+reduced mod m, with m = field_tower(p, k), which this layer proves
+irreducible.  zeta uses the layer for good_reduction, for the primitive
+modulus behind its field tables, for the factor degrees of the real Weil
+polynomial mod small primes and for its slow oracle count_points_naive.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -33,7 +28,6 @@ class RingMismatchError(TypeError):
 
 
 class IntegerRing:
-    is_field = False
     zero = 0
     one = 1
 
@@ -42,8 +36,6 @@ class IntegerRing:
             raise RingMismatchError("bool is not a ring element")
         if isinstance(v, int):
             return v
-        if isinstance(v, Fraction) and v.denominator == 1:
-            return int(v)
         raise RingMismatchError(f"cannot coerce {v!r} into ZZ")
 
     def __call__(self, v):
@@ -59,33 +51,7 @@ class IntegerRing:
         return "ZZ"
 
 
-class RationalField:
-    is_field = True
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def coerce(self, v):
-        if isinstance(v, bool):
-            raise RingMismatchError("bool is not a ring element")
-        if isinstance(v, (int, Fraction)):
-            return Fraction(v)
-        raise RingMismatchError(f"cannot coerce {v!r} into QQ")
-
-    def __call__(self, v):
-        return self.coerce(v)
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("QQ")
-
-    def __repr__(self):
-        return "QQ"
-
-
 ZZ = IntegerRing()
-QQ = RationalField()
 
 
 class UniPolynomial:
@@ -199,11 +165,7 @@ class UniPolynomial:
         if o.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         lc = o.leading_coefficient()
-        if self.ring.is_field:
-            lc_inv = self.ring.one / lc
-        elif lc == self.ring.one or lc == -self.ring.one:
-            lc_inv = lc
-        else:
+        if lc != self.ring.one and lc != -self.ring.one:
             raise ValueError("leading coefficient not invertible over this ring")
         rem = list(self.coeffs)
         db = o.degree
@@ -214,7 +176,7 @@ class UniPolynomial:
             c = rem[k + db]
             if c == self.ring.zero:
                 continue
-            q = c * lc_inv
+            q = c * lc  # lc = +-1 is its own inverse
             quot[k] = q
             for i, b in enumerate(o.coeffs):
                 rem[k + i] = rem[k + i] - q * b
@@ -241,14 +203,6 @@ class UniPolynomial:
         return UniPolynomial(
             self.ring, [i * c for i, c in enumerate(self.coeffs)][1:]
         )
-
-    def monic(self):
-        lc = self.leading_coefficient()
-        if lc == self.ring.zero:
-            raise ZeroDivisionError("monic of zero polynomial")
-        if lc == self.ring.one:
-            return self
-        return UniPolynomial(self.ring, [c / lc for c in self.coeffs])
 
     def __eq__(self, other):
         if isinstance(other, UniPolynomial):
@@ -287,38 +241,6 @@ def _format_term(c, k, ring):
     return f"{c}*{e}"
 
 
-def poly_gcd(a, b):
-    """Monic gcd over a coefficient field."""
-    if not a.ring.is_field:
-        raise RingMismatchError("gcd needs a field of coefficients")
-    while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return a
-    return a.monic()
-
-
-def poly_xgcd(a, b):
-    """Extended gcd over a field: returns (g, u, v) with u*a + v*b = g, g monic."""
-    ring = a.ring
-    one = UniPolynomial(ring, (ring.one,))
-    zero = UniPolynomial(ring, ())
-    r0, r1 = a, b
-    u0, u1 = one, zero
-    v0, v1 = zero, one
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    if r0.is_zero():
-        return r0, u0, v0
-    lc = r0.leading_coefficient()
-    inv = ring.one / lc
-    scale = UniPolynomial(ring, (inv,))
-    return r0.monic(), u0 * scale, v0 * scale
-
-
 def _primitive_part(a: list[int]) -> list[int]:
     """a divided by the gcd of its coefficients (a positive number)."""
     c = gcd(*a)
@@ -351,19 +273,14 @@ def _sturm_chain(f: list[int]) -> list[list[int]]:
 
 
 def squarefree(f):
-    """True when f has no repeated roots over the algebraic closure.
-
-    Over ZZ, f is squarefree exactly when the last member of its integer
-    Sturm chain, gcd(f, f') up to a constant, is a constant.  Over a field
-    the gcd is taken there; in characteristic p a vanishing derivative (f
-    a polynomial in x^p) reports non-squarefree rather than crashing.
-    """
+    """True when f in Z[x] has no repeated roots over the algebraic closure:
+    the last member of its integer Sturm chain, gcd(f, f') up to a
+    constant, is a constant."""
+    if f.ring != ZZ:
+        raise RingMismatchError("squarefree takes a polynomial over ZZ")
     if f.degree <= 0:
         return not f.is_zero()
-    if f.ring == ZZ:
-        return len(_sturm_chain(list(f.coeffs))[-1]) == 1
-    g = poly_gcd(f, f.derivative())
-    return g.degree == 0
+    return len(_sturm_chain(list(f.coeffs))[-1]) == 1
 
 
 class LaurentPolynomial:
@@ -638,219 +555,15 @@ def _factor_degrees_mod(h, p):
     return degrees
 
 
-# --- power-basis elements and finite fields ----------------------------------
-
-class PowerBasisElement:
-    """Element of a ring presented in a power basis, as a coefficient tuple.
-
-    The ring supplies _mul (on coefficient sequences), zero and one.  A
-    subclass normalizes coefficients in __init__ and defines inverse,
-    __hash__ and printing.  Plain ints lift into the ring; elements of
-    different rings never mix.
-    """
-
-    __slots__ = ("ring", "coeffs")
-
-    def _lift(self, other):
-        if isinstance(other, PowerBasisElement):
-            if other.ring != self.ring:
-                raise RingMismatchError(f"elements of {self.ring!r} and {other.ring!r}")
-            return other
-        if isinstance(other, int) and not isinstance(other, bool):
-            return type(self)(self.ring, (other,))
-        return None
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return type(self)(self.ring, [a + b for a, b in zip(self.coeffs, o.coeffs)])
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return type(self)(self.ring, [a - b for a, b in zip(self.coeffs, o.coeffs)])
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __neg__(self):
-        return type(self)(self.ring, [-a for a in self.coeffs])
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return type(self)(self.ring, self.ring._mul(self.coeffs, o.coeffs))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, e):
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = self.ring.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def __eq__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
-
-
-class ExtensionFieldElement(PowerBasisElement):
-    __slots__ = ()
-
-    def __init__(self, ring, coeffs):
-        if len(coeffs) > ring.k:
-            coeffs = _int_poly_divmod(coeffs, ring.modulus_coeffs, ring.p)[1]
-        cs = [c % ring.p for c in coeffs]
-        cs += [0] * (ring.k - len(cs))
-        self.ring = ring
-        self.coeffs = tuple(cs)
-
-    def inverse(self):
-        f = self.ring
-        if not any(self.coeffs):
-            raise ZeroDivisionError("inverse of zero in extension field")
-        if f.k == 1:
-            return ExtensionFieldElement(f, (pow(self.coeffs[0], -1, f.p),))
-        fp = field_tower(f.p, 1)
-        a = UniPolynomial(fp, self.coeffs)
-        m = UniPolynomial(fp, f.modulus_coeffs)
-        g, u, _ = poly_xgcd(a, m)
-        if g.degree != 0:
-            raise ZeroDivisionError("modulus not coprime to element")
-        return ExtensionFieldElement(f, [c.coeffs[0] for c in (u % m).coeffs])
-
-    def __hash__(self):
-        return hash((self.ring.p, self.ring.k, self.coeffs))
-
-    def __repr__(self):
-        return f"ExtElement{self.coeffs}"
-
-
-class ExtensionField:
-    """F_{p^k} presented as F_p[x] modulo a fixed monic irreducible; F_p
-    itself at k = 1.
-
-    The modulus is the first monic irreducible of degree k in the scan
-    over integer encodings m = c_0 + c_1 p + ... + c_{k-1} p^{k-1}, so
-    two runs (and two platforms) always agree on the presentation.
-    """
-
-    def __init__(self, p, k, modulus_coeffs):
-        self.p = p
-        self.k = k
-        self.modulus_coeffs = tuple(modulus_coeffs)  # length k+1, monic
-        # rows[j] = x^(k+j) reduced mod the modulus, as a length-k vector
-        rows = []
-        if k > 1:
-            r = [(-c) % p for c in modulus_coeffs[:k]]
-            rows.append(tuple(r))
-            for _ in range(k - 2):
-                top = r[-1]
-                r = [0] + r[:-1]
-                r = [(a + top * b) % p for a, b in zip(r, rows[0])]
-                rows.append(tuple(r))
-        self.reduction_rows = tuple(rows)
-        self.zero = ExtensionFieldElement(self, ())
-        self.one = ExtensionFieldElement(self, (1,))
-
-    is_field = True
-
-    @property
-    def order(self):
-        return self.p**self.k
-
-    def gen(self):
-        return ExtensionFieldElement(self, (0, 1))
-
-    def _mul(self, a, b):
-        p, k = self.p, self.k
-        if k == 1:
-            return ((a[0] * b[0]) % p,)
-        conv = [0] * (2 * k - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        out = [c % p for c in conv[:k]]
-        for j in range(k - 1):
-            c = conv[k + j] % p
-            if c:
-                row = self.reduction_rows[j]
-                for i in range(k):
-                    out[i] = (out[i] + c * row[i]) % p
-        return out
-
-    def coerce(self, v):
-        out = self.one._lift(v)
-        if out is None:
-            raise RingMismatchError(f"cannot coerce {v!r} into GF({self.p}^{self.k})")
-        return out
-
-    def __call__(self, v):
-        return self.coerce(v)
-
-    def from_index(self, m):
-        digits = []
-        for _ in range(self.k):
-            digits.append(m % self.p)
-            m //= self.p
-        return ExtensionFieldElement(self, digits)
-
-    def elements(self):
-        for m in range(self.order):
-            yield self.from_index(m)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExtensionField)
-            and other.p == self.p
-            and other.k == self.k
-            and other.modulus_coeffs == self.modulus_coeffs
-        )
-
-    def __hash__(self):
-        return hash(("GFext", self.p, self.k, self.modulus_coeffs))
-
-    def __repr__(self):
-        return f"GF({self.p}^{self.k})"
-
-
 @lru_cache(maxsize=None)
 def field_tower(p, k):
-    """F_{p^k} with the deterministic smallest-encoding monic modulus: the
-    first encoding whose only factor degree mod p is k."""
+    """Modulus m of F_(p^k) = F_p[x]/(m), F_p itself at k = 1, low degree
+    first: the first monic m of degree k in the order of the encodings
+    c_0 + c_1 p + ... + c_(k-1) p^(k-1) whose only factor degree mod p is
+    k, so two runs (and two platforms) always agree on the presentation."""
     if k < 1:
         raise ValueError("k must be >= 1")
     for coeffs in _monics(p, k):
         if _factor_degrees_mod(coeffs, p) == [k]:
-            return ExtensionField(p, k, coeffs)
+            return tuple(coeffs)
     raise AssertionError("no irreducible monic found (unreachable)")

@@ -8,9 +8,7 @@ y^2 = (x + 2) * phi_d(x).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from .algebra import ZZ, LaurentPolynomial, UniPolynomial, laurent_compose, squarefree
+from .algebra import ZZ, LaurentPolynomial, UniPolynomial, laurent_compose
 
 _CACHE = [
     UniPolynomial(ZZ, (2,)),
@@ -45,18 +43,13 @@ def curve_polynomial(d: int) -> UniPolynomial:
     return UniPolynomial(ZZ, (2, 1)) * chebyshev(d)
 
 
-@lru_cache(maxsize=None)
 def genus_of_cd(d: int) -> int:
-    """Genus of y^2 = (x+2)*phi_d(x); requires d >= 2 and a squarefree model."""
+    """Genus floor((deg f - 1) / 2) of y^2 = f(x) = (x+2)*phi_d(x), d >= 2,
+    read from the degree alone; HyperellipticCurve (make_cd) is what
+    checks that the model is squarefree."""
     if d < 2:
         raise ValueError("d must be >= 2 (d = 1 gives genus 0)")
-    f = curve_polynomial(d)
-    if not squarefree(f):
-        raise ValueError(f"(x+2)*phi_{d} is not squarefree; no smooth model")
-    deg = f.degree
-    if deg % 2 == 1:
-        return (deg - 1) // 2
-    return (deg - 2) // 2
+    return (curve_polynomial(d).degree - 1) // 2
 
 
 def is_prime(n: int) -> bool:

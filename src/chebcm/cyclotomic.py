@@ -19,7 +19,7 @@ import math
 import operator
 from functools import lru_cache
 
-from .algebra import PowerBasisElement, RingMismatchError, UniPolynomial, ZZ
+from .algebra import RingMismatchError, UniPolynomial, ZZ
 from .chebyshev import chebyshev, is_prime
 from .unitgroups import euler_phi, kd_kernel, unit_group
 
@@ -42,8 +42,12 @@ def cyclotomic_polynomial(n: int) -> UniPolynomial:
     return q
 
 
-class CyclotomicElement(PowerBasisElement):
-    __slots__ = ()
+class CyclotomicElement:
+    """Element of Z[zeta_n], as its coefficient tuple in the power basis of
+    its CyclotomicContext.  Plain ints lift into the ring; elements of
+    different rings never mix."""
+
+    __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring, coeffs):
         cs = list(map(operator.index, coeffs))
@@ -53,6 +57,76 @@ class CyclotomicElement(PowerBasisElement):
                 low = [a + c * b for a, b in zip(low, ring.power(k))]
         self.ring = ring
         self.coeffs = tuple(low)
+
+    def _lift(self, other):
+        if isinstance(other, CyclotomicElement):
+            if other.ring != self.ring:
+                raise RingMismatchError(f"elements of {self.ring!r} and {other.ring!r}")
+            return other
+        if isinstance(other, int) and not isinstance(other, bool):
+            return CyclotomicElement(self.ring, (other,))
+        return None
+
+    def __add__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return CyclotomicElement(self.ring, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return CyclotomicElement(self.ring, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+
+    def __rsub__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __neg__(self):
+        return CyclotomicElement(self.ring, [-a for a in self.coeffs])
+
+    def __mul__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return CyclotomicElement(self.ring, self.ring._mul(self.coeffs, o.coeffs))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inverse()
+
+    def __pow__(self, e):
+        if e < 0:
+            return self.inverse() ** (-e)
+        result = self.ring.one
+        base = self
+        while e:
+            if e & 1:
+                result = result * base
+            base = base * base
+            e >>= 1
+        return result
+
+    def __eq__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return self.coeffs == o.coeffs
 
     def inverse(self):
         """Inverse of a unit +-zeta^k, the only inverses the CM layer takes;
@@ -133,8 +207,6 @@ class CyclotomicContext:
         self.zero = CyclotomicElement(self, ())
         self.one = CyclotomicElement(self, (1,))
         self.zeta = CyclotomicElement(self, self.power(1))
-
-    is_field = False
 
     def power(self, k: int):
         """Coefficient vector of zeta^k (any integer k)."""

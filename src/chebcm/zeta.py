@@ -37,9 +37,11 @@ F_p (see _index_chunks): one chunk of s gives the next by k multiply-adds
 over int32, with no field arithmetic.  Whatever a count holds (the
 binomial route's q + 4(q - 1)/G bytes, the log domain's two int32 tables)
 is made per call and freed on return; fields of 2^31 elements or more
-are refused.  Counting uses integers only and does not call field_tower;
-count_points_naive, which enumerates field_tower(p, k) for every k (F_p
-is k = 1), is the independent slow oracle.
+are refused.  Counting does not call field_tower.  count_points_naive,
+the independent slow oracle, does: it enumerates F_p[x]/(m) with m =
+field_tower(p, k) for every k (F_p is k = 1) as reduced integer lists,
+evaluates f by Horner with algebra._mulmod and looks each value up in
+the set of squares.
 
 L-polynomials are checked through the real Weil polynomial h, with
 T^(2g) L(1/T) = T^g h(T + q/T): the Weil bound |alpha| = sqrt q is an
@@ -72,6 +74,7 @@ from .algebra import (
     _monics,
     _mulmod,
     _powmod,
+    _reduce_mod,
     _sturm_chain,
     field_tower,
 )
@@ -441,17 +444,20 @@ def count_points_naive(curve: HyperellipticCurve, p: int, k: int = 1) -> int:
     """Pure-Python enumeration oracle; only sensible for tiny fields."""
     if not good_reduction(curve, p):
         raise BadReductionError(f"{curve.label} has bad reduction at p={p}")
-    field = field_tower(p, k)
-    elems = list(field.elements())
-    squares = {z * z for z in elems}
-    zero = field.zero
-    f = curve.f
+    m = field_tower(p, k)
+    # the monics of degree k, top coefficient dropped, are all of F_(p^k)
+    elems = [_reduce_mod(c[:-1], p) for c in _monics(p, k)]
+    squares = {tuple(_mulmod(x, x, m, p)) for x in elems}
     total = 0
     for x in elems:
-        v = f(x)
-        if v == zero:
+        v = []
+        for c in reversed(curve.f.coeffs):
+            v = _mulmod(v, x, m, p) or [0]
+            v[0] += c
+            v = _reduce_mod(v, p)
+        if not v:
             total += 1
-        elif v in squares:
+        elif tuple(v) in squares:
             total += 2
     return total + _infinity_points(curve, p, k)
 

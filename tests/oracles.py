@@ -5,6 +5,11 @@ minimal_polynomial eliminates over Q on the powers of an element of
 Z[zeta_n]; minimal_polynomial_orbit multiplies (t - y) over its distinct
 Galois images.  Both pin cyclotomic.eta_minimal_polynomial, which builds
 the minimal polynomial of eta_n in integers from Phi_m.
+
+divmod_q, gcd_q and gcd_mod are schoolbook division and Euclid over Q
+(Fraction) and over F_p, on coefficient lists low degree first: the
+references for algebra.squarefree, zeta.good_reduction and the
+integer-list layer, which take no gcd over a field of fractions.
 """
 
 import math
@@ -56,7 +61,9 @@ def minimal_polynomial(x: CyclotomicElement) -> UniPolynomial:
         nz = next((i for i, c in enumerate(vec) if c), None)
         if nz is None:
             # 0 = sum combo[i] * x^i with combo[m] = 1: that is the minimal polynomial
-            poly = UniPolynomial(ZZ, combo)
+            if any(c.denominator != 1 for c in combo):
+                raise AssertionError("minimal polynomial not in Z[t]")
+            poly = UniPolynomial(ZZ, [c.numerator for c in combo])
             check = poly(x)
             if check != ctx.zero:
                 raise AssertionError("minimal polynomial fails to annihilate")
@@ -86,3 +93,44 @@ def minimal_polynomial_orbit(x: CyclotomicElement) -> UniPolynomial:
         raise AssertionError("orbit product has an irrational coefficient")
     return UniPolynomial(ZZ, [c.coeffs[0] for c in prod.coeffs])
 
+
+def _trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _divmod(a, b, norm, inv):
+    """Quotient and remainder of a by b over a field whose coefficients
+    norm reduces and inv inverts; b has a nonzero leading coefficient."""
+    a, db = [norm(c) for c in a], len(b) - 1
+    quot = [0] * max(len(a) - db, 0)
+    lc_inv = inv(b[-1])
+    for k in range(len(a) - 1 - db, -1, -1):
+        quot[k] = c = norm(a[k + db] * lc_inv)
+        for i, bc in enumerate(b):
+            a[k + i] = norm(a[k + i] - c * bc)
+    return _trim(quot), _trim(a)
+
+
+def _gcd(a, b, norm, inv):
+    """Monic gcd by Euclid; [] when a and b are both zero."""
+    a, b = _trim([norm(c) for c in a]), _trim([norm(c) for c in b])
+    while b:
+        a, b = b, _divmod(a, b, norm, inv)[1]
+    return [norm(c * inv(a[-1])) for c in a] if a else a
+
+
+def divmod_q(a, b):
+    """Quotient and remainder of a by b over Q."""
+    return _divmod(a, _trim([Fraction(c) for c in b]), Fraction, lambda c: 1 / c)
+
+
+def gcd_q(a, b):
+    """Monic gcd over Q."""
+    return _gcd(a, b, Fraction, lambda c: 1 / c)
+
+
+def gcd_mod(a, b, p):
+    """Monic gcd over F_p."""
+    return _gcd(a, b, lambda c: c % p, lambda c: pow(c, -1, p))

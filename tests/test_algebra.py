@@ -1,36 +1,33 @@
-from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import chebcm.algebra as algebra
 from chebcm.algebra import (
-    ExtensionField,
-    ExtensionFieldElement,
     LaurentPolynomial,
-    QQ,
     RingMismatchError,
     UniPolynomial,
     ZZ,
+    _gcd_mod,
+    _int_poly_divmod,
+    _monics,
+    _mulmod,
+    _powmod,
+    _reduce_mod,
     field_tower,
     laurent_compose,
     monomial_substitute,
-    poly_gcd,
-    poly_xgcd,
     squarefree,
 )
 from chebcm.chebyshev import curve_polynomial, in_scope_family
 from chebcm.curves import make_cd, make_dm, make_xd
 from chebcm.cyclotomic import CyclotomicContext
+from oracles import divmod_q, gcd_mod, gcd_q
 
 
 def zpoly(*coeffs):
     return UniPolynomial(ZZ, coeffs)
-
-
-def qpoly(*coeffs):
-    return UniPolynomial(QQ, coeffs)
 
 
 def _encoding(m, p, k):
@@ -79,18 +76,29 @@ class TestUniPolynomial:
     def test_call_horner(self):
         f = zpoly(-4, 0, 1)
         assert f(3) == 5
-        assert qpoly(Fraction(1, 2), 1)(Fraction(1, 2)) == 1
+        i = CyclotomicContext(4).zeta
+        assert zpoly(1, 0, 1)(i) == 0
+        assert f(i) == -5
 
     def test_ring_mismatch_rejected(self):
         with pytest.raises(RingMismatchError):
-            zpoly(1, 1) + qpoly(1, 1)
+            zpoly(1, 1) + UniPolynomial(CyclotomicContext(5), (1, 1))
 
     def test_divmod_over_field(self):
-        f = qpoly(2, 0, 1, 1)
-        g = qpoly(1, 1)
+        # over Z by a monic divisor, the division over the field Q; over
+        # Z[zeta_8] by x + zeta
+        f, g = zpoly(2, 0, 1, 1), zpoly(1, 1)
+        q, r = divmod(f, g)
+        assert (list(q.coeffs), list(r.coeffs)) == divmod_q(f.coeffs, g.coeffs)
+        ctx = CyclotomicContext(8)
+        f = UniPolynomial(ctx, (2, 0, ctx.zeta, 1))
+        g = UniPolynomial(ctx, (ctx.zeta, 1))
         q, r = divmod(f, g)
         assert q * g + r == f
         assert r.degree < g.degree
+        # a leading coefficient other than +-1 has no inverse in the ring
+        with pytest.raises(ValueError):
+            divmod(zpoly(1, 2, 3), zpoly(1, 2))
 
     def test_compose(self):
         f = zpoly(0, 0, 1)
@@ -107,16 +115,16 @@ class TestUniPolynomial:
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.integers(-9, 9), min_size=1, max_size=6),
-    st.lists(st.integers(-9, 9), min_size=2, max_size=5),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=4),
+    st.sampled_from((1, -1)),
 )
-def test_divmod_identity_property(a, b):
-    f = UniPolynomial(QQ, a)
-    g = UniPolynomial(QQ, b)
-    if g.degree < 0:
-        return
+def test_divmod_identity_property(a, b, lead):
+    f = zpoly(*a)
+    g = zpoly(*b, lead)
     q, r = divmod(f, g)
     assert q * g + r == f
     assert r.degree < g.degree
+    assert (list(q.coeffs), list(r.coeffs)) == divmod_q(a, b + [lead])
 
 
 @settings(max_examples=60, deadline=None)
@@ -133,23 +141,27 @@ def test_evaluation_is_ring_homomorphism(a, b, x):
 
 class TestGcd:
     def test_gcd_monic(self):
-        f = qpoly(-1, 0, 1)  # (x-1)(x+1)
-        g = qpoly(1, 2, 1)  # (x+1)^2
-        assert poly_gcd(f, g).coeffs == (1, 1)
-
-    def test_xgcd_bezout(self):
-        f = qpoly(-1, 0, 1)
-        g = qpoly(2, 1)
-        d, u, v = poly_xgcd(f, g)
-        assert u * f + v * g == d
+        # the Euclid oracles over Q and F_p that the integer routes are
+        # checked against, and algebra's own gcd over F_p
+        assert gcd_q([-1, 0, 1], [1, 2, 1]) == [1, 1]  # (x-1)(x+1), (x+1)^2
+        assert gcd_q([-2, 0, 2], [3, 3]) == [1, 1]
+        assert gcd_q([1, 1], [2]) == [1]
+        assert gcd_mod([-1, 0, 1], [1, 2, 1], 5) == [1, 1] == _gcd_mod(
+            [-1, 0, 1], [1, 2, 1], 5
+        )
+        # x^2 + 1 = (x + 2)(x + 3) mod 5
+        assert gcd_mod([1, 0, 1], [3, 1], 5) == [3, 1] == _gcd_mod([1, 0, 1], [3, 1], 5)
 
     def test_squarefree(self):
         assert squarefree(zpoly(-2, 0, 1))
         assert not squarefree(zpoly(1, 2, 1))
-        # x^3 + 1 = (x+1)^3 over F_3; derivative vanishes on the cube
-        fp = field_tower(3, 1)
-        f3 = UniPolynomial(fp, [fp.coerce(1), fp.zero, fp.zero, fp.coerce(1)])
-        assert not squarefree(f3)
+        # x^3 + 1 = (x+1)^3 over F_3; the derivative 3x^2 vanishes, and the
+        # gcd with it is the whole polynomial
+        assert gcd_mod([1, 0, 0, 1], [0, 0, 3], 3) == [1, 0, 0, 1]
+        assert _gcd_mod([1, 0, 0, 1], [0, 0, 3], 3) == [1, 0, 0, 1]
+        # only the route over Z is left
+        with pytest.raises(RingMismatchError):
+            squarefree(UniPolynomial(CyclotomicContext(3), (1, 0, 0, 1)))
 
     def test_integer_route_matches_the_gcd_over_q_on_every_model(self):
         models = [make_cd(d).f for d in in_scope_family(64)]
@@ -169,10 +181,9 @@ class TestGcd:
 
 def squarefree_over_q(f):
     """The gcd-over-Q route the integer Sturm chain replaced."""
-    fq = UniPolynomial(QQ, f.coeffs)
-    if fq.degree <= 0:
-        return not fq.is_zero()
-    return poly_gcd(fq, fq.derivative()).degree == 0
+    if f.degree <= 0:
+        return not f.is_zero()
+    return len(gcd_q(f.coeffs, f.derivative().coeffs)) == 1
 
 
 @settings(max_examples=80, deadline=None)
@@ -189,34 +200,9 @@ def test_squarefree_integer_route_matches_q_on_square_factors(a, b, content):
         assert not squarefree(content * f * g * g)
 
 
-class TestPrimeField:
-    # F_p is the degree-one case of the power-basis extension field
-    def test_arithmetic_matches_int_mod_p(self):
-        fp = field_tower(7, 1)
-        a, b = fp.coerce(3), fp.coerce(5)
-        assert (a * b).coeffs[0] == 1
-        assert (a - b).coeffs[0] == 5
-        assert (a / b).coeffs[0] == (3 * pow(5, -1, 7)) % 7
-        assert (a ** (-1)) * a == fp.one
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(-30, 30), st.integers(-30, 30))
-    def test_hom_from_z(self, a, b):
-        fp = field_tower(13, 1)
-        assert fp.coerce(a) + fp.coerce(b) == fp.coerce(a + b)
-        assert fp.coerce(a) * fp.coerce(b) == fp.coerce(a * b)
-
-    def test_inverse_with_modulus_other_than_x(self):
-        # F_7 = F_7[x]/(x + 2): x is -2 = 5, whose inverse is 3
-        x = ExtensionField(7, 1, (2, 1)).gen()
-        assert x.inverse() == 3
-        assert x * x.inverse() == 1
-
-
 def test_elements_of_different_rings_do_not_mix():
-    f9, f25 = field_tower(3, 2).gen(), field_tower(5, 2).gen()
-    z5, z7 = CyclotomicContext(5).zeta, CyclotomicContext(7).zeta
-    for a, b in ((f9, f25), (f9, z5), (z5, z7)):
+    z5, z7, z8 = (CyclotomicContext(n).zeta for n in (5, 7, 8))
+    for a, b in ((z5, z7), (z7, z8), (z5, z8)):
         for x, y in ((a, b), (b, a)):
             with pytest.raises(RingMismatchError):
                 x + y
@@ -237,15 +223,21 @@ class TestLaurent:
         assert laurent_compose(f) == LaurentPolynomial(ZZ, -2, (1, 0, 0, 0, 1))
 
     def test_monomial_substitute_inversion_is_involution(self):
-        L = LaurentPolynomial(QQ, -1, (2, 0, 5, 7))
-        gamma = Fraction(1)
-        back = monomial_substitute(monomial_substitute(L, gamma, -1, QQ), gamma, -1, QQ)
-        assert back == L
+        # x -> zeta/x twice is the identity, over Z[zeta_8]
+        ctx = CyclotomicContext(8)
+        L = LaurentPolynomial(ZZ, -1, (2, 0, 5, 7))
+        once = monomial_substitute(L, ctx.zeta, -1, ctx)
+        assert once.coefficient(1) == 2 * ctx.zeta**-1  # 2/x -> (2/zeta) x
+        back = monomial_substitute(once, ctx.zeta, -1, ctx)
+        assert back == LaurentPolynomial(ctx, -1, (2, 0, 5, 7))
 
     def test_monomial_substitute_scales_by_gamma_power(self):
-        L = LaurentPolynomial(QQ, 2, (1,))  # x^2
-        out = monomial_substitute(L, Fraction(3), 1, QQ)
-        assert out == LaurentPolynomial(QQ, 2, (9,))
+        L = LaurentPolynomial(ZZ, 2, (1,))  # x^2
+        out = monomial_substitute(L, 3, 1, ZZ)
+        assert out == LaurentPolynomial(ZZ, 2, (9,))
+        ctx = CyclotomicContext(8)
+        out = monomial_substitute(L, ctx.zeta, 1, ctx)
+        assert out == LaurentPolynomial(ctx, 2, (ctx.zeta_power(2),))
 
 
 @settings(max_examples=60, deadline=None)
@@ -261,62 +253,85 @@ def test_laurent_embedding_is_multiplicative(a, b):
 
 
 class TestExtensionFields:
+    # F_(p^k) = F_p[x]/(field_tower(p, k)), its elements reduced integer
+    # lists, as count_points_naive enumerates it
     def test_deterministic_moduli(self):
-        assert field_tower(3, 2).modulus_coeffs == (1, 0, 1)  # x^2 + 1
-        assert field_tower(5, 2).modulus_coeffs == (2, 0, 1)  # x^2 + 2
-        assert field_tower(13, 3).modulus_coeffs == (2, 0, 0, 1)  # x^3 + 2
+        assert field_tower(3, 2) == (1, 0, 1)  # x^2 + 1
+        assert field_tower(5, 2) == (2, 0, 1)  # x^2 + 2
+        assert field_tower(13, 3) == (2, 0, 0, 1)  # x^3 + 2
         # the modulus is the first irreducible in scan order: every smaller
         # encoding has a monic divisor of degree at most k // 2
         for p, k in SMALL_TOWERS:
-            chosen = field_tower(p, k).modulus_coeffs
+            chosen = field_tower(p, k)
             for m in range(p**k):
                 f = _encoding(m, p, k)
                 if tuple(f) == chosen:
                     break
                 assert _has_monic_divisor(f, p), (p, k, m)
         for p, k in ((2, 30), (3, 18)):
-            assert len(field_tower(p, k).modulus_coeffs) == k + 1
-
-    def test_long_coefficient_lists_reduce_mod_modulus(self, monkeypatch):
-        assert ExtensionField(7, 1, (2, 1)).gen().coeffs == (5,)  # x = -2 mod x + 2
-        f = field_tower(5, 2)  # x^2 + 2
-        x = f.gen()
-        assert ExtensionFieldElement(f, (0, 0, 1)) == x * x == f(3)
-        # _mul and the additive operations pass at most k coefficients
-        monkeypatch.setattr(algebra, "_int_poly_divmod", None)
-        assert x * x + x - 1 == ExtensionFieldElement(f, (2, 1))
+            assert len(field_tower(p, k)) == k + 1
 
     def test_modulus_certified_irreducible(self):
         for p, k in SMALL_TOWERS:
-            m = field_tower(p, k).modulus_coeffs
+            m = field_tower(p, k)
             assert len(m) == k + 1 and m[-1] == 1
             assert not _has_monic_divisor(m, p), (p, k)
 
     def test_field_axioms_sampled(self):
-        field = field_tower(3, 2)
-        elems = list(field.elements())
-        assert len(elems) == 9
+        m = field_tower(3, 2)
+        elems = _field_elements(3, 2)
+        assert len(elems) == 9 == len({tuple(a) for a in elems})
         for a in elems:
             for b in elems:
-                assert a * b == b * a
+                assert _mulmod(a, b, m, 3) == _mulmod(b, a, m, 3)
         for a in elems:
-            if a != field.zero:
-                assert a * a.inverse() == field.one
+            if a:  # a^(q-2) is the inverse of a nonzero a
+                assert _mulmod(a, _powmod(a, 7, m, 3), m, 3) == [1]
 
     def test_generator_order_in_f9(self):
-        # gen = x with x^2 = -1, so the generator has multiplicative order 4
-        g = field_tower(3, 2).gen()
-        assert g * g == -field_tower(3, 2).one
-        assert g**4 == field_tower(3, 2).one
+        # x^2 = -1 modulo x^2 + 1, so x has multiplicative order 4
+        m = field_tower(3, 2)
+        assert _powmod([0, 1], 2, m, 3) == [2]
+        assert _powmod([0, 1], 4, m, 3) == [1]
 
     def test_frobenius_is_additive(self):
-        field = field_tower(5, 2)
-        elems = list(field.elements())
+        m = field_tower(5, 2)
+        elems = _field_elements(5, 2)
+        frob = {tuple(a): _powmod(a, 5, m, 5) for a in elems}
         for a in elems[::3]:
             for b in elems[::4]:
-                assert (a + b) ** 5 == a**5 + b**5
+                total = frob[tuple(_add(a, b, 5))]
+                assert total == _add(frob[tuple(a)], frob[tuple(b)], 5)
 
-    def test_from_index_enumerates_without_repeats(self):
-        field = field_tower(2, 3)
-        seen = {field.from_index(m) for m in range(8)}
-        assert len(seen) == 8
+
+def _field_elements(p, k):
+    """Every element of F_(p^k) as a reduced list, in encoding order."""
+    return [_reduce_mod(c[:-1], p) for c in _monics(p, k)]
+
+
+def _add(a, b, p):
+    return _reduce_mod([x + y for x, y in zip_longest(a, b, fillvalue=0)], p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.integers(-40, 40), max_size=7),
+    st.lists(st.integers(-40, 40), max_size=7),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=4),
+    st.sampled_from((2, 3, 5, 7, 13)),
+    st.integers(0, 9),
+)
+def test_integer_list_layer_matches_unipolynomial(a, b, low, p, e):
+    """_mulmod, _powmod and _int_poly_divmod against UniPolynomial over ZZ:
+    the product (or power) divided by the monic m = low + x^len(low), the
+    coefficients of the remainder then reduced mod p."""
+    m = zpoly(*low, 1)
+
+    def reference(f):
+        q, r = divmod(f, m)
+        assert q * m + r == f and r.degree < m.degree
+        return _reduce_mod(r.coeffs, p)
+
+    assert _int_poly_divmod(a, m.coeffs, p)[1] == reference(zpoly(*a))
+    assert _mulmod(a, b, m.coeffs, p) == reference(zpoly(*a) * zpoly(*b))
+    assert _powmod(a, e, m.coeffs, p) == reference(zpoly(*a) ** e)

@@ -1,9 +1,7 @@
-from fractions import Fraction
-
 import pytest
 
 import chebcm.curves as curves
-from chebcm.algebra import QQ, ZZ, LaurentPolynomial, UniPolynomial, monomial_substitute
+from chebcm.algebra import ZZ, LaurentPolynomial, UniPolynomial, monomial_substitute
 from chebcm.curves import (
     HyperellipticCurve,
     MapNotValidError,
@@ -47,9 +45,10 @@ class TestCurveModels:
         with pytest.raises(ValueError):
             HyperellipticCurve(UniPolynomial(ZZ, (5,)))  # constant
         with pytest.raises(ValueError):
-            # models are integral: reducing 3/2 as int(3/2) = 1 would give
-            # x^3 + x + 1, good at 7, while x^3 + x + 5 is bad at 7
-            HyperellipticCurve(UniPolynomial(QQ, (Fraction(3, 2), 1, 0, 1)))
+            # models are integral: x^3 + x + i over Z[i] is refused, even
+            # though its coefficients other than i are integers
+            i = CyclotomicContext(4).zeta
+            HyperellipticCurve(UniPolynomial(CyclotomicContext(4), (i, 1, 0, 1)))
         with pytest.raises(ValueError):
             make_xd(3)
         with pytest.raises(ValueError):

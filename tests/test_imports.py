@@ -2,10 +2,14 @@
 
 Each module under src/chebcm except __init__.py is parsed with ast; a name
 bound by an import must appear as a name somewhere in the module, unless
-its line carries `# noqa: F401`.  Standard library only.
+its line carries `# noqa: F401`.  Importing the CLI loads no rational
+arithmetic.  Standard library only.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,3 +43,13 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_runtime_imports_no_rational_arithmetic():
+    # the package computes in integers only; fractions (which pulls in
+    # decimal) is not loaded by any module the CLI imports
+    code = "import sys, chebcm.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

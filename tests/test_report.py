@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import chebcm.algebra as algebra
 import chebcm.curves as curves
 import chebcm.cyclotomic as cyclotomic
 from chebcm.report import (
@@ -51,8 +52,21 @@ def test_report_builds_each_curve_once(monkeypatch):
         init(self, f, label)
 
     monkeypatch.setattr(curves.HyperellipticCurve, "__init__", counting_init)
+    # squarefree (the only caller of algebra's Sturm chain) runs once per
+    # model, in HyperellipticCurve, whoever imported it
+    chains = []
+    sturm = algebra._sturm_chain
+    monkeypatch.setattr(algebra, "_sturm_chain", lambda f: chains.append(f) or sturm(f))
     assert not build_report(13).failed
     assert sorted(built) == ["C_13", "D_13", "D_26"]
+    assert len(chains) == 3
+
+
+def test_genus_claim_fails_on_a_model_that_is_not_squarefree(monkeypatch):
+    curves.make_cd.cache_clear()
+    monkeypatch.setattr(curves, "squarefree", lambda f: False)
+    statuses = {c.claim_id: c.status for c in build_report(2).claims}
+    assert statuses["genus-formula"] == "fail"
 
 
 def test_report_finds_the_eta_minimal_polynomial_once(monkeypatch):

@@ -11,13 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chebcm.algebra import (
-    ZZ,
-    ExtensionField,
-    UniPolynomial,
-    field_tower,
-    squarefree,
-)
+from chebcm.algebra import ZZ, UniPolynomial, _mulmod, _powmod, _reduce_mod, field_tower, squarefree
 from chebcm import zeta
 from chebcm.chebyshev import is_prime
 from chebcm.curves import HyperellipticCurve, VerificationError, make_cd, make_dm, make_xd
@@ -49,6 +43,7 @@ from chebcm.zeta import (
 
 # the encodings and the brute-force divisor test behind field_tower's tests
 from test_algebra import SMALL_TOWERS, _encoding, _has_monic_divisor
+from oracles import gcd_mod
 
 
 def _odd_primes(bound):
@@ -127,10 +122,12 @@ class TestGoodReduction:
         derivative_vanishes = 0
         for curve in curves:
             for p in _odd_primes(100):
-                fp = UniPolynomial(field_tower(p, 1), [int(c) for c in curve.f.coeffs])
-                expected = fp.degree == curve.f.degree and squarefree(fp)
+                f = curve.f.coeffs
+                df = [i * c % p for i, c in enumerate(f)][1:]
+                # squarefree over F_p: a constant gcd(f, f'), by Euclid
+                expected = f[-1] % p != 0 and len(gcd_mod(f, df, p)) == 1
                 assert good_reduction(curve, p) == expected, (curve.label, p)
-                derivative_vanishes += fp.derivative().is_zero()
+                derivative_vanishes += not any(df)
         # e.g. D_3 at p = 3: x^3 + 1 has derivative 3x^2 = 0
         assert not good_reduction(make_dm(3), 3)
         assert derivative_vanishes >= 5
@@ -173,16 +170,16 @@ class TestCountPoints:
         # F_3^2 = F_3[x]/(x^2 + 1) and F_5^2 = F_5[x]/(x^2 + 2): x has
         # order 4 and 8, so the tables and the oracle use different moduli
         for p in (3, 5):
-            assert _primitive_modulus(p, 2) != field_tower(p, 2).modulus_coeffs
+            assert _primitive_modulus(p, 2) != field_tower(p, 2)
 
     def test_zech_tables_against_scalar_arithmetic(self):
         # the contract does not depend on how the tables index elements:
         # for g = x modulo the engine's modulus, g^log[c] = c for c in F_p^*
-        # and g^zech[i] = 1 + g^i, by ExtensionField arithmetic; the build
-        # needs no special case at k = 1, where x = -m_0 in F_p
+        # and g^zech[i] = 1 + g^i, by _powmod and _mulmod modulo m; the
+        # build needs no special case at k = 1, where x = -m_0 in F_p
         for p, k in ((5, 2), (3, 4), (7, 3), (11, 1)):
-            field = ExtensionField(p, k, _primitive_modulus(p, k))
-            g = field.gen()
+            m = _primitive_modulus(p, k)
+            g = [0, 1]
             log, index = _zech_tables(p, k)
             n = p**k - 1
             zech = _zech(log, index, np.arange(n), p)
@@ -190,14 +187,15 @@ class TestCountPoints:
             assert log[0] == _ZERO_LOG
             assert sorted(log[1:].tolist()) == list(range(n))
             for c in range(1, p):
-                assert g ** int(log[c]) == field(c), (p, k, c)
-            power = field.one
+                assert _powmod(g, int(log[c]), m, p) == [c], (p, k, c)
+            power = [1]
             for i in range(n):
+                one_plus = _reduce_mod([power[0] + 1] + power[1:], p)
                 if zech[i] == _ZERO_LOG:
-                    assert power + 1 == field.zero, (p, k, i)
+                    assert one_plus == [], (p, k, i)
                 else:
-                    assert g ** int(zech[i]) == power + 1, (p, k, i)
-                power = power * g
+                    assert _powmod(g, int(zech[i]), m, p) == one_plus, (p, k, i)
+                power = _mulmod(power, g, m, p)
 
     def test_jump_reduces_before_int32_overflow(self):
         # near the k = 2 limit, p^2 < 2^31, one term (p - 1)^2 fits int32
