@@ -19,10 +19,14 @@ character (chi(0) = 0).  The engine has two parts, chosen by k.
   - f = c0 + c1 x^e with c0 != 0, such as every D_m: with L = log c1 -
     log c0, chi(f(g^i)) = chi(c0) chi(1 + g^(L + e i)).  As i runs over
     Z/(q - 1), L + e i runs G = gcd(q - 1, e) times over one coset of
-    G Z/(q - 1).  One pass over the chunks sets a q-byte bitmap of the
-    squares, the even powers of g, and keeps the (q - 1)/G indices of the
-    coset; chi(1 + y) is then read from the bitmap.  L comes from the
-    norm of x before the pass, and no table of the field is built.
+    G Z/(q - 1).  The characters of order dividing G are defined over
+    F_(p^f), f = ord_G(p), so one pass over the chunks of F_(p^f) sets a
+    bitmap of its squares, the even powers of its generator, reads
+    chi(1 + y) from it, and sums it over the G cosets; Hasse-Davenport
+    lifts those sums to the one coset sum over F_q.  For f = k the pass
+    keeps only that coset's (q - 1)/G indices; for f < k, F_(p^f) has at
+    most sqrt(q) elements.  L comes from the norm of x before the pass,
+    and no table of F_q is built.
   - any other f, in the log domain: the chunks fill an int32 index table
     and an int32 table of log(y), and the index table is rewritten into
     Z(n) = log(1 + g^n).  At x = g^i each term c x^e has log
@@ -35,7 +39,8 @@ character (chi(0) = 0).  The engine has two parts, chosen by k.
 The index chunks come from the linear recurring sequence s_i = L(x^i) of
 F_p (see _index_chunks): one chunk of s gives the next by k multiply-adds
 over int32, with no field arithmetic.  Whatever a count holds (the
-binomial route's q + 4(q - 1)/G bytes, the log domain's two int32 tables)
+binomial route's q + 4(q - 1)/G bytes when it reads F_q itself, 5 bytes
+per element of a subfield otherwise, the log domain's two int32 tables)
 is made per call and freed on return; fields of 2^31 elements or more
 are refused.  Counting does not call field_tower.  count_points_naive,
 the independent slow oracle, does: it enumerates F_p[x]/(m) with m =
@@ -230,7 +235,8 @@ def _index_chunks(p: int, k: int):
         _jump(cur, a, p, cur[filled : filled + grow], scratch)
         filled += grow
         xw = _mulmod(xw, xw, m, p)
-    a = _powmod([0, 1], size + k - 1, m, p)
+    # the jump to the next chunk, built only when there is one
+    a = _powmod([0, 1], size + k - 1, m, p) if n > size else None
     for start in range(0, n, size):
         count = min(size, n - start)
         idx = row[:count]
@@ -325,49 +331,93 @@ def _affine_count_prime(coeffs: list[int], p: int) -> int:
 
 def _binomial_count(c0: int, c1: int, e: int, p: int, k: int) -> int:
     """sum over x in F_(p^k), k >= 2, of (1 + chi(f(x))) for f = c0 + c1 x^e
-    with c0, c1 nonzero in F_p, in one pass over _index_chunks.
+    with c0, c1 nonzero in F_p, in one pass over _index_chunks(p, f) for
+    the least f with G = gcd(p^k - 1, e) dividing p^f - 1 (so f | k).
 
-    f(g^i) = c0 (1 + g^(L + e i)) with L = log c1 - log c0, so chi(f(g^i))
-    = chi(c0) chi(1 + g^(L + e i)).  As i runs below n = q - 1, L + e i
-    runs over the coset L + G Z/n exactly G = gcd(n, e) times.  1 + y is a
-    nonzero square exactly when square[index(1 + y)], where the q-byte
-    bitmap square is set at the even powers of g, and zero exactly when
-    y = -1, of index p - 1.  The pass sets square and copies the n/G
-    indices of the coset, so the peak is q + 4n/G bytes and no table of
-    the field is held.
+    Over F_q, q = p^k, with g a generator of F_q^*: f(g^i) = c0 (1 +
+    g^(l + e i)) for l = log c1 - log c0, and chi(c0) = chi_p(c0)^k =
+    chi0.  As i runs below q - 1, l + e i runs G times over the coset
+    l + G Z/(q - 1), so with S_a = sum over j = a mod G of chi(1 + g^j),
+    and x = 0 counting 1 + chi0,
 
-    L is known before the pass: g^step, step = n/(p - 1), is the norm of
-    x, N = (-1)^k m_0 mod p, and a constant c has index c, so log c =
-    step j for the j < p - 1 with N^j = c mod p.
+        sum = 1 + chi0 + G ((q - 1)/G + chi0 S_l).
+
+    The lift (Weil 1949; Hasse-Davenport 1935).  Let F = F_(p^f), s = k/f,
+    N the norm from F_q to F, h a generator of F^* and g one with N(g) = h
+    (a count does not depend on g).  The characters of F_q^* of order
+    dividing G are psi o N, psi(h) = z a G-th root of unity, and chi =
+    chi_F o N.  K(psi) = sum over y != 0 of psi(y) chi(1 + y) is psi(-1)
+    times the Jacobi sum J(psi, chi), and N(-1) = (-1)^s, so the
+    Hasse-Davenport relation -J_(F_q)(psi o N, chi o N) = (-J_F(psi,
+    chi))^s gives K_(F_q)(psi o N) = -(-K_F(psi))^s; for psi = 1 and
+    psi = chi both sides are -1, the sums of chi(1 + y) and chi(y + y^2).
+    Now K_(F_q)(psi o N) = sum_a S_a z^a and K_F(psi) = C(z) for C(z) =
+    sum_a c_a z^a, c_a = sum over i = a mod G, i < p^f - 1, of
+    chi_F(1 + h^i).  Both sides agree at every z with z^G = 1, so
+
+        sum_a S_a z^a = -(-C(z))^s mod (z^G - 1),
+
+    and S = c for s = 1.  Since N(c) = c^s for c in F_p, l = s (log_h c1 -
+    log_h c0) mod G.  The power is exact in int64: a coefficient of
+    (-C)^j is at most |C|_1^j <= (p^f - 1)^s < p^k < 2^31.
+
+    The pass: 1 + y is a nonzero square exactly when square[index(1 + y)],
+    where the bitmap square is set at the even powers of h, and zero
+    exactly when y = -1, of index p - 1.  For s = 1 it keeps the (p^f -
+    1)/G indices of the coset l + G Z/(p^f - 1), so the peak is q +
+    4(q - 1)/G bytes and no table of the field is held; for s > 1, F has
+    at most sqrt(q) elements and it keeps every index.  log c is read
+    before the pass: h^step, step = (p^f - 1)/(p - 1), is the norm of x
+    in F, N_F = (-1)^f m_0 mod p, and a constant c has index c, so log_h c
+    = step j for the j < p - 1 with N_F^j = c mod p.
     """
-    n = p**k - 1
-    step = n // (p - 1)
-    norm = (-1) ** k * _primitive_modulus(p, k)[0] % p
+    G = gcd(p**k - 1, e)
+    f = next(f for f in range(1, k + 1) if (p**f - 1) % G == 0)
+    s, n = k // f, p**f - 1
+    norm = (-1) ** f * _primitive_modulus(p, f)[0] % p
     logs, power = {}, 1
     for j in range(p - 1):
-        logs[power] = step * j
+        logs[power] = n // (p - 1) * j
         power = power * norm % p
-    log0, log1 = logs[c0], logs[c1]
-    chi0 = 1 if log0 % 2 == 0 else -1
-    G = gcd(n, e)
-    r = (log1 - log0) % G
-    square = np.zeros(p**k, dtype=bool)
-    coset = np.empty(n // G, dtype=np.int32)  # coset[t] = index(g^(r + G t))
-    for start, idx in _index_chunks(p, k):
+    ell = s * (logs[c1] - logs[c0]) % G
+    chi0 = 1 if pow(c0, (p - 1) // 2 * k, p) == 1 else -1
+    # kept[t] = index(h^(r + stride t)): the coset of l for s = 1, else all
+    stride, r = (G, ell) if s == 1 else (1, 0)
+    square = np.zeros(n + 1, dtype=bool)
+    kept = np.empty(n // stride, dtype=np.int32)
+    for start, idx in _index_chunks(p, f):
         np.put(square, idx[start % 2 :: 2], True)
-        first = (r - start) % G
-        part = idx[first::G]
-        t = (start + first - r) // G
-        coset[t : t + len(part)] = part
-    zeros = squares = 0
-    for start in range(0, len(coset), _CHUNK):
-        idx = coset[start : start + _CHUNK]
-        zeros += np.count_nonzero(idx == p - 1)
-        squares += np.count_nonzero(square[_add_one(idx, p)])
-    # x = 0 counts 1 + chi0; x = g^i counts 1 where f(x) = 0, else
-    # 1 + chi0 chi(1 + y) for its y in the coset
-    nonsquares = len(coset) - zeros - squares
-    return int(1 + chi0 + G * (len(coset) + chi0 * (squares - nonsquares)))
+        first = (r - start) % stride
+        part = idx[first::stride]
+        t = (start + first - r) // stride
+        kept[t : t + len(part)] = part
+    # sums[a] = c_(r + stride a): blocks of a multiple of len(sums) keep
+    # each column on one residue mod G, and chi(1 + y) is 1 at the squares,
+    # 0 at y = -1 and -1 elsewhere
+    sums = np.zeros(G // stride, dtype=np.int64)
+    block = len(sums) * max(1, _CHUNK // len(sums))
+
+    def columns(mask):
+        # one column (s = 1) is counted whole: a reduction along an axis
+        # takes a buffer that shows in the peak of the largest fields
+        if len(sums) == 1:
+            return np.count_nonzero(mask)
+        return np.count_nonzero(mask.reshape(-1, len(sums)), axis=0)
+
+    for start in range(0, len(kept), block):
+        idx = kept[start : start + block]
+        squares = columns(square[_add_one(idx, p)])
+        sums += 2 * squares + columns(idx == p - 1) - len(idx) // len(sums)
+    c = np.zeros(G, dtype=np.int64)
+    c[r::stride] = sums
+    # lifted = (-C)^s mod (z^G - 1), so S_l = -lifted[l]
+    lifted = np.zeros(G, dtype=np.int64)
+    lifted[0] = 1
+    for _ in range(s):
+        full = np.convolve(lifted, -c)
+        lifted = full[:G]
+        lifted[: G - 1] += full[G:]
+    return int(p**k + chi0 - G * chi0 * lifted[ell])
 
 
 def _affine_count_extension(coeffs: list[int], p: int, k: int) -> int:
@@ -784,7 +834,10 @@ def remark_lpolys(d: int, q: int, cap: int = COUNT_CAP, threads: int = 1) -> dic
 def cm_trace_pattern_c2(bound: int, cap: int = COUNT_CAP) -> bool:
     """a_q(C_2) = 0 exactly when -2 is a non-square mod q, for odd q <= bound.
     The primes come from one sieve up to at most 2 cap, which holds a prime
-    above cap (Bertrand) whenever bound does; that prime is refused first."""
+    above cap (Bertrand) whenever bound does; that prime is refused first,
+    and a bound below 3, which holds no odd prime, before that."""
+    if bound < 3:
+        raise ValueError(f"bound must be >= 3, the least odd prime; got {bound}")
     top = max(min(bound, 2 * cap), 4)
     sieve = np.ones(top + 1, dtype=bool)
     sieve[:3] = sieve[4::2] = False

@@ -321,11 +321,13 @@ class TestCountPoints:
             sys.setswitchinterval(interval)
 
     @staticmethod
-    def _peak_bytes_per_element(curve):
-        # both fields span many chunks, so the chunk-sized temporaries are
-        # the same and the difference in peak is the per-field tables
+    def _peak_bytes_per_element(curve, primes=(29, 37)):
+        # the difference in peak between the two fields is the memory that
+        # grows with q: the per-field tables when both fields span many
+        # chunks, and about zero for a lifted binomial, whose pass reads a
+        # subfield that fits in one chunk
         peaks = []
-        for p in (29, 37):
+        for p in primes:
             tracemalloc.start()
             try:
                 count_points(curve, p, 4)
@@ -340,16 +342,20 @@ class TestCountPoints:
         assert self._peak_bytes_per_element(make_xd(2)) < 9
 
     def test_binomial_count_takes_under_two_bytes_per_element(self):
-        # D_6, G = gcd(q - 1, 6) = 6 on both fields: the q-byte squares
-        # bitmap and the (q - 1)/6 int32 indices of one coset, 1.67 bytes;
-        # no int32 table of the field (5 bytes per element with one)
-        assert self._peak_bytes_per_element(make_dm(6)) < 2
+        # D_10 over F_37^4 and F_43^4: G = gcd(q - 1, 10) = 10 divides no
+        # p^f - 1 with f < 4, so the pass runs over F_q itself and holds the
+        # q-byte squares bitmap and the (q - 1)/10 int32 indices of one
+        # coset, 1.4 bytes; no int32 table of the field (5 bytes with one)
+        assert all(gcd(p**2 - 1, 10) < 10 for p in (37, 43))
+        assert self._peak_bytes_per_element(make_dm(10), (37, 43)) < 2
 
-    def test_coprime_binomial_takes_under_six_bytes_per_element(self):
-        # D_11, with 11 prime to 29^4 - 1 and 37^4 - 1: G = 1, so the coset
-        # is all q - 1 indices, 5 bytes per element with the bitmap
+    def test_lifted_binomials_hold_no_table_of_the_field(self):
+        # D_11 (G = 1, read from F_p) and D_6 (G = 6, read from F_p or
+        # F_(p^2)) over F_29^4 and F_37^4: the pass runs over a subfield of
+        # at most sqrt(q) elements, so the peak does not grow with q
         assert all(gcd(p**4 - 1, 11) == 1 for p in (29, 37))
-        assert self._peak_bytes_per_element(make_dm(11)) < 6
+        for m in (11, 6):
+            assert self._peak_bytes_per_element(make_dm(m)) < 0.05, m
 
     def test_binomials_match_naive_oracle(self):
         # a x^m + b x^e on every F_(p^k), k >= 2, p^k <= 3000; the engine
@@ -380,9 +386,11 @@ class TestCountPoints:
         assert checked >= 40
 
     def test_zech_lookups_only_where_the_count_reads(self, monkeypatch):
-        # over F_7^2 (n = 48): x^6 + 1 and x^8 + 1 build no int32 log table
-        # and add 1 to index entries at n/G = 8 and 6 positions only; C_3,
-        # with more terms, builds the log table once and rewrites all n
+        # over F_7^2 (n = 48): x^6 + 1 and x^8 + 1 build no int32 log table.
+        # x^6 + 1 (G = 6 divides 7 - 1) is read from F_7 and adds 1 at its
+        # 6 nonzero elements; x^8 + 1 (G = 8) is read from F_7^2 and adds 1
+        # at the n/G = 6 positions of one coset; C_3, with more terms,
+        # builds the log table once and rewrites all n
         build, add_one = zeta._zech_tables, zeta._add_one
         builds, sizes = [], []
 
@@ -397,7 +405,7 @@ class TestCountPoints:
         monkeypatch.setattr(zeta, "_zech_tables", spy_build)
         monkeypatch.setattr(zeta, "_add_one", spy_add_one)
         for curve, tables, positions in (
-            (make_dm(6), 0, 8),
+            (make_dm(6), 0, 6),
             (make_dm(8), 0, 6),
             (make_cd(3), 1, 48),
         ):
@@ -411,6 +419,7 @@ class TestCountPoints:
         for curve, p, k in (
             (make_dm(5), 11, 1),
             (make_dm(5), 11, 2),
+            (make_dm(6), 7, 4),  # read from F_7 and lifted to F_7^4
             (make_cd(3), 7, 2),
             (make_xd(2), 5, 3),
         ):
@@ -495,6 +504,58 @@ class TestCountPoints:
             coeffs = [c % p for c in curve.f.coeffs]
             fast = zeta._binomial_count(coeffs[0], coeffs[-1], len(coeffs) - 1, p, k)
             assert fast == zeta._affine_count_extension(coeffs, p, k), (curve.f, p, k)
+
+    def test_lifted_binomials_match_log_domain_engine(self):
+        # every cell read from a proper subfield F_(p^f), f < k, where f is
+        # the least with G = gcd(p^k - 1, e) | p^f - 1: D_e and a seeded
+        # c0 + c1 x^e for e = 3..26, p not dividing e, over F_(p^k) with odd
+        # p <= 47 and p^k <= 20000, against the log-domain engine on the
+        # same coefficients.  s = k/f runs from 2 to 9, so the sign of
+        # -(-C)^s shows at both parities.  On each field below 3000, the
+        # cell of least e (the naive oracle's cheapest Horner) is also
+        # counted by count_points_naive
+        rng = random.Random(29)
+        checked, naive, powers = 0, 0, set()
+        for p in _odd_primes(47):
+            for k in range(2, 10):
+                q = p**k
+                if q > 20000:
+                    break
+                oracle = q <= 3000
+                for e in (e for e in range(3, 27) if e % p):
+                    G = gcd(q - 1, e)
+                    f = next(f for f in range(1, k + 1) if (p**f - 1) % G == 0)
+                    if f == k:
+                        continue
+                    powers.add(k // f)
+                    for c0, c1 in ((1, 1), (rng.randrange(1, p), rng.randrange(1, p))):
+                        coeffs = [c0] + [0] * (e - 1) + [c1]
+                        fast = zeta._binomial_count(c0, c1, e, p, k)
+                        assert fast == zeta._affine_count_extension(coeffs, p, k), (coeffs, p, k)
+                        checked += 1
+                    if oracle:
+                        curve = HyperellipticCurve(UniPolynomial(ZZ, coeffs))
+                        fast += zeta._infinity_points(curve, p, k)
+                        assert fast == count_points_naive(curve, p, k), (coeffs, p, k)
+                        naive += 1
+                        oracle = False
+        assert checked >= 1000 and naive >= 20 and powers >= {2, 3, 4}
+
+    def test_binomial_pass_reads_the_least_subfield(self, monkeypatch):
+        # the one pass runs over F_(p^f) with f = ord_G(p): D_26/F_3^12
+        # (G = 26, 3^3 = 1 mod 26) reads F_27, D_10/F_41^4 (G = 10) reads
+        # F_41, and D_10/F_43^4 (43 has order 4 mod 10) reads F_43^4 itself
+        chunks, fields = zeta._index_chunks, []
+
+        def spy(p, k):
+            fields.append((p, k))
+            return chunks(p, k)
+
+        monkeypatch.setattr(zeta, "_index_chunks", spy)
+        for m, p, k, f in ((26, 3, 12, 3), (10, 41, 4, 1), (10, 43, 4, 4)):
+            fields.clear()
+            count_points(make_dm(m), p, k)
+            assert fields == [(p, f)], (m, p, k)
 
     def test_horner_reduces_partway_matches_naive(self):
         # p^(deg+1) >= 2^63, so the k = 1 Horner must reduce mod p inside
@@ -880,3 +941,16 @@ def test_c2_trace_pattern_refuses_cap_before_counting(monkeypatch):
     with pytest.raises(CapExceededError):
         cm_trace_pattern_c2(10**6, cap=100)
     assert calls == []
+
+
+def test_c2_trace_pattern_rejects_bound_below_three(monkeypatch):
+    # no odd prime lies below 3: such a bound checked nothing and returned
+    # True; it is refused before any count
+    calls = []
+    monkeypatch.setattr(zeta, "count_points", lambda *a, **kw: calls.append(a))
+    for bound in (2, 1, 0, -7):
+        with pytest.raises(ValueError, match="bound must be >= 3"):
+            cm_trace_pattern_c2(bound)
+    assert calls == []
+    monkeypatch.undo()
+    assert cm_trace_pattern_c2(3)
