@@ -247,6 +247,21 @@ def _primitive_part(a: list[int]) -> list[int]:
     return [x // c for x in a] if c > 1 else a
 
 
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """lc(b)^(deg a - deg b + 1) a mod b over Z, for deg a >= deg b >= 1,
+    low degree first with trailing zeros stripped."""
+    r, db, lc = list(a), len(b) - 1, b[-1]
+    for k in range(len(a) - 1 - db, -1, -1):
+        c = r[k + db]
+        r = [x * lc for x in r]
+        for i, bc in enumerate(b):
+            r[k + i] -= c * bc
+    r = r[:db]
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
 def _sturm_chain(f: list[int]) -> list[list[int]]:
     """Sturm sequence f, f', -rem, ... of an integer polynomial (low degree
     first), each member scaled by a positive number to stay primitive over
@@ -254,20 +269,11 @@ def _sturm_chain(f: list[int]) -> list[list[int]]:
     chain = [f, _primitive_part([i * c for i, c in enumerate(f)][1:])]
     while len(chain[-1]) > 1:
         a, b = chain[-2], chain[-1]
-        # pseudo-division: r = lc(b)^(deg a - deg b + 1) a mod b
-        r, db, lc = list(a), len(b) - 1, b[-1]
-        for k in range(len(a) - 1 - db, -1, -1):
-            c = r[k + db]
-            r = [x * lc for x in r]
-            for i, bc in enumerate(b):
-                r[k + i] -= c * bc
-        r = r[:db]
-        while r and r[-1] == 0:
-            r.pop()
+        r = _pseudo_remainder(a, b)
         if not r:
             break
         # the Sturm member is -(r / lc^(deg a - deg b + 1))
-        flip = lc < 0 and (len(a) - len(b)) % 2 == 0
+        flip = b[-1] < 0 and (len(a) - len(b)) % 2 == 0
         chain.append(_primitive_part(r if flip else [-x for x in r]))
     return chain
 

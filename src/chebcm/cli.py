@@ -15,6 +15,7 @@ from .curves import make_cd, make_dm, make_xd
 from .report import D_MAX, VERSION, build_batch, build_report, emit_json
 from .unitgroups import euler_phi
 from .zeta import (
+    COUNT_CAP,
     BadReductionError,
     CapExceededError,
     count_points,  # noqa: F401 - kept as chebcm.cli.count_points, which perfbench wraps
@@ -75,6 +76,11 @@ def _make_curve(kind: str, d: int):
 
 
 def _cmd_lpoly(args) -> int:
+    # every curve here has genus >= 1, so p above the cap is refused
+    # before is_prime, whose trial division would take minutes on a huge p
+    if args.p > COUNT_CAP:
+        print(f"field size {args.p} exceeds cap {COUNT_CAP}", file=sys.stderr)
+        return 2
     if not is_prime(args.p):
         print(f"p must be prime, got {args.p}", file=sys.stderr)
         return 2

@@ -4,13 +4,16 @@ Counting is exhaustive enumeration: N_k = sum over x in F_(p^k) of
 (1 + chi(f(x))) plus the points at infinity, with chi the quadratic
 character (chi(0) = 0).  The engine has two parts, chosen by k.
 
-- k = 1: integer Horner acc = acc * x + c over numpy int64 chunks of F_p,
-  reduced mod p by floor division (a scalar // is a multiply in numpy) only
-  before a step that could pass 2^63, and a squares table for chi.  Every
-  chunk is computed in place in int64 rows that each thread makes on its
-  first count and reuses across chunks and calls (threading.local), so a
-  count allocates only the p-byte squares table and two bool masks of a
-  chunk.
+- k = 1: integer Horner acc = acc * x + c over numpy chunks of F_p, in
+  int32 when one step from a reduced acc fits, (p - 1) p < 2^31 (every
+  prime p <= 46,337), and in int64 otherwise.  acc is reduced mod p by
+  floor division (a scalar // is a multiply in numpy) only before a step
+  that could pass the dtype's maximum, and chi is read from a squares
+  table by np.take(mode="wrap"), whose indices are always reduced, so the
+  wrap never fires.  Every chunk is computed in place in rows that each
+  thread makes on its first count in that dtype and reuses across chunks
+  and calls (threading.local), so a count allocates only the p-byte
+  squares table.
 - k >= 2: F_(p^k) = F_p[x]/(m) for the first monic m in encoding order
   modulo which x is primitive (_primitive_modulus), and g = x.  The index
   of g^i comes in int32 chunks (_index_chunks), and adding 1 to an
@@ -52,9 +55,10 @@ L-polynomials are checked through the real Weil polynomial h, with
 T^(2g) L(1/T) = T^g h(T + q/T): the Weil bound |alpha| = sqrt q is an
 exact Sturm count of the roots of h in [-2 sqrt q, 2 sqrt q], and
 irreducibility is proved from the factor degrees of h mod small primes.
-That proof and good_reduction (deg f mod p = deg f, gcd(f, f') = 1 mod p)
-use the integer-list polynomial layer over F_p in algebra; a repeated
-factor of L is the last member of its integer Sturm chain.
+That proof uses the integer-list polynomial layer over F_p in algebra;
+good_reduction reads p against lc(f) disc(f), computed once per curve by
+a subresultant PRS over Z; a repeated factor of L is the last member of
+its integer Sturm chain.
 All pass/fail logic uses exact integer arithmetic; floating point
 appears only in the candidate factors that the fallback subset scan of
 lpoly_is_irreducible proposes, each decided by exact trial division.
@@ -79,6 +83,7 @@ from .algebra import (
     _monics,
     _mulmod,
     _powmod,
+    _pseudo_remainder,
     _reduce_mod,
     _sturm_chain,
     field_tower,
@@ -95,6 +100,8 @@ _CHUNK = 1 << 16
 _TABLE_LIMIT = 2**31
 _ZERO_LOG = -1  # log-domain code for 0; odd, so never a square
 _workspace = threading.local()  # per-thread chunk rows, see _chunk_rows
+# the k = 1 Horner dtypes, narrowest first, with their largest value
+_HORNER_DTYPES = tuple((t, int(np.iinfo(t).max)) for t in (np.int32, np.int64))
 # primes l at which lpoly_is_irreducible reads the factor degrees of h mod l
 _PROOF_PRIMES = tuple(ell for ell in range(2, 200) if is_prime(ell))
 # usable primes in a row that may rule out no degree before the proof
@@ -121,14 +128,49 @@ class PointCount:
 
 
 def good_reduction(curve: HyperellipticCurve, p: int) -> bool:
-    """True iff p is odd, deg(f mod p) = deg f, and f mod p is squarefree."""
-    if p == 2 or not is_prime(p):
-        return False
-    f = _reduced_coeffs(curve, p)
-    if f[-1] == 0:
-        return False
-    # f' = 0 mod p leaves gcd(f, f') = f, which is [1] only for constant f
-    return _gcd_mod(f, [i * c for i, c in enumerate(f)][1:], p) == [1]
+    """True iff p is an odd prime and p does not divide lc(f) disc(f).
+
+    That is the same as deg(f mod p) = deg f with f mod p squarefree.  For
+    p | lc both are false.  Otherwise disc(f mod p) = disc(f) mod p: with
+    n = deg f, lc disc = (-1)^(n(n-1)/2) Res(f, f'), where the Sylvester
+    determinant takes f' at the formal degree n - 1, so it is an integer
+    polynomial in the coefficients of f, and reduction mod p commutes
+    with it.  When p | n, f' mod p drops to degree n - 1 - j; the
+    determinant is then +-lc^j times the resultant at the true degree, a
+    nonzero factor, or 0 when f' = 0 mod p, where f is a p-th power.  So
+    p | disc exactly when f mod p has a repeated root.  lc disc is
+    computed once per coefficient tuple (_lc_discriminant), so a repeated
+    check costs one modulo and is_prime.
+    """
+    return p > 2 and _lc_discriminant(curve.f.coeffs) % p != 0 and is_prime(p)
+
+
+@lru_cache(maxsize=None)
+def _lc_discriminant(f: tuple[int, ...]) -> int:
+    """lc(f) disc(f) = (-1)^(n(n-1)/2) Res(f, f') for f in Z[x] of degree
+    n >= 1, low degree first, by the subresultant PRS over Z (Collins;
+    Cohen, A Course in Computational Algebraic Number Theory, Algorithm
+    3.3.7): every division below is exact, and the coefficients stay the
+    size of minors of the Sylvester matrix.  f' has degree n - 1 over Z,
+    so each step lowers the degree by delta >= 1."""
+    n = len(f) - 1
+    a, b = list(f), [i * c for i, c in enumerate(f)][1:]
+    sign = -1 if n * (n - 1) // 2 % 2 else 1
+    g = h = 1
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        if da % 2 and db % 2:
+            sign = -sign
+        r = _pseudo_remainder(a, b)
+        if not r:
+            return 0
+        div = g * h**delta
+        a, b = b, [c // div for c in r]
+        g = a[-1]
+        h = g**delta // h ** (delta - 1)
+    da = len(a) - 1
+    return sign * b[0] ** da // h ** (da - 1)
 
 
 def _reduced_coeffs(curve: HyperellipticCurve, p: int) -> list[int]:
@@ -287,45 +329,85 @@ def _reduce(a: np.ndarray, p: int, scratch: np.ndarray) -> np.ndarray:
     return a
 
 
-def _chunk_rows() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """This thread's int64 rows of _CHUNK elements, made on its first count
-    over F_p and reused by every later one: the ramp 0, 1, ..., _CHUNK - 1,
-    x, acc and the quotient scratch of _reduce."""
+def _chunk_rows(dtype: type) -> tuple[np.ndarray, ...]:
+    """This thread's rows of _CHUNK elements for a count over F_p in dtype:
+    int32 when (p - 1) p < 2^31, int64 otherwise, so that one Horner step
+    from a reduced acc fits (see _affine_count_prime).  They are made on
+    the thread's first count in that dtype and reused by every later one:
+    the ramp 0, 1, ..., _CHUNK - 1, x, acc and the quotient scratch of
+    _reduce in dtype, then the int64 row that indexes the squares table
+    and a bool row for the lookup.  numpy indexes about twice as fast with
+    int64 as with int32, so the int32 rows copy acc into the index row;
+    for int64 the index row is acc itself.  A thread that counts in both
+    dtypes keeps both sets."""
     rows = getattr(_workspace, "rows", None)
     if rows is None:
-        ramp = np.arange(_CHUNK, dtype=np.int64)
-        rows = _workspace.rows = (ramp, *np.empty((3, _CHUNK), dtype=np.int64))
-    return rows
+        rows = _workspace.rows = {}
+    if dtype not in rows:
+        ramp = np.arange(_CHUNK, dtype=dtype)
+        x, acc, scratch = np.empty((3, _CHUNK), dtype=dtype)
+        index = acc if dtype is np.int64 else np.empty(_CHUNK, dtype=np.int64)
+        rows[dtype] = (ramp, x, acc, scratch, index, np.empty(_CHUNK, dtype=bool))
+    return rows[dtype]
 
 
 def _affine_count_prime(coeffs: list[int], p: int) -> int:
-    """sum over x in F_p of (1 + chi(f(x))) by integer Horner on int64 and a
-    squares table.  From acc <= bound, acc * x + c <= bound * p, so acc is
-    reduced only before a step with bound * p >= 2^63, and once at the end.
-    Each chunk is computed in place in this thread's _chunk_rows."""
-    ramp, x_row, acc_row, scratch = _chunk_rows()
+    """sum over x in F_p of (1 + chi(f(x))) by integer Horner and a squares
+    table, in the narrowest of int32 and int64 that holds one step from a
+    reduced acc: from acc <= bound, acc * x + c <= bound * p, and after a
+    reduction bound = p - 1, so int32 serves when (p - 1) p < 2^31 (every
+    prime p <= 46,337), and int64 otherwise, which holds it for every p
+    below _TABLE_LIMIT = 2^31.  acc is reduced only before a step with
+    bound * p past the dtype's maximum, and once at the end.  Each chunk
+    is computed in place in this thread's _chunk_rows; the first chunk
+    reads the ramp as x.
+
+    chi is read by np.take(square, index, mode="wrap", out=...), which
+    skips the bounds check and the buffered output of the default mode.
+    Its indices must always be reduced into [0, p), as they are here, so
+    that the wrap never fires: numpy wraps an index by subtracting p once
+    per wrap, and an unreduced acc would take minutes.
+    """
+    dtype, limit = next((t, m) for t, m in _HORNER_DTYPES if (p - 1) * p <= m)
+    ramp, x_row, acc_row, scratch, index_row, hit_row = _chunk_rows(dtype)
+
+    def residues(start, n):
+        return ramp[:n] if start == 0 else np.add(ramp[:n], start, out=x_row[:n])
+
+    def as_index(a):
+        if dtype is np.int64:
+            return a
+        index = index_row[: len(a)]
+        np.copyto(index, a)
+        return index
+
     square = np.zeros(p, dtype=bool)
-    for start in range(0, p // 2 + 1, _CHUNK):
-        n = min(_CHUNK, p // 2 + 1 - start)
-        x = np.add(ramp[:n], start, out=x_row[:n])
-        square[_reduce(np.multiply(x, x, out=x), p, scratch)] = True
+    half = p // 2 + 1
+    for start in range(0, half, _CHUNK):
+        n = min(_CHUNK, half - start)
+        x = residues(start, n)
+        squares = _reduce(np.multiply(x, x, out=acc_row[:n]), p, scratch)
+        square[as_index(squares)] = True
     square[0] = False
     total = 0
     for start in range(0, p, _CHUNK):
         n = min(_CHUNK, p - start)
-        x = np.add(ramp[:n], start, out=x_row[:n])
-        acc = acc_row[:n]
-        acc.fill(coeffs[-1])
-        bound = p - 1
-        for c in reversed(coeffs[:-1]):
-            if bound * p >= 2**63:
+        x = residues(start, n)
+        # the first step lc x + c fits, by the choice of dtype
+        acc = np.multiply(x, coeffs[-1], out=acc_row[:n])
+        acc += coeffs[-2]
+        bound = (p - 1) * p
+        for c in reversed(coeffs[:-2]):
+            if bound * p > limit:
                 _reduce(acc, p, scratch)
                 bound = p - 1
             acc *= x
             acc += c
             bound *= p
         _reduce(acc, p, scratch)
-        total += np.count_nonzero(acc == 0) + 2 * np.count_nonzero(square[acc])
+        hit = hit_row[:n]
+        total += np.count_nonzero(np.equal(acc, 0, out=hit))
+        total += 2 * np.count_nonzero(np.take(square, as_index(acc), mode="wrap", out=hit))
     return int(total)
 
 

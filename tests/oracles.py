@@ -10,6 +10,10 @@ divmod_q, gcd_q and gcd_mod are schoolbook division and Euclid over Q
 (Fraction) and over F_p, on coefficient lists low degree first: the
 references for algebra.squarefree, zeta.good_reduction and the
 integer-list layer, which take no gcd over a field of fractions.
+
+count_points_euler counts y^2 = f(x) over F_p by Euler's criterion on
+Python ints, one x at a time: the reference for the numpy count over F_p
+at primes too large for zeta.count_points_naive.
 """
 
 import math
@@ -134,3 +138,22 @@ def gcd_q(a, b):
 def gcd_mod(a, b, p):
     """Monic gcd over F_p."""
     return _gcd(a, b, lambda c: c % p, lambda c: pow(c, -1, p))
+
+
+def count_points_euler(coeffs, p):
+    """Points of the smooth model of y^2 = f(x) over F_p, f given by its
+    integer coefficients low degree first: 1 + chi(f(x)) for each x, chi
+    by Euler's criterion, plus 1 point at infinity for odd deg f and
+    1 + chi(lc) for even."""
+
+    def chi(v):
+        v %= p
+        return 0 if v == 0 else 1 if pow(v, (p - 1) // 2, p) == 1 else -1
+
+    total = 0
+    for x in range(p):
+        v = 0
+        for c in reversed(coeffs):
+            v = (v * x + c) % p
+        total += 1 + chi(v)
+    return total + (1 if len(coeffs) % 2 == 0 else 1 + chi(coeffs[-1]))

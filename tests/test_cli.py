@@ -84,6 +84,20 @@ def test_lpoly_rejects_non_prime_p(capsys, monkeypatch):
         assert captured.out == ""
 
 
+def test_lpoly_refuses_a_huge_p_before_the_primality_test(capsys, monkeypatch):
+    # 2^89 - 1 is prime and 2^89 + 1 is divisible by 3: both are above
+    # the cap, and neither reaches is_prime's trial division
+    def no_primality_test(n):
+        raise AssertionError("primality tested")
+
+    monkeypatch.setattr(cli, "is_prime", no_primality_test)
+    for p in (2**89 - 1, 2**89 + 1):
+        assert main(["lpoly", "--curve", "C", "--d", "2", "--p", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert f"field size {p} exceeds cap" in captured.err
+        assert captured.out == ""
+
+
 def test_lpoly_unbuildable_curve(capsys):
     assert main(["lpoly", "--curve", "X", "--d", "3", "--p", "5"]) == 2
     assert "cannot build X_3" in capsys.readouterr().err

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from chebcm.algebra import ZZ, UniPolynomial, _mulmod, _powmod, _reduce_mod, field_tower, squarefree
 from chebcm import zeta
-from chebcm.chebyshev import is_prime
+from chebcm.chebyshev import classify_d, is_prime
 from chebcm.curves import HyperellipticCurve, VerificationError, make_cd, make_dm, make_xd
 from chebcm.zeta import (
     COUNT_CAP,
@@ -43,7 +43,7 @@ from chebcm.zeta import (
 
 # the encodings and the brute-force divisor test behind field_tower's tests
 from test_algebra import SMALL_TOWERS, _encoding, _has_monic_divisor
-from oracles import gcd_mod
+from oracles import count_points_euler, gcd_mod
 
 
 def _odd_primes(bound):
@@ -112,25 +112,72 @@ class TestGoodReduction:
         for p in (3, 5, 7, 11, 13, 17, 19, 23):
             assert good_reduction(make_cd(2), p)
 
-    def test_matches_generic_squarefree(self):
-        curves = [make_cd(d) for d in (2, 3, 4, 5, 7, 8, 11, 13, 16)]
-        curves += [make_dm(m) for m in range(3, 27)]
+    @staticmethod
+    def _oracle_curves():
+        curves = [make_cd(d) for d in range(2, 65) if classify_d(d)]
+        curves += [make_dm(m) for m in range(3, 33)]
         curves += [make_xd(d) for d in (2, 4, 8, 16)]
         # leading coefficients 3 and 10 vanish mod 3 and mod 2, 5
         curves += [HyperellipticCurve(UniPolynomial(ZZ, (1, 1, 0, 3)))]
         curves += [HyperellipticCurve(UniPolynomial(ZZ, (1, 0, 2, 0, 0, 10)))]
-        derivative_vanishes = 0
-        for curve in curves:
-            for p in _odd_primes(100):
-                f = curve.f.coeffs
+        rng = random.Random(18)
+        randoms = []
+        while len(randoms) < 50:
+            degree = rng.randint(1, 12)
+            f = UniPolynomial(ZZ, [rng.randint(-9, 9) for _ in range(degree)] + [rng.choice([-3, -1, 1, 2, 6])])
+            if squarefree(f):
+                randoms.append(HyperellipticCurve(f))
+        return curves + randoms
+
+    def test_matches_generic_squarefree(self):
+        # every prime below 500 and every prime factor below 10^4 of
+        # lc(f) disc(f), so that each bad prime in range is reached
+        small_primes = [p for p in range(2, 10**4) if is_prime(p)]
+        derivative_vanishes = bad = bad_above_500 = 0
+        for curve in self._oracle_curves():
+            f = curve.f.coeffs
+            lc_disc = zeta._lc_discriminant(f)
+            assert lc_disc != 0, curve.label
+            primes = {p for p in small_primes if p < 500 or lc_disc % p == 0}
+            for p in sorted(primes - {2}):
                 df = [i * c % p for i, c in enumerate(f)][1:]
                 # squarefree over F_p: a constant gcd(f, f'), by Euclid
                 expected = f[-1] % p != 0 and len(gcd_mod(f, df, p)) == 1
                 assert good_reduction(curve, p) == expected, (curve.label, p)
                 derivative_vanishes += not any(df)
+                bad += not expected
+                bad_above_500 += not expected and p > 500
         # e.g. D_3 at p = 3: x^3 + 1 has derivative 3x^2 = 0
         assert not good_reduction(make_dm(3), 3)
         assert derivative_vanishes >= 5
+        assert bad >= 150 and bad_above_500 >= 15, (bad, bad_above_500)
+
+    def test_lc_discriminant_known_values(self):
+        # lc disc(a x^2 + b x + c) = a (b^2 - 4ac); x^3 + a x + b has
+        # disc -4a^3 - 27b^2; a linear f has disc 1
+        assert zeta._lc_discriminant((1, 0, 1)) == -4
+        assert zeta._lc_discriminant((1, 3, 2)) == 2 * (9 - 8)
+        assert zeta._lc_discriminant((5, -1, 0, 1)) == -4 * -1 - 27 * 25
+        assert zeta._lc_discriminant((5, 3)) == 3
+        # (x + 2)(x^2 - 2): disc(gh) = disc(g) disc(h) Res(g, h)^2 = 1 * 8 * 2^2
+        assert zeta._lc_discriminant(make_cd(2).f.coeffs) == 32
+        # a repeated root gives 0
+        assert zeta._lc_discriminant((1, 2, 1)) == 0
+
+    def test_non_primes_are_never_good(self):
+        curve = make_cd(2)
+        for p in (2, 1, 0, -1, -3, -7, 9, 15, 25, 49, 91, 3 * 5 * 7, 3**10, 101 * 103):
+            assert not good_reduction(curve, p), p
+
+    def test_lc_discriminant_once_per_curve(self):
+        curves = [make_cd(5), make_dm(7), make_xd(4)]
+        primes = _odd_primes(200)
+        zeta._lc_discriminant.cache_clear()
+        for p in primes:
+            for curve in curves:
+                good_reduction(curve, p)
+        info = zeta._lc_discriminant.cache_info()
+        assert (info.misses, info.hits) == (len(curves), len(curves) * (len(primes) - 1))
 
 
 class TestCountPoints:
@@ -260,7 +307,7 @@ class TestCountPoints:
 
     def test_guards_refuse_before_the_workspace(self):
         # in a thread that has not counted yet, a refusal does not build
-        # that thread's chunk rows (4 x 512 KB) either
+        # that thread's chunk rows either (over 1.5 MB in either dtype)
         def peaks():
             out = []
             for p, k, match in ((3, 20, "int32"), (2147483659, 1, "squares table")):
@@ -288,6 +335,53 @@ class TestCountPoints:
         finally:
             tracemalloc.stop()
         assert peak / 65497 < 4
+
+    def test_int32_chunk_workspace_is_reused(self):
+        # the same for the int32 rows: after a first count near the last
+        # int32 prime, the next one reuses this thread's rows
+        curve = make_cd(2)
+        count_points(curve, 46327)
+        tracemalloc.start()
+        try:
+            count_points(curve, 46337)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 46337 < 4
+
+    def test_both_horner_dtypes_match_euler(self, monkeypatch):
+        # 46,337 is the last prime with (p - 1) p < 2^31 and counts in
+        # int32, 46,349 the first to count in int64.  C_16 has degree 17,
+        # so at 46,337 the int32 Horner reduces before every step
+        dtypes = []
+        rows = zeta._chunk_rows
+        monkeypatch.setattr(zeta, "_chunk_rows", lambda dtype: dtypes.append(dtype) or rows(dtype))
+        for p, dtype in ((46337, np.int32), (46349, np.int64)):
+            for curve in (make_cd(2), make_cd(3), make_dm(5), make_cd(16)):
+                assert good_reduction(curve, p), (curve.label, p)
+                expected = count_points_euler(curve.f.coeffs, p)
+                assert count_points(curve, p, 1).count == expected, (curve.label, p)
+                assert dtypes.pop() is dtype
+
+    @pytest.mark.parametrize("size", [7, 64])
+    def test_prime_field_chunk_seams_match_naive_oracle(self, monkeypatch, size):
+        # chunks of 7 and 64 put seams inside both passes of every count
+        # below 200; a fresh thread builds its chunk rows at that size and
+        # drops them on exit, so no short row outlives the patch
+        monkeypatch.setattr(zeta, "_CHUNK", size)
+        curves = [make_cd(2), make_cd(3), make_cd(5), make_cd(16), make_dm(5), make_dm(6), make_xd(2)]
+
+        def mismatches():
+            return [
+                (curve.label, p)
+                for curve in curves
+                for p in _odd_primes(199)
+                if good_reduction(curve, p)
+                and count_points(curve, p, 1).count != count_points_naive(curve, p)
+            ]
+
+        with ThreadPoolExecutor(1) as pool:
+            assert pool.submit(mismatches).result(timeout=120) == []
 
     def test_threads_count_like_a_sequential_run(self):
         # each thread counts in its own chunk rows: three threads (more than
@@ -573,20 +667,14 @@ class TestCountPoints:
                 assert fast == count_points_naive(curve, p), (curve.label, p)
 
     def test_horner_reduces_partway_over_several_chunks(self):
-        # 196,613 > 3 * 2^16: four chunks, and p^3 (p - 1) >= 2^63 forces
-        # a reduction before the third Horner step, which negative
-        # coefficients (near p once reduced) would really overflow; the
-        # oracle is Euler's criterion over Python ints
+        # 196,613 > 3 * 2^16: four chunks in int64, and p^3 (p - 1) >=
+        # 2^63 forces a reduction before the third Horner step, which
+        # negative coefficients (near p once reduced) would really overflow
         coeffs, p = [7, -3, -1, -5, -2], 196613
         curve = HyperellipticCurve(UniPolynomial(ZZ, coeffs))
         assert p ** (curve.f.degree + 1) >= 2**63 and p > 3 << 16
         assert good_reduction(curve, p)
-        affine = 0
-        for x in range(p):
-            v = sum(c * pow(x, e, p) for e, c in enumerate(coeffs)) % p
-            affine += 1 if v == 0 else 2 * (pow(v, (p - 1) // 2, p) == 1)
-        expected = affine + (2 if pow(-2 % p, (p - 1) // 2, p) == 1 else 0)
-        assert count_points(curve, p, 1).count == expected
+        assert count_points(curve, p, 1).count == count_points_euler(coeffs, p)
 
     def test_engine_matches_naive_cubic_extension(self):
         assert count_points(make_cd(2), 3, 3).count == count_points_naive(make_cd(2), 3, 3)
