@@ -4,16 +4,15 @@ Counting is exhaustive enumeration: N_k = sum over x in F_(p^k) of
 (1 + chi(f(x))) plus the points at infinity, with chi the quadratic
 character (chi(0) = 0).  The engine has two parts, chosen by k.
 
-- k = 1: integer Horner acc = acc * x + c over numpy chunks of F_p, in
-  int32 when one step from a reduced acc fits, (p - 1) p < 2^31 (every
-  prime p <= 46,337), and in int64 otherwise.  acc is reduced mod p by
-  floor division (a scalar // is a multiply in numpy) only before a step
-  that could pass the dtype's maximum, and chi is read from a squares
-  table by np.take(mode="wrap"), whose indices are always reduced, so the
-  wrap never fires.  Every chunk is computed in place in rows that each
-  thread makes on its first count in that dtype and reuses across chunks
-  and calls (threading.local), so a count allocates only the p-byte
-  squares table.
+- k = 1: integer Horner acc = acc * x + c over int64 numpy chunks of
+  F_p.  acc is reduced mod p by floor division (a scalar // is a
+  multiply in numpy) only before a step that could reach 2^63, so a
+  cubic needs no reduction inside the loop for p <= 55,109, and chi is
+  read from a squares table by np.take(mode="wrap"), whose indices are
+  always reduced, so the wrap never fires.  Every chunk is computed in
+  place in rows that each thread makes on its first count and reuses
+  across chunks and calls (threading.local), so a count allocates only
+  the p-byte squares table.
 - k >= 2: F_(p^k) = F_p[x]/(m) for the first monic m in encoding order
   modulo which x is primitive (_primitive_modulus), and g = x.  The index
   of g^i comes in int32 chunks (_index_chunks), and adding 1 to an
@@ -100,8 +99,6 @@ _CHUNK = 1 << 16
 _TABLE_LIMIT = 2**31
 _ZERO_LOG = -1  # log-domain code for 0; odd, so never a square
 _workspace = threading.local()  # per-thread chunk rows, see _chunk_rows
-# the k = 1 Horner dtypes, narrowest first, with their largest value
-_HORNER_DTYPES = tuple((t, int(np.iinfo(t).max)) for t in (np.int32, np.int64))
 # primes l at which lpoly_is_irreducible reads the factor degrees of h mod l
 _PROOF_PRIMES = tuple(ell for ell in range(2, 200) if is_prime(ell))
 # usable primes in a row that may rule out no degree before the proof
@@ -329,76 +326,57 @@ def _reduce(a: np.ndarray, p: int, scratch: np.ndarray) -> np.ndarray:
     return a
 
 
-def _chunk_rows(dtype: type) -> tuple[np.ndarray, ...]:
-    """This thread's rows of _CHUNK elements for a count over F_p in dtype:
-    int32 when (p - 1) p < 2^31, int64 otherwise, so that one Horner step
-    from a reduced acc fits (see _affine_count_prime).  They are made on
-    the thread's first count in that dtype and reused by every later one:
-    the ramp 0, 1, ..., _CHUNK - 1, x, acc and the quotient scratch of
-    _reduce in dtype, then the int64 row that indexes the squares table
-    and a bool row for the lookup.  numpy indexes about twice as fast with
-    int64 as with int32, so the int32 rows copy acc into the index row;
-    for int64 the index row is acc itself.  A thread that counts in both
-    dtypes keeps both sets."""
+def _chunk_rows() -> tuple[np.ndarray, ...]:
+    """This thread's rows of _CHUNK elements for a count over F_p, made on
+    its first count and reused by every later one: the int64 ramp 0, 1,
+    ..., _CHUNK - 1, x, acc and the quotient scratch of _reduce, and a
+    bool row for the lookup."""
     rows = getattr(_workspace, "rows", None)
     if rows is None:
-        rows = _workspace.rows = {}
-    if dtype not in rows:
-        ramp = np.arange(_CHUNK, dtype=dtype)
-        x, acc, scratch = np.empty((3, _CHUNK), dtype=dtype)
-        index = acc if dtype is np.int64 else np.empty(_CHUNK, dtype=np.int64)
-        rows[dtype] = (ramp, x, acc, scratch, index, np.empty(_CHUNK, dtype=bool))
-    return rows[dtype]
+        ramp = np.arange(_CHUNK, dtype=np.int64)
+        x, acc, scratch = np.empty((3, _CHUNK), dtype=np.int64)
+        rows = _workspace.rows = (ramp, x, acc, scratch, np.empty(_CHUNK, dtype=bool))
+    return rows
 
 
 def _affine_count_prime(coeffs: list[int], p: int) -> int:
-    """sum over x in F_p of (1 + chi(f(x))) by integer Horner and a squares
-    table, in the narrowest of int32 and int64 that holds one step from a
-    reduced acc: from acc <= bound, acc * x + c <= bound * p, and after a
-    reduction bound = p - 1, so int32 serves when (p - 1) p < 2^31 (every
-    prime p <= 46,337), and int64 otherwise, which holds it for every p
-    below _TABLE_LIMIT = 2^31.  acc is reduced only before a step with
-    bound * p past the dtype's maximum, and once at the end.  Each chunk
-    is computed in place in this thread's _chunk_rows; the first chunk
-    reads the ramp as x.
+    """sum over x in F_p of (1 + chi(f(x))) by integer Horner on int64 and a
+    squares table.  From acc <= bound, acc * x + c <= bound * p, and after
+    a reduction bound = p - 1, so one step from a reduced acc fits for
+    every p below _TABLE_LIMIT = 2^31.  acc is reduced only before a step
+    with bound * p >= 2^63, and once at the end; a cubic needs no
+    reduction inside the loop while (p - 1) p^3 < 2^63, every p <= 55,109.
+    Each chunk is computed in place in this thread's _chunk_rows; the
+    first chunk reads the ramp as x.
 
-    chi is read by np.take(square, index, mode="wrap", out=...), which
-    skips the bounds check and the buffered output of the default mode.
-    Its indices must always be reduced into [0, p), as they are here, so
-    that the wrap never fires: numpy wraps an index by subtracting p once
-    per wrap, and an unreduced acc would take minutes.
+    chi is read by np.take(square, acc, mode="wrap", out=...), which skips
+    the bounds check and the buffered output of the default mode.  Its
+    indices must always be reduced into [0, p), as they are here, so that
+    the wrap never fires: numpy wraps an index by subtracting p once per
+    wrap, and an unreduced acc would take minutes.
     """
-    dtype, limit = next((t, m) for t, m in _HORNER_DTYPES if (p - 1) * p <= m)
-    ramp, x_row, acc_row, scratch, index_row, hit_row = _chunk_rows(dtype)
+    ramp, x_row, acc_row, scratch, hit_row = _chunk_rows()
 
     def residues(start, n):
         return ramp[:n] if start == 0 else np.add(ramp[:n], start, out=x_row[:n])
-
-    def as_index(a):
-        if dtype is np.int64:
-            return a
-        index = index_row[: len(a)]
-        np.copyto(index, a)
-        return index
 
     square = np.zeros(p, dtype=bool)
     half = p // 2 + 1
     for start in range(0, half, _CHUNK):
         n = min(_CHUNK, half - start)
         x = residues(start, n)
-        squares = _reduce(np.multiply(x, x, out=acc_row[:n]), p, scratch)
-        square[as_index(squares)] = True
+        square[_reduce(np.multiply(x, x, out=acc_row[:n]), p, scratch)] = True
     square[0] = False
     total = 0
     for start in range(0, p, _CHUNK):
         n = min(_CHUNK, p - start)
         x = residues(start, n)
-        # the first step lc x + c fits, by the choice of dtype
+        # the first step lc x + c from the reduced lc fits
         acc = np.multiply(x, coeffs[-1], out=acc_row[:n])
         acc += coeffs[-2]
         bound = (p - 1) * p
         for c in reversed(coeffs[:-2]):
-            if bound * p > limit:
+            if bound * p >= 2**63:
                 _reduce(acc, p, scratch)
                 bound = p - 1
             acc *= x
@@ -407,7 +385,7 @@ def _affine_count_prime(coeffs: list[int], p: int) -> int:
         _reduce(acc, p, scratch)
         hit = hit_row[:n]
         total += np.count_nonzero(np.equal(acc, 0, out=hit))
-        total += 2 * np.count_nonzero(np.take(square, as_index(acc), mode="wrap", out=hit))
+        total += 2 * np.count_nonzero(np.take(square, acc, mode="wrap", out=hit))
     return int(total)
 
 

@@ -307,7 +307,7 @@ class TestCountPoints:
 
     def test_guards_refuse_before_the_workspace(self):
         # in a thread that has not counted yet, a refusal does not build
-        # that thread's chunk rows either (over 1.5 MB in either dtype)
+        # that thread's chunk rows either (four int64 rows of 512 KB)
         def peaks():
             out = []
             for p, k, match in ((3, 20, "int32"), (2147483659, 1, "squares table")):
@@ -325,7 +325,8 @@ class TestCountPoints:
 
     def test_chunk_workspace_is_reused(self):
         # after a first count near _CHUNK, the next one allocates only the
-        # p-byte squares table and two bool masks of a chunk: no int64 rows
+        # p-byte squares table: the int64 rows and the bool lookup row of
+        # the chunks are this thread's, made by the first count
         curve = make_cd(2)
         count_points(curve, 65519)
         tracemalloc.start()
@@ -334,34 +335,25 @@ class TestCountPoints:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / 65497 < 4
+        assert peak / 65497 < 2
 
-    def test_int32_chunk_workspace_is_reused(self):
-        # the same for the int32 rows: after a first count near the last
-        # int32 prime, the next one reuses this thread's rows
-        curve = make_cd(2)
-        count_points(curve, 46327)
-        tracemalloc.start()
-        try:
-            count_points(curve, 46337)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / 46337 < 4
-
-    def test_both_horner_dtypes_match_euler(self, monkeypatch):
-        # 46,337 is the last prime with (p - 1) p < 2^31 and counts in
-        # int32, 46,349 the first to count in int64.  C_16 has degree 17,
-        # so at 46,337 the int32 Horner reduces before every step
-        dtypes = []
-        rows = zeta._chunk_rows
-        monkeypatch.setattr(zeta, "_chunk_rows", lambda dtype: dtypes.append(dtype) or rows(dtype))
-        for p, dtype in ((46337, np.int32), (46349, np.int64)):
+    def test_horner_matches_euler_either_side_of_the_cubic_bound(self, monkeypatch):
+        # 55,109 is the last prime with (p - 1) p^3 < 2^63, so a cubic such
+        # as C_2 counts with no reduction inside the Horner loop; at 55,117
+        # it reduces once before its last step.  C_16 (degree 17) takes
+        # three steps per reduction at 55,109 and two at 55,117
+        reductions = []
+        reduce = zeta._reduce
+        monkeypatch.setattr(zeta, "_reduce", lambda a, p, s: reductions.append(1) or reduce(a, p, s))
+        for p, inner in ((55109, 0), (55117, 1)):
             for curve in (make_cd(2), make_cd(3), make_dm(5), make_cd(16)):
                 assert good_reduction(curve, p), (curve.label, p)
                 expected = count_points_euler(curve.f.coeffs, p)
+                reductions.clear()
                 assert count_points(curve, p, 1).count == expected, (curve.label, p)
-                assert dtypes.pop() is dtype
+                if curve.f.degree == 3:
+                    # one reduction for the squares table, one at the end
+                    assert len(reductions) == 2 + inner, (curve.label, p)
 
     @pytest.mark.parametrize("size", [7, 64])
     def test_prime_field_chunk_seams_match_naive_oracle(self, monkeypatch, size):
