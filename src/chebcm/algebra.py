@@ -6,7 +6,9 @@ are dense coefficient tuples indexed by degree; degrees in this package
 stay below a few hundred, so schoolbook algorithms are used throughout.
 No rational arithmetic is used: a polynomial divisor must have leading
 coefficient +-1, and squarefree reads the last member of the integer
-Sturm chain (_sturm_chain, also zeta's Weil-bound check).
+Sturm chain (_sturm_chain, also zeta's Weil-bound check).  Identities
+in x + 1/x are checked as polynomial identities: compose_x_plus_inverse
+returns x^n f(x + 1/x) for f of degree n.
 
 Polynomials over F_p are plain integer lists (_int_poly_divmod, _gcd_mod,
 _mulmod, _powmod, _factor_degrees_mod): coefficients low degree first,
@@ -37,9 +39,6 @@ class IntegerRing:
         if isinstance(v, int):
             return v
         raise RingMismatchError(f"cannot coerce {v!r} into ZZ")
-
-    def __call__(self, v):
-        return self.coerce(v)
 
     def __eq__(self, other):
         return isinstance(other, IntegerRing)
@@ -289,173 +288,20 @@ def squarefree(f):
     return len(_sturm_chain(list(f.coeffs))[-1]) == 1
 
 
-class LaurentPolynomial:
-    """Finite Z-indexed coefficient window; used for substitutions x -> c*x^(+-1)."""
+def compose_x_plus_inverse(f):
+    """x^n f(x + 1/x) for f of degree n, a polynomial over f's ring.
 
-    __slots__ = ("ring", "minexp", "coeffs")
-
-    def __init__(self, ring, minexp, coeffs):
-        cs = [ring.coerce(c) for c in coeffs]
-        lo = 0
-        while lo < len(cs) and cs[lo] == ring.zero:
-            lo += 1
-        hi = len(cs)
-        while hi > lo and cs[hi - 1] == ring.zero:
-            hi -= 1
-        if lo == hi:
-            self.ring = ring
-            self.minexp = 0
-            self.coeffs = ()
-        else:
-            self.ring = ring
-            self.minexp = minexp + lo
-            self.coeffs = tuple(cs[lo:hi])
-
-    @classmethod
-    def from_poly(cls, f):
-        return cls(f.ring, 0, f.coeffs)
-
-    @classmethod
-    def monomial(cls, ring, coeff, exp):
-        return cls(ring, exp, (coeff,))
-
-    def is_zero(self):
-        return not self.coeffs
-
-    @property
-    def maxexp(self):
-        return self.minexp + len(self.coeffs) - 1
-
-    def coefficient(self, k):
-        i = k - self.minexp
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return self.ring.zero
-
-    def support(self):
-        return tuple(
-            self.minexp + i for i, c in enumerate(self.coeffs) if c != self.ring.zero
-        )
-
-    def _coerce_operand(self, other):
-        if isinstance(other, LaurentPolynomial):
-            if other.ring != self.ring:
-                raise RingMismatchError("Laurent polynomials over different rings")
-            return other
-        try:
-            return LaurentPolynomial(self.ring, 0, (self.ring.coerce(other),))
-        except RingMismatchError:
-            return None
-
-    def __add__(self, other):
-        o = self._coerce_operand(other)
-        if o is None:
-            return NotImplemented
-        if self.is_zero():
-            return o
-        if o.is_zero():
-            return self
-        lo = min(self.minexp, o.minexp)
-        hi = max(self.maxexp, o.maxexp)
-        return LaurentPolynomial(
-            self.ring,
-            lo,
-            [self.coefficient(k) + o.coefficient(k) for k in range(lo, hi + 1)],
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentPolynomial(self.ring, self.minexp, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        o = self._coerce_operand(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce_operand(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce_operand(other)
-        if o is None:
-            return NotImplemented
-        if self.is_zero() or o.is_zero():
-            return LaurentPolynomial(self.ring, 0, ())
-        out = [self.ring.zero] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == self.ring.zero:
-                continue
-            for j, b in enumerate(o.coeffs):
-                if b == self.ring.zero:
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return LaurentPolynomial(self.ring, self.minexp + o.minexp, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e):
-        if e < 0:
-            raise ValueError("negative power of a Laurent polynomial")
-        result = LaurentPolynomial(self.ring, 0, (self.ring.one,))
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def __eq__(self, other):
-        o = self._coerce_operand(other)
-        if o is None:
-            return NotImplemented
-        return self.minexp == o.minexp and self.coeffs == o.coeffs
-
-    def __hash__(self):
-        return hash((self.ring, self.minexp, self.coeffs))
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for k in range(self.maxexp, self.minexp - 1, -1):
-            c = self.coefficient(k)
-            if c == self.ring.zero:
-                continue
-            terms.append(_format_term(c, k, self.ring))
-        return " + ".join(terms).replace("+ -", "- ")
-
-    def __repr__(self):
-        return f"LaurentPolynomial({self.ring!r}, {self})"
-
-
-def laurent_compose(f):
-    """f(x + 1/x) as a Laurent polynomial over f's coefficient ring."""
-    u = LaurentPolynomial(f.ring, -1, (f.ring.one, f.ring.zero, f.ring.one))
-    acc = LaurentPolynomial(f.ring, 0, ())
-    for c in reversed(f.coeffs):
-        acc = acc * u + c
-    return acc
-
-
-def monomial_substitute(L, gamma, s, ring):
-    """Substitute x -> gamma * x^s (s = +1 or -1) into a Laurent polynomial.
-
-    gamma must be an invertible element of ring when negative powers of
-    it are needed; the coefficients of L are coerced into ring.
+    Horner with x^2 + 1: if A = x^k g(x + 1/x) for g of degree k, then
+    x^(k+1) (u g + c)(x + 1/x) = (x^2 + 1) A + c x^(k+1).  Multiplying an
+    identity in x + 1/x by the unit x^n leaves it exact and makes both
+    sides polynomials.
     """
-    if s not in (1, -1):
-        raise ValueError("s must be +1 or -1")
-    out = LaurentPolynomial(ring, 0, ())
-    for k in L.support():
-        c = ring.coerce(L.coefficient(k)) * gamma**k
-        out = out + LaurentPolynomial.monomial(ring, c, s * k)
-    return out
+    ring = f.ring
+    square_plus_one = UniPolynomial(ring, (ring.one, ring.zero, ring.one))
+    acc = UniPolynomial(ring, ())
+    for k, c in enumerate(reversed(f.coeffs)):
+        acc = acc * square_plus_one + UniPolynomial(ring, (ring.zero,) * k + (c,))
+    return acc
 
 
 # --- integer-list polynomials over F_p ---------------------------------------

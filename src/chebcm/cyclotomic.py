@@ -243,9 +243,6 @@ class CyclotomicContext:
             raise RingMismatchError(f"cannot coerce {v!r} into Z[zeta_{self.n}]")
         return out
 
-    def __call__(self, v):
-        return self.coerce(v)
-
     def __eq__(self, other):
         return isinstance(other, CyclotomicContext) and other.n == self.n
 

@@ -77,6 +77,8 @@ from math import gcd, isqrt
 import numpy as np
 
 from .algebra import (
+    ZZ,
+    UniPolynomial,
     _factor_degrees_mod,
     _gcd_mod,
     _monics,
@@ -518,9 +520,10 @@ def count_points(
     k: int = 1,
     cap: int = COUNT_CAP,
 ) -> PointCount:
-    """Number of points of the smooth projective model over F_(p^k)."""
-    if not good_reduction(curve, p):
-        raise BadReductionError(f"{curve.label} has bad reduction at p={p}")
+    """Number of points of the smooth projective model over F_(p^k).
+
+    The field size is refused before good_reduction, whose primality test
+    is trial division and would not end on a huge p."""
     if k < 1:
         raise ValueError("k must be >= 1")
     q = p**k
@@ -531,6 +534,8 @@ def count_points(
         raise CapExceededError(
             f"field size {p}^{k} = {q} is too large for {table} (< 2^31)"
         )
+    if not good_reduction(curve, p):
+        raise BadReductionError(f"{curve.label} has bad reduction at p={p}")
 
     coeffs = _reduced_coeffs(curve, p)
     exponents = [e for e, c in enumerate(coeffs) if c]
@@ -607,12 +612,11 @@ def _weil_interval_ok(h: tuple[int, ...], q: int) -> bool:
     chain = _sturm_chain(list(h))
     common = chain[-1]
     if len(common) > 1:
-        # h monic, so a primitive divisor has leading coefficient +-1
-        if common[-1] < 0:
-            common = [-c for c in common]
-        s, exact = _exact_int_division(list(h), common)
-        assert exact, "gcd(h, h') divides h"
-        chain = _sturm_chain(s)
+        # h monic, so its primitive divisor has leading coefficient +-1;
+        # the sign of s changes no count of sign changes
+        s, r = divmod(UniPolynomial(ZZ, h), UniPolynomial(ZZ, common))
+        assert r.is_zero(), "gcd(h, h') divides h"
+        chain = _sturm_chain(list(s.coeffs))
 
     def changes(side):
         signs = [x for x in (_sign_at_two_sqrt_q(f, q, side) for f in chain) if x]
@@ -731,17 +735,20 @@ def l_polynomial(
     p: int,
     cap: int = COUNT_CAP,
 ) -> LPolynomial:
-    """Assemble L from the counts N_1..N_g; genus 0 gives [1]."""
-    if not good_reduction(curve, p):
-        raise BadReductionError(f"{curve.label} has bad reduction at p={p}")
+    """Assemble L from the counts N_1..N_g; genus 0 gives [1].  As in
+    count_points, the largest field is refused before good_reduction; a
+    cap at or above _TABLE_LIMIT acts as _TABLE_LIMIT - 1."""
     g = curve.genus
-    if g == 0:
-        return LPolynomial((1,), p)
+    cap = min(cap, _TABLE_LIMIT - 1)
     if p**g > cap:
         raise CapExceededError(
             f"L({curve.label}, {p}) needs counts over F_{p}^{g} "
             f"= {p**g} elements, above cap {cap}"
         )
+    if not good_reduction(curve, p):
+        raise BadReductionError(f"{curve.label} has bad reduction at p={p}")
+    if g == 0:
+        return LPolynomial((1,), p)
     s = [
         p**k + 1 - count_points(curve, p, k, cap=cap).count
         for k in range(1, g + 1)
@@ -755,22 +762,6 @@ def l_polynomial(
     for i in range(g - 1, -1, -1):
         b.append(p ** (g - i) * b[i])
     return LPolynomial(b, p)
-
-
-def _exact_int_division(num: list[int], den: list[int]):
-    """num, den low-first integer coeffs, den monic; (quotient, exact?)."""
-    rem = list(num)
-    dd = len(den) - 1
-    if len(rem) - 1 < dd:
-        return None, False
-    quot = [0] * (len(rem) - dd)
-    for k in range(len(rem) - 1 - dd, -1, -1):
-        c = rem[k + dd]
-        quot[k] = c
-        if c:
-            for i, bc in enumerate(den):
-                rem[k + i] -= c * bc
-    return quot, all(c == 0 for c in rem)
 
 
 def _proves_irreducible(h: tuple[int, ...]) -> bool:
@@ -846,15 +837,14 @@ def _subset_scan(lp: LPolynomial):
     # work on the monic reciprocal T^2g L(1/T); its roots are the alpha_i,
     # and a monic integer factor h of it mirrors to the L-side factor
     # with h's coefficients reversed
-    rec = list(reversed(lp.coeffs))
+    rec = UniPolynomial(ZZ, reversed(lp.coeffs))
     for size in range(1, g + 1):
         for subset in combinations(range(2 * g), size):
             cand_hi = np.poly(roots[list(subset)])
             ints = [int(round(float(np.real(c)))) for c in cand_hi]
             if np.max(np.abs(cand_hi - np.array(ints))) > 0.3:
                 continue
-            quot, exact = _exact_int_division(rec, list(reversed(ints)))
-            if exact:
+            if (rec % UniPolynomial(ZZ, reversed(ints))).is_zero():
                 return False, ints
     return True, None
 
@@ -868,15 +858,16 @@ def remark_lpolys(d: int, q: int, cap: int = COUNT_CAP, threads: int = 1) -> dic
     if classify_d(d) != 2:
         raise ValueError("d must be an odd prime")
     cd, dd, d2d = make_cd(d), make_dm(d), make_dm(2 * d)
-    for c in (cd, dd, d2d):
-        if not good_reduction(c, q):
-            raise BadReductionError(f"{c.label} has bad reduction at q={q}")
+    cap = min(cap, _TABLE_LIMIT - 1)  # refused before good_reduction
     worst = q**d2d.genus
     if worst > cap:
         raise CapExceededError(
             f"L(D_{2*d}, {q}) needs counts over {q}^{d2d.genus} = {worst} "
             f"elements, above cap {cap}"
         )
+    for c in (cd, dd, d2d):
+        if not good_reduction(c, q):
+            raise BadReductionError(f"{c.label} has bad reduction at q={q}")
     l_cd = l_polynomial(cd, q, cap=cap)
     l_dd = l_polynomial(dd, q, cap=cap)
     l_d2d = l_polynomial(d2d, q, cap=cap)

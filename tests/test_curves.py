@@ -1,7 +1,7 @@
 import pytest
 
 import chebcm.curves as curves
-from chebcm.algebra import ZZ, LaurentPolynomial, UniPolynomial, monomial_substitute
+from chebcm.algebra import ZZ, UniPolynomial
 from chebcm.curves import (
     HyperellipticCurve,
     MapNotValidError,
@@ -111,6 +111,41 @@ class TestValidity:
         assert sigma.compose(sigma).is_identity()
 
 
+GENERATED = [(case1_automorphisms, d) for d in (2, 4, 8)] + [
+    (case2_automorphisms, p) for p in (3, 5, 7)
+]
+
+
+class TestAutomorphismValid:
+    # X_d and D_2p with the rotation z and involution of their constructors
+
+    @pytest.mark.parametrize("build, n", GENERATED)
+    def test_every_composite_of_the_generators_is_accepted(self, build, n):
+        curve, z, invol = build(n)
+        for a in range(z.order()):
+            rot = z.power(a)
+            for auto in (rot, rot.compose(invol), invol.compose(rot)):
+                assert automorphism_valid(curve, auto), (curve.label, auto)
+
+    @pytest.mark.parametrize("build, n", GENERATED)
+    def test_changing_one_field_is_rejected(self, build, n):
+        curve, z, invol = build(n)
+        ctx = z.context
+        for auto in (z, invol, z.compose(invol)):
+            g, s, dl, t = auto.gamma, auto.s, auto.delta, auto.t
+            for bad in (
+                MonomialAutomorphism(ctx, g, s, dl, t + 1),
+                MonomialAutomorphism(ctx, g, s, dl, t - 1),
+                MonomialAutomorphism(ctx, g, -s, dl, t),
+                MonomialAutomorphism(ctx, g, s, dl * ctx.zeta, t),
+            ):
+                assert not automorphism_valid(curve, bad), (curve.label, bad)
+            # gamma * zeta: x^1 in X_d picks up zeta, but D_2p has only
+            # x^0 and x^2p, and zeta_2p^2p = 1, so there it is a rotation
+            moved = MonomialAutomorphism(ctx, g * ctx.zeta, s, dl, t)
+            assert automorphism_valid(curve, moved) == (build is case2_automorphisms)
+
+
 class TestBuiltOnce:
     def test_batch_builds_and_checks_each_map_once(self, monkeypatch):
         for cached in (case1_automorphisms, case2_automorphisms, automorphism_valid):
@@ -145,19 +180,20 @@ class TestBuiltOnce:
 def substitution_pullback(curve, auto):
     """Dense g x g pullback of auto by formal substitution into
     h(x) dx / y, the oracle for the closed form: entry (i, j) is the
-    coefficient of omega_(i+1) in the pullback of omega_(j+1)."""
+    coefficient of omega_(i+1) in the pullback of omega_(j+1).  Terms are
+    (exponent, coefficient) pairs, multiplied by adding exponents."""
     assert automorphism_valid(curve, auto)
     ctx = auto.context
     g = curve.genus
-    dx_factor = LaurentPolynomial.monomial(
-        ctx, auto.gamma * auto.s / auto.delta, auto.s - 1 - auto.t
-    )
+    # dx / y -> d(gamma x^s) / (delta x^t y) = (s gamma / delta) x^(s-1-t) dx / y
+    dx_factor = (auto.s - 1 - auto.t, auto.gamma * auto.s / auto.delta)
     cols = []
     for j in range(1, g + 1):
-        h = LaurentPolynomial.monomial(ctx, ctx.one, j - 1)
-        image = monomial_substitute(h, auto.gamma, auto.s, ctx) * dx_factor
-        assert image.is_zero() or (image.minexp >= 0 and image.maxexp <= g - 1)
-        cols.append([image.coefficient(i) for i in range(g)])
+        # x^(j-1) -> (gamma x^s)^(j-1)
+        h = (auto.s * (j - 1), auto.gamma ** (j - 1))
+        exp, coeff = h[0] + dx_factor[0], h[1] * dx_factor[1]
+        assert 0 <= exp <= g - 1
+        cols.append([coeff if i == exp else ctx.zero for i in range(g)])
     return [[cols[j][i] for j in range(g)] for i in range(g)]
 
 

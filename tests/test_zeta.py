@@ -1,10 +1,13 @@
 import json
+import os
 import random
+import subprocess
 import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -853,15 +856,11 @@ class TestIrreducibility:
         assert lpoly_is_irreducible(l_polynomial(make_cd(5), 11))[0]
 
     def _check_exact_factor(self, lp, factor):
-        from chebcm.zeta import _exact_int_division
-
         assert factor is not None
         assert factor[0] == 1  # L-side divisor, constant term 1
         assert 0 < len(factor) - 1 < 2 * lp.genus  # proper
-        _, exact = _exact_int_division(
-            list(reversed(lp.coeffs)), list(reversed(factor))
-        )
-        assert exact
+        rec = UniPolynomial(ZZ, reversed(lp.coeffs))
+        assert (rec % UniPolynomial(ZZ, reversed(factor))).is_zero()
 
     def test_synthetic_product_detected(self):
         lp = LPolynomial((1, -2, 3), 3) * LPolynomial((1, 0, 3), 3)
@@ -1034,3 +1033,44 @@ def test_c2_trace_pattern_rejects_bound_below_three(monkeypatch):
     assert calls == []
     monkeypatch.undo()
     assert cm_trace_pattern_c2(3)
+
+
+# 2^89 - 1 is prime and far above the cap: is_prime's trial division
+# would not end on it, so each call must refuse on the cap first, and on
+# the 2^31 table limit when the cap is larger still
+@pytest.mark.parametrize(
+    "call",
+    [
+        "count_points(make_cd(2), p)",
+        "l_polynomial(make_cd(2), p)",
+        "remark_lpolys(3, p)",
+        "count_points(make_cd(2), p, cap=2**200)",
+        "l_polynomial(make_cd(2), p, cap=2**200)",
+        "remark_lpolys(3, p, cap=2**200)",
+    ],
+)
+def test_huge_prime_is_refused_on_the_cap_before_good_reduction(call):
+    code = (
+        "from chebcm.curves import make_cd\n"
+        "from chebcm.zeta import CapExceededError, count_points, l_polynomial, remark_lpolys\n"
+        "p = 2**89 - 1\n"
+        "try:\n"
+        f"    {call}\n"
+        "except CapExceededError:\n"
+        "    print('refused')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(zeta.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10
+    )
+    assert out.stdout.strip() == "refused", out.stderr
+
+
+def test_bad_prime_inside_the_cap_is_still_bad_reduction():
+    conic = HyperellipticCurve(UniPolynomial(ZZ, (-3, 0, 1)))  # genus 0, disc 12
+    for curve, p in ((make_dm(3), 3), (conic, 3), (make_cd(2), 9)):
+        for call in (count_points, l_polynomial):
+            with pytest.raises(BadReductionError):
+                call(curve, p)
+    with pytest.raises(BadReductionError):
+        remark_lpolys(5, 5)
