@@ -1,14 +1,16 @@
-"""Exact arithmetic substrate: the integer ring and dense polynomials.
+"""Exact arithmetic substrate: dense polynomials with integer coefficients.
 
-ZZ is a lightweight ring descriptor whose elements are plain ``int``;
-cyclotomic's Z[zeta_n] is the only other coefficient ring.  Polynomials
-are dense coefficient tuples indexed by degree; degrees in this package
-stay below a few hundred, so schoolbook algorithms are used throughout.
-No rational arithmetic is used: a polynomial divisor must have leading
-coefficient +-1, and squarefree reads the last member of the integer
-Sturm chain (_sturm_chain, also zeta's Weil-bound check).  Identities
-in x + 1/x are checked as polynomial identities: compose_x_plus_inverse
-returns x^n f(x + 1/x) for f of degree n.
+UniPolynomial is a polynomial in Z[x] whose coefficients are plain
+``int``; the CM layer computes with elements of Z[zeta_n]
+(cyclotomic.CyclotomicElement), never with polynomials over that ring.
+Polynomials are dense coefficient tuples indexed by degree; degrees in
+this package stay below a few hundred, so schoolbook algorithms are used
+throughout.  No rational arithmetic is used: a polynomial divisor must
+have leading coefficient +-1, and squarefree reads lc(f) disc(f) from a
+subresultant PRS over Z (_lc_discriminant, which zeta's good_reduction
+reads too).  Identities in x + 1/x are checked as polynomial
+identities: compose_x_plus_inverse returns x^n f(x + 1/x) for f of
+degree n.
 
 Polynomials over F_p are plain integer lists (_int_poly_divmod, _gcd_mod,
 _mulmod, _powmod, _factor_degrees_mod): coefficients low degree first,
@@ -22,51 +24,24 @@ polynomial mod small primes and for its slow oracle count_points_naive.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
-
-
-class RingMismatchError(TypeError):
-    """Operands belong to different coefficient rings."""
-
-
-class IntegerRing:
-    zero = 0
-    one = 1
-
-    def coerce(self, v):
-        if isinstance(v, bool):
-            raise RingMismatchError("bool is not a ring element")
-        if isinstance(v, int):
-            return v
-        raise RingMismatchError(f"cannot coerce {v!r} into ZZ")
-
-    def __eq__(self, other):
-        return isinstance(other, IntegerRing)
-
-    def __hash__(self):
-        return hash("ZZ")
-
-    def __repr__(self):
-        return "ZZ"
-
-
-ZZ = IntegerRing()
 
 
 class UniPolynomial:
-    """Dense univariate polynomial over a coefficient ring.
+    """Dense univariate polynomial over Z.
 
-    Coefficients are stored low degree first; trailing zeros are
-    stripped, so the zero polynomial has an empty tuple and degree -1.
+    Coefficients are plain ints stored low degree first; trailing zeros
+    are stripped, so the zero polynomial has an empty tuple and degree -1.
     """
 
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, ring, coeffs):
-        cs = [ring.coerce(c) for c in coeffs]
-        while cs and cs[-1] == ring.zero:
+    def __init__(self, coeffs):
+        cs = list(coeffs)
+        for c in cs:
+            if type(c) is not int:
+                raise TypeError(f"coefficient {c!r} is not an int")
+        while cs and cs[-1] == 0:
             cs.pop()
-        self.ring = ring
         self.coeffs = tuple(cs)
 
     @property
@@ -76,35 +51,24 @@ class UniPolynomial:
     def is_zero(self):
         return not self.coeffs
 
-    def leading_coefficient(self):
-        if not self.coeffs:
-            return self.ring.zero
-        return self.coeffs[-1]
-
     def coefficient(self, k):
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return self.ring.zero
+        return 0
 
     def _coerce_operand(self, other):
         if isinstance(other, UniPolynomial):
-            if other.ring != self.ring:
-                raise RingMismatchError("polynomials over different rings")
             return other
-        try:
-            return UniPolynomial(self.ring, (self.ring.coerce(other),))
-        except RingMismatchError:
-            return None
+        if type(other) is int:
+            return UniPolynomial((other,))
+        return None
 
     def __add__(self, other):
         o = self._coerce_operand(other)
         if o is None:
             return NotImplemented
         n = max(len(self.coeffs), len(o.coeffs))
-        return UniPolynomial(
-            self.ring,
-            [self.coefficient(i) + o.coefficient(i) for i in range(n)],
-        )
+        return UniPolynomial([self.coefficient(i) + o.coefficient(i) for i in range(n)])
 
     __radd__ = __add__
 
@@ -113,10 +77,7 @@ class UniPolynomial:
         if o is None:
             return NotImplemented
         n = max(len(self.coeffs), len(o.coeffs))
-        return UniPolynomial(
-            self.ring,
-            [self.coefficient(i) - o.coefficient(i) for i in range(n)],
-        )
+        return UniPolynomial([self.coefficient(i) - o.coefficient(i) for i in range(n)])
 
     def __rsub__(self, other):
         o = self._coerce_operand(other)
@@ -125,30 +86,30 @@ class UniPolynomial:
         return o - self
 
     def __neg__(self):
-        return UniPolynomial(self.ring, [-c for c in self.coeffs])
+        return UniPolynomial([-c for c in self.coeffs])
 
     def __mul__(self, other):
         o = self._coerce_operand(other)
         if o is None:
             return NotImplemented
         if self.is_zero() or o.is_zero():
-            return UniPolynomial(self.ring, ())
-        out = [self.ring.zero] * (len(self.coeffs) + len(o.coeffs) - 1)
+            return UniPolynomial(())
+        out = [0] * (len(self.coeffs) + len(o.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if a == self.ring.zero:
+            if a == 0:
                 continue
             for j, b in enumerate(o.coeffs):
-                if b == self.ring.zero:
+                if b == 0:
                     continue
-                out[i + j] = out[i + j] + a * b
-        return UniPolynomial(self.ring, out)
+                out[i + j] += a * b
+        return UniPolynomial(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, e):
         if e < 0:
             raise ValueError("negative power of a polynomial")
-        result = UniPolynomial(self.ring, (self.ring.one,))
+        result = UniPolynomial((1,))
         base = self
         while e:
             if e & 1:
@@ -163,87 +124,72 @@ class UniPolynomial:
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        lc = o.leading_coefficient()
-        if lc != self.ring.one and lc != -self.ring.one:
-            raise ValueError("leading coefficient not invertible over this ring")
+        lc = o.coeffs[-1]
+        if lc not in (1, -1):
+            raise ValueError("leading coefficient not invertible over Z")
         rem = list(self.coeffs)
         db = o.degree
         if self.degree < db:
-            return UniPolynomial(self.ring, ()), self
-        quot = [self.ring.zero] * (self.degree - db + 1)
+            return UniPolynomial(()), self
+        quot = [0] * (self.degree - db + 1)
         for k in range(self.degree - db, -1, -1):
             c = rem[k + db]
-            if c == self.ring.zero:
+            if c == 0:
                 continue
             q = c * lc  # lc = +-1 is its own inverse
             quot[k] = q
             for i, b in enumerate(o.coeffs):
-                rem[k + i] = rem[k + i] - q * b
-        return UniPolynomial(self.ring, quot), UniPolynomial(self.ring, rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
+                rem[k + i] -= q * b
+        return UniPolynomial(quot), UniPolynomial(rem)
 
     def __mod__(self, other):
         return divmod(self, other)[1]
 
     def __call__(self, v):
+        """Horner at v: an int, a UniPolynomial or a ring element such as
+        a CyclotomicElement, anything that multiplies and adds ints."""
         if not self.coeffs:
-            try:
-                return v * 0
-            except TypeError:
-                return self.ring.zero
+            return v * 0
         acc = self.coeffs[-1]
         for c in reversed(self.coeffs[:-1]):
             acc = acc * v + c
         return acc
 
     def derivative(self):
-        return UniPolynomial(
-            self.ring, [i * c for i, c in enumerate(self.coeffs)][1:]
-        )
+        return UniPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def __eq__(self, other):
-        if isinstance(other, UniPolynomial):
-            return self.ring == other.ring and self.coeffs == other.coeffs
         o = self._coerce_operand(other)
         if o is None:
             return NotImplemented
         return self.coeffs == o.coeffs
 
     def __hash__(self):
-        return hash((self.ring, self.coeffs))
+        return hash(self.coeffs)
 
     def __str__(self):
         if not self.coeffs:
             return "0"
-        terms = []
-        for i in range(self.degree, -1, -1):
-            c = self.coefficient(i)
-            if c == self.ring.zero:
-                continue
-            terms.append(_format_term(c, i, self.ring))
+        terms = [
+            _format_term(c, i)
+            for i, c in reversed(list(enumerate(self.coeffs)))
+            if c != 0
+        ]
         return " + ".join(terms).replace("+ -", "- ")
 
     def __repr__(self):
-        return f"UniPolynomial({self.ring!r}, {self})"
+        return f"UniPolynomial({self})"
 
 
-def _format_term(c, k, ring):
+def _format_term(c, k):
     if k == 0:
         return f"{c}"
     e = "x" if k == 1 else f"x^{k}"
-    if c == ring.one:
+    if c == 1:
         return e
-    if c == -ring.one:
+    if c == -1:
         return f"-{e}"
     return f"{c}*{e}"
-
-
-def _primitive_part(a: list[int]) -> list[int]:
-    """a divided by the gcd of its coefficients (a positive number)."""
-    c = gcd(*a)
-    return [x // c for x in a] if c > 1 else a
 
 
 def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
@@ -261,46 +207,55 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
-def _sturm_chain(f: list[int]) -> list[list[int]]:
-    """Sturm sequence f, f', -rem, ... of an integer polynomial (low degree
-    first), each member scaled by a positive number to stay primitive over
-    Z.  The last member is gcd(f, f') up to a constant factor."""
-    chain = [f, _primitive_part([i * c for i, c in enumerate(f)][1:])]
-    while len(chain[-1]) > 1:
-        a, b = chain[-2], chain[-1]
+@lru_cache(maxsize=None)
+def _lc_discriminant(f: tuple[int, ...]) -> int:
+    """lc(f) disc(f) = (-1)^(n(n-1)/2) Res(f, f') for f in Z[x] of degree
+    n >= 1, low degree first, by the subresultant PRS over Z (Collins;
+    Cohen, A Course in Computational Algebraic Number Theory, Algorithm
+    3.3.7): every division below is exact, and the coefficients stay the
+    size of minors of the Sylvester matrix.  f' has degree n - 1 over Z,
+    so each step lowers the degree by delta >= 1."""
+    n = len(f) - 1
+    a, b = list(f), [i * c for i, c in enumerate(f)][1:]
+    sign = -1 if n * (n - 1) // 2 % 2 else 1
+    g = h = 1
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        if da % 2 and db % 2:
+            sign = -sign
         r = _pseudo_remainder(a, b)
         if not r:
-            break
-        # the Sturm member is -(r / lc^(deg a - deg b + 1))
-        flip = b[-1] < 0 and (len(a) - len(b)) % 2 == 0
-        chain.append(_primitive_part(r if flip else [-x for x in r]))
-    return chain
+            return 0
+        div = g * h**delta
+        a, b = b, [c // div for c in r]
+        g = a[-1]
+        h = g**delta // h ** (delta - 1)
+    da = len(a) - 1
+    return sign * b[0] ** da // h ** (da - 1)
 
 
-def squarefree(f):
-    """True when f in Z[x] has no repeated roots over the algebraic closure:
-    the last member of its integer Sturm chain, gcd(f, f') up to a
-    constant, is a constant."""
-    if f.ring != ZZ:
-        raise RingMismatchError("squarefree takes a polynomial over ZZ")
+def squarefree(f: UniPolynomial) -> bool:
+    """True when f in Z[x] has no repeated roots over the algebraic closure,
+    that is, when lc(f) disc(f) != 0.  The PRS behind it is cached per
+    coefficient tuple, so zeta.good_reduction reuses it."""
     if f.degree <= 0:
         return not f.is_zero()
-    return len(_sturm_chain(list(f.coeffs))[-1]) == 1
+    return _lc_discriminant(f.coeffs) != 0
 
 
-def compose_x_plus_inverse(f):
-    """x^n f(x + 1/x) for f of degree n, a polynomial over f's ring.
+def compose_x_plus_inverse(f: UniPolynomial) -> UniPolynomial:
+    """x^n f(x + 1/x) for f of degree n.
 
     Horner with x^2 + 1: if A = x^k g(x + 1/x) for g of degree k, then
     x^(k+1) (u g + c)(x + 1/x) = (x^2 + 1) A + c x^(k+1).  Multiplying an
     identity in x + 1/x by the unit x^n leaves it exact and makes both
     sides polynomials.
     """
-    ring = f.ring
-    square_plus_one = UniPolynomial(ring, (ring.one, ring.zero, ring.one))
-    acc = UniPolynomial(ring, ())
+    square_plus_one = UniPolynomial((1, 0, 1))
+    acc = UniPolynomial(())
     for k, c in enumerate(reversed(f.coeffs)):
-        acc = acc * square_plus_one + UniPolynomial(ring, (ring.zero,) * k + (c,))
+        acc = acc * square_plus_one + UniPolynomial((0,) * k + (c,))
     return acc
 
 

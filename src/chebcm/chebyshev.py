@@ -8,17 +8,16 @@ y^2 = (x + 2) * phi_d(x).
 
 from __future__ import annotations
 
-from .algebra import ZZ, UniPolynomial, compose_x_plus_inverse
+from math import gcd, prod
 
-_CACHE = [
-    UniPolynomial(ZZ, (2,)),
-    UniPolynomial(ZZ, (0, 1)),
-]
-_X = UniPolynomial(ZZ, (0, 1))
+from .algebra import UniPolynomial, compose_x_plus_inverse
+
+_X = UniPolynomial((0, 1))
+_CACHE = [UniPolynomial((2,)), _X]
 
 
 def chebyshev(d: int) -> UniPolynomial:
-    """phi_d over ZZ."""
+    """phi_d in Z[x]."""
     if d < 0:
         raise ValueError("d must be >= 0")
     while len(_CACHE) <= d:
@@ -35,7 +34,7 @@ def curve_polynomial(d: int) -> UniPolynomial:
     """(x + 2) * phi_d(x), the right-hand side of the curve for index d."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    return UniPolynomial(ZZ, (2, 1)) * chebyshev(d)
+    return UniPolynomial((2, 1)) * chebyshev(d)
 
 
 def genus_of_cd(d: int) -> int:
@@ -47,18 +46,51 @@ def genus_of_cd(d: int) -> int:
     return (curve_polynomial(d).degree - 1) // 2
 
 
+# the first 13 primes, and OEIS A014233: psi_i is the least odd composite
+# that is a strong probable prime to each of the first i of them, so for
+# n < psi_i those i bases decide primality (Jaeschke; Sorenson and
+# Webster for psi_12 and psi_13)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIMORIAL = prod(_MR_BASES)
+_MR_BOUNDS = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n below psi_13 ~ 3.3 * 10^24; a
+    larger n raises ValueError rather than get a probable-prime verdict."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 2
+    if n >= _MR_BOUNDS[-1]:
+        raise ValueError(f"is_prime is deterministic only below {_MR_BOUNDS[-1]}")
+    if gcd(n, _PRIMORIAL) != 1:  # a small factor decides n
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s d, d odd
+    d = (n - 1) >> s
+    for b, bound in zip(_MR_BASES, _MR_BOUNDS):
+        x = pow(b, d, n)
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False  # b witnesses that n is composite
+        if n < bound:
+            break  # the bases so far decide every n < psi_i
     return True
 
 

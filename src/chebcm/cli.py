@@ -43,9 +43,16 @@ def _out_of_scope_message(d: int) -> str:
     )
 
 
-def _write_out(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+def _emit(args, doc: dict) -> str:
+    """doc as JSON text, written to --out when given and printed under
+    --json; every subcommand's document goes through here."""
+    text = emit_json(doc)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    if args.json:
+        print(text)
+    return text
 
 
 def _cmd_verify(args) -> int:
@@ -53,12 +60,8 @@ def _cmd_verify(args) -> int:
         print(_out_of_scope_message(args.d), file=sys.stderr)
         return 2
     report = build_report(args.d)
-    text = emit_json(report.to_dict())
-    if args.out:
-        _write_out(args.out, text)
-    if args.json:
-        print(text)
-    else:
+    _emit(args, report.to_dict())
+    if not args.json:
         print(f"C_{args.d} (case {report.case}, genus {args.d // 2}) - claim checks:")
         for c in report.claims:
             print(f"  [{_STATUS[c.status]:4}] {c.claim_id}: {c.details}")
@@ -76,8 +79,8 @@ def _make_curve(kind: str, d: int):
 
 
 def _cmd_lpoly(args) -> int:
-    # every curve here has genus >= 1, so p above the cap is refused
-    # before is_prime, whose trial division would take minutes on a huge p
+    # every curve here has genus >= 1, so a p above the cap is refused
+    # before anything else
     if args.p > COUNT_CAP:
         print(f"field size {args.p} exceeds cap {COUNT_CAP}", file=sys.stderr)
         return 2
@@ -97,19 +100,15 @@ def _cmd_lpoly(args) -> int:
         return 2
     counts = [lp.point_count(k) for k in range(1, curve.genus + 1)]
     irr, _ = lpoly_is_irreducible(lp)
-    if args.json:
-        doc = {
-            "curve": curve.label,
-            "p": args.p,
-            "counts": [{"k": k + 1, "N": n} for k, n in enumerate(counts)],
-            "L": [str(b) for b in lp.coeffs],
-            "irreducible": irr,
-        }
-        text = emit_json(doc)
-        print(text)
-        if args.out:
-            _write_out(args.out, text)
-    else:
+    doc = {
+        "curve": curve.label,
+        "p": args.p,
+        "counts": [{"k": k + 1, "N": n} for k, n in enumerate(counts)],
+        "L": [str(b) for b in lp.coeffs],
+        "irreducible": irr,
+    }
+    _emit(args, doc)
+    if not args.json:
         print(f"{curve.label} over F_{args.p} (genus {curve.genus})")
         for k, n in enumerate(counts):
             print(f"  N_{k + 1} = {n}")
@@ -120,8 +119,10 @@ def _cmd_lpoly(args) -> int:
 
 
 def _cmd_remark(args) -> int:
-    if classify_d(args.d) != 2:
-        print(f"remark needs an odd prime d, got {args.d}", file=sys.stderr)
+    # D_2d has genus d - 1, so past D_MAX every q would be skipped on the
+    # cap; refusing first also keeps a huge d away from is_prime
+    if args.d > D_MAX or classify_d(args.d) != 2:
+        print(f"remark needs an odd prime d <= {D_MAX}, got {args.d}", file=sys.stderr)
         return 2
     if args.pmax < 3:
         print(f"pmax must be >= 3, the least odd prime; got {args.pmax}", file=sys.stderr)
@@ -149,12 +150,8 @@ def _cmd_remark(args) -> int:
             }
         )
     doc = {"d": args.d, "pmax": args.pmax, "rows": rows}
-    if args.json:
-        text = emit_json(doc)
-        print(text)
-        if args.out:
-            _write_out(args.out, text)
-    else:
+    _emit(args, doc)
+    if not args.json:
         print(
             f"isogeny consistency for d={args.d}: "
             f"L(C_{args.d}) = L(D_{args.d}) and "
@@ -173,12 +170,9 @@ def _cmd_report(args) -> int:
     doc = build_batch(args.dmax)
     if not doc["family"]:
         print(f"warning: no d in scope with d <= {args.dmax}", file=sys.stderr)
-    text = emit_json(doc)
-    if args.out:
-        _write_out(args.out, text)
-        print(f"wrote {args.out}")
-    if args.json or not args.out:
-        print(text)
+    text = _emit(args, doc)
+    if not args.json:
+        print(f"wrote {args.out}" if args.out else text)
     for rep in doc["reports"]:
         statuses = [c["status"] for c in rep["claims"]]
         print(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import UniPolynomial, ZZ, compose_x_plus_inverse, squarefree
+from .algebra import UniPolynomial, compose_x_plus_inverse, squarefree
 from .chebyshev import classify_d, curve_polynomial, genus_of_cd
 from .cyclotomic import CyclotomicContext
 
@@ -39,8 +39,6 @@ class HyperellipticCurve:
     """
 
     def __init__(self, f: UniPolynomial, label: str | None = None):
-        if f.ring != ZZ:
-            raise ValueError("curve coefficients must lie in ZZ")
         if f.degree < 1:
             raise ValueError("deg f must be >= 1")
         if not squarefree(f):
@@ -72,7 +70,7 @@ def make_dm(m: int) -> HyperellipticCurve:
     """D_m : y^2 = x^m + 1, for m >= 3."""
     if m < 3:
         raise ValueError("m must be >= 3")
-    f = UniPolynomial(ZZ, (1,) + (0,) * (m - 1) + (1,))
+    f = UniPolynomial((1,) + (0,) * (m - 1) + (1,))
     return HyperellipticCurve(f, label=f"D_{m}")
 
 
@@ -81,7 +79,7 @@ def make_xd(d: int) -> HyperellipticCurve:
     """X_d : y^2 = x * (x^(2d) + 1), for even d >= 2; genus d."""
     if d < 2 or d % 2 != 0:
         raise ValueError("even d >= 2 required")
-    f = UniPolynomial(ZZ, (0, 1) + (0,) * (2 * d - 1) + (1,))
+    f = UniPolynomial((0, 1) + (0,) * (2 * d - 1) + (1,))
     c = HyperellipticCurve(f, label=f"X_{d}")
     assert c.genus == d
     return c
@@ -312,8 +310,8 @@ def quotient_identity(d: int, case: int | None = None) -> bool:
     else:
         src = make_dm(2 * d).f  # x^(2d) + 1
         shift = d + 1
-    lhs = src * UniPolynomial(ZZ, (1, 2, 1))
-    lift = UniPolynomial(ZZ, (0,) * (shift - d - 1) + (1,))  # x, or 1 for odd d
+    lhs = src * UniPolynomial((1, 2, 1))
+    lift = UniPolynomial((0,) * (shift - d - 1) + (1,))  # x, or 1 for odd d
     return lhs == lift * compose_x_plus_inverse(curve_polynomial(d))
 
 

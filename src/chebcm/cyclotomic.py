@@ -11,6 +11,11 @@ proved minimal by a rank count mod a large prime, without the Galois
 action (eta_minimal_polynomial).  Every element on these paths is an
 algebraic integer, and the only inverses taken are of the units
 +-zeta^k, so the coefficients stay integers throughout.
+
+The polynomials here, Phi_n and that minimal polynomial, lie in Z[x]
+(algebra.UniPolynomial); nothing builds a polynomial with coefficients
+in Z[zeta_n].  Elements of Z[zeta_n] for different n never mix: that
+raises RingMismatchError, as does coercing a value that is not an int.
 """
 
 from __future__ import annotations
@@ -19,20 +24,25 @@ import math
 import operator
 from functools import lru_cache
 
-from .algebra import RingMismatchError, UniPolynomial, ZZ
+from .algebra import UniPolynomial
 from .chebyshev import chebyshev, is_prime
 from .unitgroups import euler_phi, kd_kernel, unit_group
 
 
+class RingMismatchError(TypeError):
+    """Operands lie in Z[zeta_n] for different n, or a value does not lift
+    into Z[zeta_n]."""
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> UniPolynomial:
-    """Phi_n over ZZ, by exact division of x^n - 1 by the proper-divisor product."""
+    """Phi_n in Z[x], by exact division of x^n - 1 by the proper-divisor product."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    xn_minus_1 = UniPolynomial(ZZ, (-1,) + (0,) * (n - 1) + (1,))
+    xn_minus_1 = UniPolynomial((-1,) + (0,) * (n - 1) + (1,))
     if n == 1:
         return xn_minus_1
-    prod = UniPolynomial(ZZ, (1,))
+    prod = UniPolynomial((1,))
     for d in range(1, n):
         if n % d == 0:
             prod = prod * cyclotomic_polynomial(d)
@@ -60,7 +70,7 @@ class CyclotomicElement:
 
     def _lift(self, other):
         if isinstance(other, CyclotomicElement):
-            if other.ring != self.ring:
+            if other.ring is not self.ring:
                 raise RingMismatchError(f"elements of {self.ring!r} and {other.ring!r}")
             return other
         if isinstance(other, int) and not isinstance(other, bool):
@@ -171,8 +181,9 @@ class CyclotomicElement:
 class CyclotomicContext:
     """Z[zeta_n] in the power basis 1, zeta, ..., zeta^(phi(n)-1).
 
-    Doubles as a coefficient ring for UniPolynomial.  That Phi_n divides
-    x^n - 1 is checked once, by cyclotomic_polynomial.
+    One context per n, so two elements lie in the same ring exactly when
+    they share their context object.  That Phi_n divides x^n - 1 is
+    checked once, by cyclotomic_polynomial.
     """
 
     _instances: dict = {}
@@ -242,12 +253,6 @@ class CyclotomicContext:
         if out is None:
             raise RingMismatchError(f"cannot coerce {v!r} into Z[zeta_{self.n}]")
         return out
-
-    def __eq__(self, other):
-        return isinstance(other, CyclotomicContext) and other.n == self.n
-
-    def __hash__(self):
-        return hash(("cyclo", self.n))
 
     def __repr__(self):
         return f"CyclotomicContext({self.n})"
@@ -322,12 +327,12 @@ def eta_minimal_polynomial(n: int) -> UniPolynomial:
         raise ValueError("n must be >= 3")
     m = n // math.gcd(n, 2)
     if m == 2:
-        psi = UniPolynomial(ZZ, (2, 1))
+        psi = UniPolynomial((2, 1))
     else:
         c = cyclotomic_polynomial(m).coeffs
         h = len(c) // 2
         psi = sum((c[h + j] * chebyshev(j) for j in range(1, h + 1)), c[h])
-    poly = psi(UniPolynomial(ZZ, (2, 0, 1)))
+    poly = psi(UniPolynomial((2, 0, 1)))
     ctx = CyclotomicContext(n)
     acc = [0] * ctx.degree
     for a in reversed(poly.coeffs):

@@ -56,8 +56,9 @@ exact Sturm count of the roots of h in [-2 sqrt q, 2 sqrt q], and
 irreducibility is proved from the factor degrees of h mod small primes.
 That proof uses the integer-list polynomial layer over F_p in algebra;
 good_reduction reads p against lc(f) disc(f), computed once per curve by
-a subresultant PRS over Z; a repeated factor of L is the last member of
-its integer Sturm chain.
+a subresultant PRS over Z (algebra._lc_discriminant, which the curve's
+squarefree check has already run); a repeated factor of L is the last
+member of its integer Sturm chain.
 All pass/fail logic uses exact integer arithmetic; floating point
 appears only in the candidate factors that the fallback subset scan of
 lpoly_is_irreducible proposes, each decided by exact trial division.
@@ -77,16 +78,15 @@ from math import gcd, isqrt
 import numpy as np
 
 from .algebra import (
-    ZZ,
     UniPolynomial,
     _factor_degrees_mod,
     _gcd_mod,
+    _lc_discriminant,
     _monics,
     _mulmod,
     _powmod,
     _pseudo_remainder,
     _reduce_mod,
-    _sturm_chain,
     field_tower,
 )
 from .chebyshev import classify_d, is_prime
@@ -142,34 +142,6 @@ def good_reduction(curve: HyperellipticCurve, p: int) -> bool:
     check costs one modulo and is_prime.
     """
     return p > 2 and _lc_discriminant(curve.f.coeffs) % p != 0 and is_prime(p)
-
-
-@lru_cache(maxsize=None)
-def _lc_discriminant(f: tuple[int, ...]) -> int:
-    """lc(f) disc(f) = (-1)^(n(n-1)/2) Res(f, f') for f in Z[x] of degree
-    n >= 1, low degree first, by the subresultant PRS over Z (Collins;
-    Cohen, A Course in Computational Algebraic Number Theory, Algorithm
-    3.3.7): every division below is exact, and the coefficients stay the
-    size of minors of the Sylvester matrix.  f' has degree n - 1 over Z,
-    so each step lowers the degree by delta >= 1."""
-    n = len(f) - 1
-    a, b = list(f), [i * c for i, c in enumerate(f)][1:]
-    sign = -1 if n * (n - 1) // 2 % 2 else 1
-    g = h = 1
-    while len(b) > 1:
-        da, db = len(a) - 1, len(b) - 1
-        delta = da - db
-        if da % 2 and db % 2:
-            sign = -sign
-        r = _pseudo_remainder(a, b)
-        if not r:
-            return 0
-        div = g * h**delta
-        a, b = b, [c // div for c in r]
-        g = a[-1]
-        h = g**delta // h ** (delta - 1)
-    da = len(a) - 1
-    return sign * b[0] ** da // h ** (da - 1)
 
 
 def _reduced_coeffs(curve: HyperellipticCurve, p: int) -> list[int]:
@@ -522,8 +494,8 @@ def count_points(
 ) -> PointCount:
     """Number of points of the smooth projective model over F_(p^k).
 
-    The field size is refused before good_reduction, whose primality test
-    is trial division and would not end on a huge p."""
+    The field size is refused before good_reduction, so a huge p gets
+    CapExceededError rather than is_prime's ValueError."""
     if k < 1:
         raise ValueError("k must be >= 1")
     q = p**k
@@ -577,6 +549,28 @@ def count_points_naive(curve: HyperellipticCurve, p: int, k: int = 1) -> int:
     return total + _infinity_points(curve, p, k)
 
 
+def _primitive_part(a: list[int]) -> list[int]:
+    """a divided by the gcd of its coefficients (a positive number)."""
+    c = gcd(*a)
+    return [x // c for x in a] if c > 1 else a
+
+
+def _sturm_chain(f: list[int]) -> list[list[int]]:
+    """Sturm sequence f, f', -rem, ... of an integer polynomial (low degree
+    first), each member scaled by a positive number to stay primitive over
+    Z.  The last member is gcd(f, f') up to a constant factor."""
+    chain = [f, _primitive_part([i * c for i, c in enumerate(f)][1:])]
+    while len(chain[-1]) > 1:
+        a, b = chain[-2], chain[-1]
+        r = _pseudo_remainder(a, b)
+        if not r:
+            break
+        # the Sturm member is -(r / lc^(deg a - deg b + 1))
+        flip = b[-1] < 0 and (len(a) - len(b)) % 2 == 0
+        chain.append(_primitive_part(r if flip else [-x for x in r]))
+    return chain
+
+
 def _surd_sign(a: int, b: int, q: int) -> int:
     """Exact sign of a + b sqrt(q)."""
     sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
@@ -614,7 +608,7 @@ def _weil_interval_ok(h: tuple[int, ...], q: int) -> bool:
     if len(common) > 1:
         # h monic, so its primitive divisor has leading coefficient +-1;
         # the sign of s changes no count of sign changes
-        s, r = divmod(UniPolynomial(ZZ, h), UniPolynomial(ZZ, common))
+        s, r = divmod(UniPolynomial(h), UniPolynomial(common))
         assert r.is_zero(), "gcd(h, h') divides h"
         chain = _sturm_chain(list(s.coeffs))
 
@@ -737,7 +731,9 @@ def l_polynomial(
 ) -> LPolynomial:
     """Assemble L from the counts N_1..N_g; genus 0 gives [1].  As in
     count_points, the largest field is refused before good_reduction; a
-    cap at or above _TABLE_LIMIT acts as _TABLE_LIMIT - 1."""
+    cap at or above _TABLE_LIMIT acts as _TABLE_LIMIT - 1.  At genus 0
+    there is no field to refuse, and a p beyond is_prime's deterministic
+    range raises its ValueError."""
     g = curve.genus
     cap = min(cap, _TABLE_LIMIT - 1)
     if p**g > cap:
@@ -837,14 +833,14 @@ def _subset_scan(lp: LPolynomial):
     # work on the monic reciprocal T^2g L(1/T); its roots are the alpha_i,
     # and a monic integer factor h of it mirrors to the L-side factor
     # with h's coefficients reversed
-    rec = UniPolynomial(ZZ, reversed(lp.coeffs))
+    rec = UniPolynomial(reversed(lp.coeffs))
     for size in range(1, g + 1):
         for subset in combinations(range(2 * g), size):
             cand_hi = np.poly(roots[list(subset)])
             ints = [int(round(float(np.real(c)))) for c in cand_hi]
             if np.max(np.abs(cand_hi - np.array(ints))) > 0.3:
                 continue
-            if (rec % UniPolynomial(ZZ, reversed(ints))).is_zero():
+            if (rec % UniPolynomial(reversed(ints))).is_zero():
                 return False, ints
     return True, None
 

@@ -14,12 +14,15 @@ integer-list layer, which take no gcd over a field of fractions.
 count_points_euler counts y^2 = f(x) over F_p by Euler's criterion on
 Python ints, one x at a time: the reference for the numpy count over F_p
 at primes too large for zeta.count_points_naive.
+
+is_prime_trial is trial division, the reference for chebyshev.is_prime's
+Miller-Rabin test.
 """
 
 import math
 from fractions import Fraction
 
-from chebcm.algebra import UniPolynomial, ZZ
+from chebcm.algebra import UniPolynomial
 from chebcm.cyclotomic import CyclotomicElement
 from chebcm.unitgroups import unit_group
 
@@ -67,7 +70,7 @@ def minimal_polynomial(x: CyclotomicElement) -> UniPolynomial:
             # 0 = sum combo[i] * x^i with combo[m] = 1: that is the minimal polynomial
             if any(c.denominator != 1 for c in combo):
                 raise AssertionError("minimal polynomial not in Z[t]")
-            poly = UniPolynomial(ZZ, [c.numerator for c in combo])
+            poly = UniPolynomial([c.numerator for c in combo])
             check = poly(x)
             if check != ctx.zero:
                 raise AssertionError("minimal polynomial fails to annihilate")
@@ -90,12 +93,15 @@ def minimal_polynomial_orbit(x: CyclotomicElement) -> UniPolynomial:
         y = galois_apply(a, x)
         if y not in images:
             images.append(y)
-    prod = UniPolynomial(ctx, (ctx.one,))
+    prod = [ctx.one]  # coefficients in Z[zeta_n], low degree first
     for y in images:
-        prod = prod * UniPolynomial(ctx, (-y, ctx.one))
-    if not all(c.is_rational() for c in prod.coeffs):
+        # prod * (t - y)
+        prod = [-(y * prod[0])] + [
+            a - y * b for a, b in zip(prod[:-1], prod[1:])
+        ] + [prod[-1]]
+    if not all(c.is_rational() for c in prod):
         raise AssertionError("orbit product has an irrational coefficient")
-    return UniPolynomial(ZZ, [c.coeffs[0] for c in prod.coeffs])
+    return UniPolynomial([c.coeffs[0] for c in prod])
 
 
 def _trim(a):
@@ -157,3 +163,10 @@ def count_points_euler(coeffs, p):
             v = (v * x + c) % p
         total += 1 + chi(v)
     return total + (1 if len(coeffs) % 2 == 0 else 1 + chi(coeffs[-1]))
+
+
+def is_prime_trial(n):
+    """Primality by trial division up to sqrt(n)."""
+    if n < 2:
+        return False
+    return all(n % i for i in range(2, math.isqrt(n) + 1))

@@ -6,9 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chebcm.algebra import (
-    RingMismatchError,
     UniPolynomial,
-    ZZ,
     _gcd_mod,
     _int_poly_divmod,
     _monics,
@@ -21,12 +19,12 @@ from chebcm.algebra import (
 )
 from chebcm.chebyshev import curve_polynomial, in_scope_family
 from chebcm.curves import make_cd, make_dm, make_xd
-from chebcm.cyclotomic import CyclotomicContext
+from chebcm.cyclotomic import CyclotomicContext, RingMismatchError
 from oracles import divmod_q, gcd_mod, gcd_q
 
 
 def zpoly(*coeffs):
-    return UniPolynomial(ZZ, coeffs)
+    return UniPolynomial(coeffs)
 
 
 def _encoding(m, p, k):
@@ -80,21 +78,27 @@ class TestUniPolynomial:
         assert f(i) == -5
 
     def test_ring_mismatch_rejected(self):
-        with pytest.raises(RingMismatchError):
-            zpoly(1, 1) + UniPolynomial(CyclotomicContext(5), (1, 1))
+        # coefficients are plain ints: anything else, bool included, is
+        # refused when the polynomial is built, and does not mix with one
+        zeta = CyclotomicContext(5).zeta
+        for bad in (True, 1.0, Fraction(1, 2), zeta):
+            with pytest.raises(TypeError):
+                UniPolynomial((1, bad))
+            with pytest.raises(TypeError):
+                zpoly(1, 1) + bad
+        assert zpoly(1, 1) + 2 == zpoly(3, 1)
 
     def test_divmod_over_field(self):
-        # over Z by a monic divisor, the division over the field Q; over
-        # Z[zeta_8] by x + zeta
-        f, g = zpoly(2, 0, 1, 1), zpoly(1, 1)
-        q, r = divmod(f, g)
-        assert (list(q.coeffs), list(r.coeffs)) == divmod_q(f.coeffs, g.coeffs)
-        ctx = CyclotomicContext(8)
-        f = UniPolynomial(ctx, (2, 0, ctx.zeta, 1))
-        g = UniPolynomial(ctx, (ctx.zeta, 1))
-        q, r = divmod(f, g)
-        assert q * g + r == f
-        assert r.degree < g.degree
+        # over Z by a divisor with leading coefficient +-1, the division
+        # over the field Q; a polynomial over Z[zeta_8] cannot be built
+        for g in (zpoly(1, 1), zpoly(1, 0, -1)):
+            f = zpoly(2, 0, 1, 1)
+            q, r = divmod(f, g)
+            assert (list(q.coeffs), list(r.coeffs)) == divmod_q(f.coeffs, g.coeffs)
+            assert q * g + r == f
+            assert r.degree < g.degree
+        with pytest.raises(TypeError):
+            UniPolynomial((CyclotomicContext(8).zeta, 1))
         # a leading coefficient other than +-1 has no inverse in the ring
         with pytest.raises(ValueError):
             divmod(zpoly(1, 2, 3), zpoly(1, 2))
@@ -158,9 +162,9 @@ class TestGcd:
         # gcd with it is the whole polynomial
         assert gcd_mod([1, 0, 0, 1], [0, 0, 3], 3) == [1, 0, 0, 1]
         assert _gcd_mod([1, 0, 0, 1], [0, 0, 3], 3) == [1, 0, 0, 1]
-        # only the route over Z is left
-        with pytest.raises(RingMismatchError):
-            squarefree(UniPolynomial(CyclotomicContext(3), (1, 0, 0, 1)))
+        # only polynomials over Z exist: x^3 + zeta_3 is refused when built
+        with pytest.raises(TypeError):
+            squarefree(UniPolynomial((CyclotomicContext(3).zeta, 0, 0, 1)))
 
     def test_integer_route_matches_the_gcd_over_q_on_every_model(self):
         models = [make_cd(d).f for d in in_scope_family(64)]
@@ -298,7 +302,7 @@ def _add(a, b, p):
     st.integers(0, 9),
 )
 def test_integer_list_layer_matches_unipolynomial(a, b, low, p, e):
-    """_mulmod, _powmod and _int_poly_divmod against UniPolynomial over ZZ:
+    """_mulmod, _powmod and _int_poly_divmod against UniPolynomial over Z:
     the product (or power) divided by the monic m = low + x^len(low), the
     coefficients of the remainder then reduced mod p."""
     m = zpoly(*low, 1)

@@ -65,6 +65,16 @@ def test_lpoly_json(capsys):
     assert doc["irreducible"] is True
 
 
+def test_lpoly_out_file_without_json(tmp_path, capsys):
+    # --out writes the JSON document whether or not --json prints it
+    path = tmp_path / "l.json"
+    assert main(["lpoly", "--curve", "C", "--d", "3", "--p", "5", "--out", str(path)]) == 0
+    assert "irreducible over Q" in capsys.readouterr().out
+    doc = json.loads(path.read_text())
+    assert doc["curve"] == "C_3" and doc["p"] == 5
+    assert len(doc["L"]) == 3
+
+
 def test_lpoly_bad_reduction(capsys):
     assert main(["lpoly", "--curve", "D", "--d", "3", "--p", "2"]) == 2
     assert "bad reduction" in capsys.readouterr().err
@@ -86,7 +96,8 @@ def test_lpoly_rejects_non_prime_p(capsys, monkeypatch):
 
 def test_lpoly_refuses_a_huge_p_before_the_primality_test(capsys, monkeypatch):
     # 2^89 - 1 is prime and 2^89 + 1 is divisible by 3: both are above
-    # the cap, and neither reaches is_prime's trial division
+    # the cap, and neither reaches is_prime, which would refuse 2^89 - 1
+    # with a ValueError
     def no_primality_test(n):
         raise AssertionError("primality tested")
 
@@ -128,9 +139,19 @@ def test_remark_json(capsys):
     assert statuses == {3: "skip", 5: "ok", 7: "ok"}
 
 
+def test_remark_out_file_without_json(tmp_path, capsys):
+    path = tmp_path / "remark.json"
+    assert main(["remark", "--d", "3", "--pmax", "7", "--out", str(path)]) == 0
+    assert "q=  5  ok" in capsys.readouterr().out
+    doc = json.loads(path.read_text())
+    assert {row["q"]: row["status"] for row in doc["rows"]} == {3: "skip", 5: "ok", 7: "ok"}
+
+
 def test_remark_rejects_non_prime(capsys):
-    assert main(["remark", "--d", "4"]) == 2
-    assert "odd prime" in capsys.readouterr().err
+    # 67 is prime but past D_MAX; 2^89 - 1 is past is_prime's range too
+    for d in (4, 67, 2**89 - 1):
+        assert main(["remark", "--d", str(d)]) == 2
+        assert "odd prime d <= 64" in capsys.readouterr().err
 
 
 def test_remark_rejects_pmax_below_three(capsys, monkeypatch):
@@ -161,6 +182,9 @@ def test_report_writes_file(tmp_path, capsys):
     doc = json.loads(path.read_text())
     assert doc["family"] == [2, 3, 4, 5]
     assert "d=5:" in captured.err
+    # with --json as well, stdout is the document alone
+    assert main(["report", "--dmax", "2", "--json", "--out", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == json.loads(path.read_text())
 
 
 def test_report_dmax_limit(capsys):

@@ -52,14 +52,12 @@ def test_report_builds_each_curve_once(monkeypatch):
         init(self, f, label)
 
     monkeypatch.setattr(curves.HyperellipticCurve, "__init__", counting_init)
-    # squarefree (the only caller of algebra's Sturm chain) runs once per
-    # model, in HyperellipticCurve, whoever imported it
-    chains = []
-    sturm = algebra._sturm_chain
-    monkeypatch.setattr(algebra, "_sturm_chain", lambda f: chains.append(f) or sturm(f))
+    # squarefree in HyperellipticCurve and good_reduction share one
+    # lc(f) disc(f) per model: one PRS each for C_13, D_13 and D_26
+    algebra._lc_discriminant.cache_clear()
     assert not build_report(13).failed
     assert sorted(built) == ["C_13", "D_13", "D_26"]
-    assert len(chains) == 3
+    assert algebra._lc_discriminant.cache_info().misses == 3
 
 
 def test_genus_claim_fails_on_a_model_that_is_not_squarefree(monkeypatch):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chebcm.algebra import ZZ, UniPolynomial, _mulmod, _powmod, _reduce_mod, field_tower, squarefree
+from chebcm.algebra import UniPolynomial, _mulmod, _powmod, _reduce_mod, field_tower, squarefree
 from chebcm import zeta
 from chebcm.chebyshev import classify_d, is_prime
 from chebcm.curves import HyperellipticCurve, VerificationError, make_cd, make_dm, make_xd
@@ -56,9 +56,9 @@ def _odd_primes(bound):
 def _reciprocal_from_h(lp):
     """T^g h(T + q/T) = sum_j h_j (T^2 + q)^j T^(g-j), low degree first."""
     g = lp.genus
-    t = UniPolynomial(ZZ, (0, 1))
-    base = UniPolynomial(ZZ, (lp.q, 0, 1))
-    out = UniPolynomial(ZZ, ())
+    t = UniPolynomial((0, 1))
+    base = UniPolynomial((lp.q, 0, 1))
+    out = UniPolynomial(())
     for j, c in enumerate(lp.real_weil_polynomial()):
         out = out + base**j * t ** (g - j) * c
     return tuple(out.coeffs)
@@ -121,13 +121,13 @@ class TestGoodReduction:
         curves += [make_dm(m) for m in range(3, 33)]
         curves += [make_xd(d) for d in (2, 4, 8, 16)]
         # leading coefficients 3 and 10 vanish mod 3 and mod 2, 5
-        curves += [HyperellipticCurve(UniPolynomial(ZZ, (1, 1, 0, 3)))]
-        curves += [HyperellipticCurve(UniPolynomial(ZZ, (1, 0, 2, 0, 0, 10)))]
+        curves += [HyperellipticCurve(UniPolynomial((1, 1, 0, 3)))]
+        curves += [HyperellipticCurve(UniPolynomial((1, 0, 2, 0, 0, 10)))]
         rng = random.Random(18)
         randoms = []
         while len(randoms) < 50:
             degree = rng.randint(1, 12)
-            f = UniPolynomial(ZZ, [rng.randint(-9, 9) for _ in range(degree)] + [rng.choice([-3, -1, 1, 2, 6])])
+            f = UniPolynomial([rng.randint(-9, 9) for _ in range(degree)] + [rng.choice([-3, -1, 1, 2, 6])])
             if squarefree(f):
                 randoms.append(HyperellipticCurve(f))
         return curves + randoms
@@ -466,7 +466,7 @@ class TestCountPoints:
                 shapes += [{0: 1, n: 1}] * (n < 30)
                 for terms in shapes:
                     coeffs = [terms.get(e, 0) for e in range(max(terms) + 1)]
-                    curve = HyperellipticCurve(UniPolynomial(ZZ, coeffs))
+                    curve = HyperellipticCurve(UniPolynomial(coeffs))
                     if not good_reduction(curve, p):
                         continue
                     fast = count_points(curve, p, k).count
@@ -537,7 +537,7 @@ class TestCountPoints:
                 for e in (coprime, shared):
                     c0, ratio = rng.choice(nonsquares), rng.choice(nonsquares)
                     coeffs = [c0] + [0] * (e - 1) + [c0 * ratio % p]
-                    curves.append(HyperellipticCurve(UniPolynomial(ZZ, coeffs)))
+                    curves.append(HyperellipticCurve(UniPolynomial(coeffs)))
                 for curve in curves:
                     if not good_reduction(curve, p):
                         continue
@@ -560,7 +560,7 @@ class TestCountPoints:
         for p, k, e in cells:
             c0 = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
             coeffs = [c0] + [0] * (e - 1) + [1]
-            curve = HyperellipticCurve(UniPolynomial(ZZ, coeffs))
+            curve = HyperellipticCurve(UniPolynomial(coeffs))
             assert good_reduction(curve, p), (p, k, e)
             curves.append((curve, coeffs, p, k, count_points_naive(curve, p, k)))
         assert {gcd(p**k - 1, e) for p, k, e in cells} >= {1, 2, 3, 5, 7, 10, 14}
@@ -588,7 +588,7 @@ class TestCountPoints:
         # non-square constant over an odd-degree extension, against the
         # log-domain engine called directly on the same coefficients
         cells = [(make_dm(10), 43, 4), (make_dm(14), 11, 6), (make_dm(7), 5, 7)]
-        cells.append((HyperellipticCurve(UniPolynomial(ZZ, [3, 0, 0, 0, 0, 0, 2])), 7, 5))
+        cells.append((HyperellipticCurve(UniPolynomial([3, 0, 0, 0, 0, 0, 2])), 7, 5))
         for curve, p, k in cells:
             coeffs = [c % p for c in curve.f.coeffs]
             fast = zeta._binomial_count(coeffs[0], coeffs[-1], len(coeffs) - 1, p, k)
@@ -623,7 +623,7 @@ class TestCountPoints:
                         assert fast == zeta._affine_count_extension(coeffs, p, k), (coeffs, p, k)
                         checked += 1
                     if oracle:
-                        curve = HyperellipticCurve(UniPolynomial(ZZ, coeffs))
+                        curve = HyperellipticCurve(UniPolynomial(coeffs))
                         fast += zeta._infinity_points(curve, p, k)
                         assert fast == count_points_naive(curve, p, k), (coeffs, p, k)
                         naive += 1
@@ -652,7 +652,7 @@ class TestCountPoints:
         # x^26 + 1 in F_p, and the degree-10 f has no zero coefficient
         rng = random.Random(10)
         coeffs = [rng.choice([-1, 1]) * rng.randint(1, 50) for _ in range(11)]
-        random_f = HyperellipticCurve(UniPolynomial(ZZ, coeffs))
+        random_f = HyperellipticCurve(UniPolynomial(coeffs))
         assert squarefree(random_f.f)
         for curve in (make_dm(26), random_f):
             for p in (1093, 2029, 4993):
@@ -666,7 +666,7 @@ class TestCountPoints:
         # 2^63 forces a reduction before the third Horner step, which
         # negative coefficients (near p once reduced) would really overflow
         coeffs, p = [7, -3, -1, -5, -2], 196613
-        curve = HyperellipticCurve(UniPolynomial(ZZ, coeffs))
+        curve = HyperellipticCurve(UniPolynomial(coeffs))
         assert p ** (curve.f.degree + 1) >= 2**63 and p > 3 << 16
         assert good_reduction(curve, p)
         assert count_points(curve, p, 1).count == count_points_euler(coeffs, p)
@@ -685,7 +685,7 @@ class TestCountPoints:
     def test_random_curves_match_naive_oracle(self, field, coeffs):
         p, k = field
         assume(coeffs[-1] != 0)
-        f = UniPolynomial(ZZ, coeffs)
+        f = UniPolynomial(coeffs)
         assume(squarefree(f))
         curve = HyperellipticCurve(f)
         assume(good_reduction(curve, p))
@@ -705,7 +705,7 @@ class TestCountPoints:
             assert count == l_polynomial(curve, p).point_count(k), (curve.label, p, k)
 
     def test_genus_zero_has_q_plus_one_points(self):
-        line = HyperellipticCurve(UniPolynomial(ZZ, (2, 1)))
+        line = HyperellipticCurve(UniPolynomial((2, 1)))
         for p, k in ((3, 1), (5, 2), (7, 3)):
             assert count_points(line, p, k).count == p**k + 1
 
@@ -739,7 +739,7 @@ class TestLPolynomial:
                 assert lp.point_count(k) == count_points(curve, p, k).count
 
     def test_genus_zero_gives_one(self):
-        line = HyperellipticCurve(UniPolynomial(ZZ, (2, 1)))
+        line = HyperellipticCurve(UniPolynomial((2, 1)))
         assert l_polynomial(line, 7).coeffs == (1,)
 
     def test_power_sums_frozen(self):
@@ -783,11 +783,11 @@ class TestLPolynomial:
     def test_weil_interval_against_known_roots(self, q, roots, quadratics):
         # h with integer roots (repeats allowed) and factors x^2 + bx + c
         # of negative discriminant, so non-real roots
-        h = UniPolynomial(ZZ, (1,))
+        h = UniPolynomial((1,))
         for r in roots:
-            h = h * UniPolynomial(ZZ, (-r, 1))
+            h = h * UniPolynomial((-r, 1))
         for b, e in quadratics:
-            h = h * UniPolynomial(ZZ, (b * b // 4 + e, b, 1))
+            h = h * UniPolynomial((b * b // 4 + e, b, 1))
         assume(h.degree >= 1)
         expected = not quadratics and all(r * r <= 4 * q for r in roots)
         assert _weil_interval_ok(h.coeffs, q) == expected
@@ -859,8 +859,8 @@ class TestIrreducibility:
         assert factor is not None
         assert factor[0] == 1  # L-side divisor, constant term 1
         assert 0 < len(factor) - 1 < 2 * lp.genus  # proper
-        rec = UniPolynomial(ZZ, reversed(lp.coeffs))
-        assert (rec % UniPolynomial(ZZ, reversed(factor))).is_zero()
+        rec = UniPolynomial(reversed(lp.coeffs))
+        assert (rec % UniPolynomial(reversed(factor))).is_zero()
 
     def test_synthetic_product_detected(self):
         lp = LPolynomial((1, -2, 3), 3) * LPolynomial((1, 0, 3), 3)
@@ -913,8 +913,8 @@ class TestIrreducibility:
         assert _factor_degrees_mod(h, 2) is None
         assert _factor_degrees_mod(h, 3) is None
         # (x^2 + 1)(x^3 + 2x + 1)(x - 1)(x - 2) mod 3
-        f = UniPolynomial(ZZ, (1, 0, 1)) * UniPolynomial(ZZ, (1, 2, 0, 1))
-        f = f * UniPolynomial(ZZ, (-1, 1)) * UniPolynomial(ZZ, (-2, 1))
+        f = UniPolynomial((1, 0, 1)) * UniPolynomial((1, 2, 0, 1))
+        f = f * UniPolynomial((-1, 1)) * UniPolynomial((-2, 1))
         assert _factor_degrees_mod(tuple(f.coeffs), 3) == [1, 1, 2, 3]
 
     def test_proof_gives_up_after_a_run_of_stalled_primes(self, monkeypatch):
@@ -942,7 +942,7 @@ class TestIrreducibility:
     def test_proof_never_claims_a_product(self, a, b):
         # a product of two monic integer polynomials is never "proved"
         # irreducible, and the factor degrees mod l always sum to the degree
-        f = UniPolynomial(ZZ, a + [1]) * UniPolynomial(ZZ, b + [1])
+        f = UniPolynomial(a + [1]) * UniPolynomial(b + [1])
         h = tuple(f.coeffs)
         assert not _proves_irreducible(h)
         for ell in (2, 3, 5, 7):
@@ -964,7 +964,7 @@ class TestIrreducibility:
                     continue
                 lp = l_polynomial(curve, q)
                 verdict = lpoly_is_irreducible(lp)
-                if squarefree(UniPolynomial(ZZ, lp.coeffs)):
+                if squarefree(UniPolynomial(lp.coeffs)):
                     assert verdict == _subset_scan(lp), (curve.label, q)
                     assert _reciprocal_from_h(lp) == tuple(reversed(lp.coeffs))
                 verdicts.add(verdict[0])
@@ -1035,9 +1035,9 @@ def test_c2_trace_pattern_rejects_bound_below_three(monkeypatch):
     assert cm_trace_pattern_c2(3)
 
 
-# 2^89 - 1 is prime and far above the cap: is_prime's trial division
-# would not end on it, so each call must refuse on the cap first, and on
-# the 2^31 table limit when the cap is larger still
+# 2^89 - 1 is prime and far above the cap: each call must refuse on the
+# cap first, and on the 2^31 table limit when the cap is larger still,
+# before is_prime is asked about it
 @pytest.mark.parametrize(
     "call",
     [
@@ -1066,8 +1066,36 @@ def test_huge_prime_is_refused_on_the_cap_before_good_reduction(call):
     assert out.stdout.strip() == "refused", out.stderr
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        "good_reduction(make_cd(2), p)",
+        "l_polynomial(HyperellipticCurve(UniPolynomial((-3, 0, 1))), p)",
+    ],
+)
+def test_huge_prime_is_refused_promptly_by_is_prime(call):
+    # good_reduction on its own, and l_polynomial on a genus-0 curve whose
+    # cap check never refuses, reach is_prime: above the Miller-Rabin
+    # bounds it raises ValueError at once instead of trial-dividing
+    code = (
+        "from chebcm.algebra import UniPolynomial\n"
+        "from chebcm.curves import HyperellipticCurve, make_cd\n"
+        "from chebcm.zeta import good_reduction, l_polynomial\n"
+        "p = 2**89 - 1\n"
+        "try:\n"
+        f"    {call}\n"
+        "except ValueError as exc:\n"
+        "    print(type(exc).__name__, exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(zeta.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10
+    )
+    assert out.stdout.startswith("ValueError is_prime is deterministic only"), out.stderr
+
+
 def test_bad_prime_inside_the_cap_is_still_bad_reduction():
-    conic = HyperellipticCurve(UniPolynomial(ZZ, (-3, 0, 1)))  # genus 0, disc 12
+    conic = HyperellipticCurve(UniPolynomial((-3, 0, 1)))  # genus 0, disc 12
     for curve, p in ((make_dm(3), 3), (conic, 3), (make_cd(2), 9)):
         for call in (count_points, l_polynomial):
             with pytest.raises(BadReductionError):
