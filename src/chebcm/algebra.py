@@ -1,8 +1,9 @@
 """Exact arithmetic substrate: dense polynomials with integer coefficients.
 
 UniPolynomial is a polynomial in Z[x] whose coefficients are plain
-``int``; the CM layer computes with elements of Z[zeta_n]
-(cyclotomic.CyclotomicElement), never with polynomials over that ring.
+``int``; the CM layer carries units of Z[zeta_n] as exponents mod n and
+other elements as coefficient vectors (cyclotomic), never polynomials
+over that ring.
 Polynomials are dense coefficient tuples indexed by degree; degrees in
 this package stay below a few hundred, so schoolbook algorithms are used
 throughout.  No rational arithmetic is used: a polynomial divisor must
@@ -146,8 +147,7 @@ class UniPolynomial:
         return divmod(self, other)[1]
 
     def __call__(self, v):
-        """Horner at v: an int, a UniPolynomial or a ring element such as
-        a CyclotomicElement, anything that multiplies and adds ints."""
+        """Horner at v, an int or a UniPolynomial."""
         if not self.coeffs:
             return v * 0
         acc = self.coeffs[-1]

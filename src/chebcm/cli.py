@@ -21,6 +21,7 @@ from .zeta import (
     count_points,  # noqa: F401 - kept as chebcm.cli.count_points, which perfbench wraps
     l_polynomial,
     lpoly_is_irreducible,
+    power_exceeds,
     remark_lpolys,
 )
 
@@ -86,6 +87,16 @@ def _cmd_lpoly(args) -> int:
         return 2
     if not is_prime(args.p):
         print(f"p must be prime, got {args.p}", file=sys.stderr)
+        return 2
+    # the genus of C_d, D_m or X_d from --d alone, so that a p^g above
+    # the cap is refused before a huge model is built
+    genus = {"C": args.d // 2, "D": (args.d - 1) // 2, "X": args.d}[args.curve]
+    if power_exceeds(args.p, genus, COUNT_CAP):
+        print(
+            f"L({args.curve}_{args.d}, {args.p}) needs counts over "
+            f"F_{args.p}^{genus}, which exceeds cap {COUNT_CAP}",
+            file=sys.stderr,
+        )
         return 2
     try:
         curve = _make_curve(args.curve, args.d)

@@ -30,7 +30,12 @@ from .curves import (
     pullback_matrix,
     quotient_identity,
 )
-from .cyclotomic import eta_minimal_polynomial, eta_stabilizer, kd_degree_check
+from .cyclotomic import (
+    eta_minimal_polynomial,
+    eta_stabilizer,
+    format_cyclotomic,
+    kd_degree_check,
+)
 from .unitgroups import (
     case1_cm_criterion,
     case2_cm_criterion,
@@ -226,7 +231,7 @@ def build_report(d: int, cap: int = COUNT_CAP) -> VerificationReport:
             curve, z, tau = case1_automorphisms(d)  # raises on any broken relation
             mz = pullback_matrix(curve, z)
             mt = pullback_matrix(curve, tau)
-            lhs = compose_pullbacks(compose_pullbacks(mt, mz), mt)
+            lhs = compose_pullbacks(compose_pullbacks(mt, mz, z.n), mt, z.n)
             rhs = pullback_matrix(curve, z.power(2 * d - 1))
             ok = lhs == rhs
             return ("pass" if ok else "fail"), f"order {4 * d} lift (z^2 x, z y) on X_{d}; matrix identity checked"
@@ -236,7 +241,9 @@ def build_report(d: int, cap: int = COUNT_CAP) -> VerificationReport:
     def claim_eigenvalues():
         det = endo_quotient_details(d)
         ok = det["ok"]
-        eigs = ", ".join(str(v) for v in det["eigenvalues"][:4])
+        eigs = ", ".join(
+            "None" if v is None else format_cyclotomic(v) for v in det["eigenvalues"][:4]
+        )
         if len(det["eigenvalues"]) > 4:
             eigs += ", ..."
         return (

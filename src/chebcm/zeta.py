@@ -114,6 +114,18 @@ class CapExceededError(RuntimeError):
     """Requested field is larger than the enumeration cap."""
 
 
+def power_exceeds(p: int, g: int, cap: int) -> bool:
+    """p^g > cap, for p >= 2, by a product that stops once it passes cap:
+    a huge genus costs at most log_2(cap) + 1 steps, and p^g is never
+    written out."""
+    q = 1
+    for _ in range(g):
+        q *= p
+        if q > cap:
+            return True
+    return False
+
+
 class BadReductionError(ValueError):
     """The reduced model is not a smooth curve of the same degree."""
 
@@ -736,10 +748,9 @@ def l_polynomial(
     range raises its ValueError."""
     g = curve.genus
     cap = min(cap, _TABLE_LIMIT - 1)
-    if p**g > cap:
+    if power_exceeds(p, g, cap):
         raise CapExceededError(
-            f"L({curve.label}, {p}) needs counts over F_{p}^{g} "
-            f"= {p**g} elements, above cap {cap}"
+            f"L({curve.label}, {p}) needs counts over F_{p}^{g}, which exceeds cap {cap}"
         )
     if not good_reduction(curve, p):
         raise BadReductionError(f"{curve.label} has bad reduction at p={p}")
@@ -853,14 +864,12 @@ def remark_lpolys(d: int, q: int, cap: int = COUNT_CAP, threads: int = 1) -> dic
     counting runs on one thread."""
     if classify_d(d) != 2:
         raise ValueError("d must be an odd prime")
-    cd, dd, d2d = make_cd(d), make_dm(d), make_dm(2 * d)
-    cap = min(cap, _TABLE_LIMIT - 1)  # refused before good_reduction
-    worst = q**d2d.genus
-    if worst > cap:
+    cap = min(cap, _TABLE_LIMIT - 1)  # refused before the curves are built
+    if power_exceeds(q, d - 1, cap):  # D_2d has genus d - 1
         raise CapExceededError(
-            f"L(D_{2*d}, {q}) needs counts over {q}^{d2d.genus} = {worst} "
-            f"elements, above cap {cap}"
+            f"L(D_{2*d}, {q}) needs counts over F_{q}^{d - 1}, which exceeds cap {cap}"
         )
+    cd, dd, d2d = make_cd(d), make_dm(d), make_dm(2 * d)
     for c in (cd, dd, d2d):
         if not good_reduction(c, q):
             raise BadReductionError(f"{c.label} has bad reduction at q={q}")

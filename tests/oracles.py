@@ -1,10 +1,13 @@
 """Slow exact oracles for the test suite; nothing under src/ imports them.
 
-galois_apply is the automorphism zeta -> zeta^a of Z[zeta_n].
+cyc_add, cyc_sub, cyc_mul and cyc_eval are schoolbook arithmetic in
+Z[zeta_n] on the coefficient tuples of cyclotomic.zeta_powers(n), which
+src/ never multiplies.  galois_apply is the automorphism zeta -> zeta^a.
 minimal_polynomial eliminates over Q on the powers of an element of
 Z[zeta_n]; minimal_polynomial_orbit multiplies (t - y) over its distinct
 Galois images.  Both pin cyclotomic.eta_minimal_polynomial, which builds
-the minimal polynomial of eta_n in integers from Phi_m.
+the minimal polynomial of eta_n in integers from Phi_m, and
+cyclotomic.eta_stabilizer.
 
 divmod_q, gcd_q and gcd_mod are schoolbook division and Euclid over Q
 (Fraction) and over F_p, on coefficient lists low degree first: the
@@ -23,38 +26,68 @@ import math
 from fractions import Fraction
 
 from chebcm.algebra import UniPolynomial
-from chebcm.cyclotomic import CyclotomicElement
+from chebcm.cyclotomic import zeta_powers
 from chebcm.unitgroups import unit_group
 
 
-def galois_apply(a: int, x: CyclotomicElement) -> CyclotomicElement:
-    """Image of x under zeta -> zeta^a; a must be a unit mod n."""
-    ctx = x.ring
-    n = ctx.n
+def cyc_add(x, y):
+    """x + y in Z[zeta_n]; elements are coefficient tuples in the power
+    basis of zeta_powers(n), and two are equal exactly when their tuples
+    are."""
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def cyc_sub(x, y):
+    return tuple(a - b for a, b in zip(x, y))
+
+
+def cyc_mul(n, x, y):
+    """x * y in Z[zeta_n], schoolbook: each product of a zeta^i term and
+    a zeta^j term adds a multiple of the row zeta^(i+j)."""
+    table = zeta_powers(n)
+    out = [0] * len(table[0])
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            if a and b:
+                out = [o + a * b * r for o, r in zip(out, table[(i + j) % n])]
+    return tuple(out)
+
+
+def cyc_int(n, c):
+    """The integer c in Z[zeta_n]."""
+    return tuple(c * r for r in zeta_powers(n)[0])
+
+
+def cyc_eval(n, poly, x):
+    """poly(x) for poly in Z[t] and x in Z[zeta_n], by Horner."""
+    acc = cyc_int(n, 0)
+    for c in reversed(poly.coeffs):
+        acc = cyc_add(cyc_mul(n, acc, x), cyc_int(n, c))
+    return acc
+
+
+def galois_apply(n, a, x):
+    """Image of x in Z[zeta_n] under zeta -> zeta^a; a must be a unit mod n."""
     if n > 1 and math.gcd(a % n, n) != 1:
         raise ValueError(f"{a} is not a unit mod {n}")
-    out = [0] * ctx.degree
-    for i, c in enumerate(x.coeffs):
-        if c == 0:
-            continue
-        row = ctx.power(a * i)
-        for j in range(ctx.degree):
-            if row[j]:
-                out[j] += c * row[j]
-    return CyclotomicElement(ctx, out)
+    table = zeta_powers(n)
+    out = cyc_int(n, 0)
+    for i, c in enumerate(x):
+        out = cyc_add(out, tuple(c * r for r in table[a * i % n]))
+    return out
 
 
-def minimal_polynomial(x: CyclotomicElement) -> UniPolynomial:
-    """Monic minimal polynomial of x, from the first linear dependence among
-    1, x, x^2, ... (eliminated over Q); x is an algebraic integer, so the
-    result lies in Z[t], and it annihilates x exactly."""
-    ctx = x.ring
-    dim = ctx.degree
+def minimal_polynomial(n, x) -> UniPolynomial:
+    """Monic minimal polynomial of x in Z[zeta_n], from the first linear
+    dependence among 1, x, x^2, ... (eliminated over Q); x is an
+    algebraic integer, so the result lies in Z[t], and it annihilates x
+    exactly."""
+    dim = len(x)
     basis = []  # rows: (reduced vector, combination over previous powers)
-    powers = [ctx.one]
+    powers = [cyc_int(n, 1)]
     while True:
         m = len(powers) - 1
-        vec = [Fraction(c) for c in powers[-1].coeffs]
+        vec = [Fraction(c) for c in powers[-1]]
         combo = [Fraction(0)] * (m + 1)
         combo[m] = Fraction(1)
         for pivot_col, bvec, bcombo in basis:
@@ -71,8 +104,7 @@ def minimal_polynomial(x: CyclotomicElement) -> UniPolynomial:
             if any(c.denominator != 1 for c in combo):
                 raise AssertionError("minimal polynomial not in Z[t]")
             poly = UniPolynomial([c.numerator for c in combo])
-            check = poly(x)
-            if check != ctx.zero:
+            if any(cyc_eval(n, poly, x)):
                 raise AssertionError("minimal polynomial fails to annihilate")
             return poly
         inv = Fraction(1) / vec[nz]
@@ -81,27 +113,26 @@ def minimal_polynomial(x: CyclotomicElement) -> UniPolynomial:
         basis.append((nz, vec, combo))
         if m > dim:
             raise AssertionError("no dependence found below field degree")
-        powers.append(powers[-1] * x)
+        powers.append(cyc_mul(n, powers[-1], x))
 
 
-def minimal_polynomial_orbit(x: CyclotomicElement) -> UniPolynomial:
+def minimal_polynomial_orbit(n, x) -> UniPolynomial:
     """Same minimal polynomial, built as the product of (t - image) over the
     distinct Galois images of x; cross-check path for the dependence method."""
-    ctx = x.ring
     images = []
-    for a in unit_group(ctx.n):
-        y = galois_apply(a, x)
+    for a in unit_group(n):
+        y = galois_apply(n, a, x)
         if y not in images:
             images.append(y)
-    prod = [ctx.one]  # coefficients in Z[zeta_n], low degree first
+    prod = [cyc_int(n, 1)]  # coefficients in Z[zeta_n], low degree first
     for y in images:
         # prod * (t - y)
-        prod = [-(y * prod[0])] + [
-            a - y * b for a, b in zip(prod[:-1], prod[1:])
+        prod = [cyc_sub(cyc_int(n, 0), cyc_mul(n, y, prod[0]))] + [
+            cyc_sub(a, cyc_mul(n, y, b)) for a, b in zip(prod[:-1], prod[1:])
         ] + [prod[-1]]
-    if not all(c.is_rational() for c in prod):
+    if any(any(c[1:]) for c in prod):
         raise AssertionError("orbit product has an irrational coefficient")
-    return UniPolynomial([c.coeffs[0] for c in prod])
+    return UniPolynomial([c[0] for c in prod])
 
 
 def _trim(a):

@@ -162,7 +162,7 @@ def test_criterion_06_differential_eigenvalues():
         curve, z, tau = case1_automorphisms(d)
         mz = pullback_matrix(curve, z)
         mt = pullback_matrix(curve, tau)
-        lhs = compose_pullbacks(compose_pullbacks(mt, mz), mt)
+        lhs = compose_pullbacks(compose_pullbacks(mt, mz, z.n), mt, z.n)
         if lhs != pullback_matrix(curve, z.power(2 * d - 1)):
             ok = False
     _criterion(

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -122,6 +126,29 @@ def test_lpoly_cap(capsys, monkeypatch):
     monkeypatch.setattr("chebcm.zeta.count_points", no_counting)
     assert main(["lpoly", "--curve", "D", "--d", "14", "--p", "17"]) == 2
     assert "cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "curve, d",
+    [
+        ("D", "3317044064679887385961983"),  # built x^m + 1 and overflowed
+        ("D", "100001"),  # wrote out 5^50000, past int-to-str's digit limit
+        ("C", "5000"),  # built Phi_5000's (x + 2) phi_d before the cap check
+        ("X", "2000"),  # refused, but printed 5^2000 in full
+    ],
+)
+def test_lpoly_refuses_a_huge_genus_before_building_the_curve(curve, d):
+    # the genus follows from --curve and --d, so p^g is refused first; a
+    # subprocess, as building the curve would not end in time
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-m", "chebcm.cli", "lpoly", "--curve", curve, "--d", d, "--p", "5"],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert out.returncode == 2, out.stderr[-500:]
+    assert "exceeds cap" in out.stderr
+    assert len(out.stderr.encode()) < 1024
+    assert out.stdout == ""
 
 
 def test_remark_table(capsys):

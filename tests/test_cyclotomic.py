@@ -1,21 +1,28 @@
-from fractions import Fraction
-
 import pytest
 
 import chebcm.cyclotomic as cyclotomic
 from chebcm.chebyshev import chebyshev
+from chebcm.algebra import UniPolynomial
 from chebcm.cyclotomic import (
-    CyclotomicContext,
-    CyclotomicElement,
-    RingMismatchError,
     cyclotomic_polynomial,
     eta,
     eta_minimal_polynomial,
     eta_stabilizer,
+    format_cyclotomic,
     kd_degree_check,
+    zeta_difference,
+    zeta_powers,
 )
 from chebcm.unitgroups import kd_kernel, unit_group
-from oracles import galois_apply, minimal_polynomial, minimal_polynomial_orbit
+from oracles import (
+    cyc_add,
+    cyc_eval,
+    cyc_int,
+    cyc_mul,
+    galois_apply,
+    minimal_polynomial,
+    minimal_polynomial_orbit,
+)
 
 
 @pytest.mark.parametrize(
@@ -41,8 +48,6 @@ def test_cyclotomic_polynomials_frozen(n, coeffs):
 
 
 def test_cyclotomic_product_recovers_xn_minus_1():
-    from chebcm.algebra import UniPolynomial
-
     for n in (6, 12, 30):
         prod = UniPolynomial((1,))
         for d in range(1, n + 1):
@@ -52,67 +57,75 @@ def test_cyclotomic_product_recovers_xn_minus_1():
 
 
 class TestContextArithmetic:
+    # the power table zeta_powers(n), the one way src/ turns an exponent
+    # into a vector of Z[zeta_n]
     def test_zeta_has_order_n(self):
-        ctx = CyclotomicContext(8)
-        z = ctx.zeta
-        assert z**8 == ctx.one
-        assert z**4 == -ctx.one
-        assert z**2 != ctx.one
+        table = zeta_powers(8)
+        assert len(set(table)) == len(table) == 8
+        assert table[4] == cyc_int(8, -1)
+        assert cyc_mul(8, table[7], table[1]) == table[0]
 
     def test_inverse(self):
-        # the units +-zeta^k are the ones the CM layer inverts
+        # the exponent -k inverts +-zeta^k: the CM layer takes no other inverse
         for n in (5, 8, 10, 12):
-            ctx = CyclotomicContext(n)
+            table = zeta_powers(n)
             for k in range(n):
                 for sign in (1, -1):
-                    x = sign * ctx.zeta_power(k)
-                    assert x * x.inverse() == ctx.one
-
-    def test_inverse_rejects_non_units(self):
-        ctx = CyclotomicContext(5)
-        for x in (ctx.zero, CyclotomicElement(ctx, (1, 2, 0, 1)), 2 * ctx.zeta):
-            with pytest.raises(ZeroDivisionError):
-                x.inverse()
+                    x = cyc_mul(n, cyc_int(n, sign), table[k])
+                    y = cyc_mul(n, cyc_int(n, sign), table[-k % n])
+                    assert cyc_mul(n, x, y) == table[0]
 
     def test_rational_detection(self):
-        ctx = CyclotomicContext(12)
-        assert (ctx.zeta**12).is_rational()
-        assert (ctx.zeta**12).coeffs[0] == 1
-        assert not ctx.zeta.is_rational()
+        # zeta^k is rational exactly at k = 0 and k = n/2, where it is +-1:
+        # automorphism_valid's canonical pair rests on this
+        table = zeta_powers(12)
+        rational = [k for k, row in enumerate(table) if not any(row[1:])]
+        assert rational == [0, 6]
+        assert [table[k][0] for k in rational] == [1, -1]
 
     def test_integer_coefficients_only(self):
-        ctx = CyclotomicContext(12)
-        with pytest.raises(RingMismatchError):
-            ctx.coerce(Fraction(1, 2))
-        with pytest.raises(TypeError):
-            CyclotomicElement(ctx, (Fraction(1, 2),))
+        for n in (5, 12, 30):
+            assert all(type(c) is int for row in zeta_powers(n) for c in row)
+            assert all(type(c) is int for c in eta(n))
 
     def test_long_coefficient_lists_reduce_mod_modulus(self):
-        ctx = CyclotomicContext(5)
-        assert CyclotomicElement(ctx, (0, 0, 0, 0, 1)) == ctx.zeta**4
-        assert CyclotomicElement(ctx, (0, 0, 0, 0, 1)).coeffs == (-1, -1, -1, -1)
-        # entries past zeta^(n-1) wrap too: 2 + 3 zeta^5 - zeta^13 in Z[zeta_12]
-        ctx = CyclotomicContext(12)
-        z = ctx.zeta
-        long = (2, 0, 0, 0, 0, 3) + (0,) * 7 + (-1,)
-        assert CyclotomicElement(ctx, long) == 2 + 3 * z**5 - z**13
+        # row k is x^k mod Phi_n, also for k >= phi(n)
+        assert zeta_powers(5)[4] == (-1, -1, -1, -1)
+        for n in (5, 12, 15):
+            phi = cyclotomic_polynomial(n)
+            for k, row in enumerate(zeta_powers(n)):
+                rem = UniPolynomial((0,) * k + (1,)) % phi
+                assert rem.coeffs == UniPolynomial(row).coeffs, (n, k)
 
     def test_zeta_power_wraps_mod_n(self):
-        ctx = CyclotomicContext(7)
-        assert ctx.zeta_power(-1) == ctx.zeta_power(6)
-        assert ctx.zeta_power(13) == ctx.zeta_power(6)
+        assert zeta_difference(7, -1, 0) == zeta_difference(7, 6, 0)
+        assert zeta_difference(7, 13, 0) == zeta_difference(7, 6, 0)
+        assert eta(7) == zeta_difference(7, 8, 13)
+
+
+def test_format_matches_the_report_text():
+    # eigenvalues as the golden reports print them (C_2, C_3 and C_5)
+    assert format_cyclotomic(eta(8)) == "z^3 + z"
+    assert format_cyclotomic(eta(6)) == "2*z - 1"
+    assert format_cyclotomic(zeta_difference(10, 1, -1)) == "z^3 - z^2 + 2*z - 1"
+    assert format_cyclotomic((-2, 0, 7, -1)) == "-z^3 + 7*z^2 - 2"
+    assert format_cyclotomic((0, 0)) == "0"
 
 
 def test_galois_apply_is_field_automorphism():
-    ctx = CyclotomicContext(12)
-    x = CyclotomicElement(ctx, (1, 1, 0, 2))
-    y = CyclotomicElement(ctx, (0, 3, 1, 1))
+    x, y = (1, 1, 0, 2), (0, 3, 1, 1)
+    z = zeta_powers(12)[1]
     for a in unit_group(12):
-        assert galois_apply(a, x * y) == galois_apply(a, x) * galois_apply(a, y)
-        assert galois_apply(a, x + y) == galois_apply(a, x) + galois_apply(a, y)
-        assert galois_apply(a, ctx.zeta) == ctx.zeta_power(a)
+        xy = cyc_mul(12, x, y)
+        assert galois_apply(12, a, xy) == cyc_mul(
+            12, galois_apply(12, a, x), galois_apply(12, a, y)
+        )
+        assert galois_apply(12, a, cyc_add(x, y)) == cyc_add(
+            galois_apply(12, a, x), galois_apply(12, a, y)
+        )
+        assert galois_apply(12, a, z) == zeta_powers(12)[a]
     with pytest.raises(ValueError):
-        galois_apply(3, ctx.zeta)
+        galois_apply(12, 3, z)
 
 
 @pytest.mark.parametrize(
@@ -127,15 +140,15 @@ def test_galois_apply_is_field_automorphism():
     ],
 )
 def test_eta_minimal_polynomials_frozen(n, coeffs):
-    mp = minimal_polynomial(eta(n))
+    mp = minimal_polynomial(n, eta(n))
     assert tuple(int(c) for c in mp.coeffs) == coeffs
-    assert mp(eta(n)) == CyclotomicContext(n).zero
+    assert not any(cyc_eval(n, mp, eta(n)))
 
 
 def test_minimal_polynomial_two_routes_agree():
     for n in (3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 24):
         x = eta(n)
-        assert minimal_polynomial(x) == minimal_polynomial_orbit(x)
+        assert minimal_polynomial(n, x) == minimal_polynomial_orbit(n, x)
 
 
 def test_eta_minimal_polynomial_matches_the_elimination():
@@ -143,7 +156,7 @@ def test_eta_minimal_polynomial_matches_the_elimination():
     # 24, ...), where one prime cannot prove P irreducible from its factor
     # degrees
     for n in list(range(3, 41)) + [64]:
-        assert eta_minimal_polynomial(n) == minimal_polynomial(eta(n)), n
+        assert eta_minimal_polynomial(n) == minimal_polynomial(n, eta(n)), n
 
 
 def test_eta_minimal_polynomial_small_cases():
@@ -189,8 +202,7 @@ def test_eta_minimality_proof_gives_up_after_eight_primes(monkeypatch):
 
 
 def test_minimal_polynomial_of_rational_is_linear():
-    ctx = CyclotomicContext(8)
-    mp = minimal_polynomial(ctx.coerce(3))
+    mp = minimal_polynomial(8, cyc_int(8, 3))
     assert mp.coeffs == (-3, 1)
 
 
@@ -204,7 +216,7 @@ def test_stabilizer_three_routes_agree():
 def test_stabilizer_against_brute_force_galois():
     for n in (8, 12, 15, 16, 20):
         brute = frozenset(
-            a for a in unit_group(n) if galois_apply(a, eta(n)) == eta(n)
+            a for a in unit_group(n) if galois_apply(n, a, eta(n)) == eta(n)
         )
         assert eta_stabilizer(n) == brute
 

@@ -447,12 +447,13 @@ class TestCountPoints:
             assert self._peak_bytes_per_element(make_dm(m)) < 0.05, m
 
     def test_binomials_match_naive_oracle(self):
-        # a x^m + b x^e on every F_(p^k), k >= 2, p^k <= 3000; the engine
-        # sums one period n/G of i, n = p^k - 1 and G = gcd(n, m, e).  b is
-        # a non-residue mod p, so a non-square constant when k is odd;
-        # x^(m+1) + b x (on the fields below 1000, to bound the oracle's
-        # time) is the X_d shape, with f(0) = 0; x^n + 1 (D_8 over F_3^2)
-        # has m = 0 mod n, so the period is 1
+        # binomials on every F_(p^k), k >= 2, p^k <= 3000, n = p^k - 1.
+        # 2x^m + b and x^n + 1 (D_8 over F_3^2, e = n) go through
+        # _binomial_count; b is a non-residue mod p, so a non-square
+        # constant when k is odd.  x^(m+1) + b x (on the fields below 1000,
+        # to bound the oracle's time) is the X_d shape, with f(0) = 0, and
+        # goes through the log-domain engine, which sums one period n/G of
+        # i, G = gcd(n, 1, m + 1) = 1
         checked = 0
         for p in _odd_primes(54):  # p^2 <= 3000
             for k in range(2, 8):
@@ -1006,6 +1007,39 @@ class TestRemark:
     def test_cap_guard(self):
         with pytest.raises(CapExceededError):
             remark_lpolys(7, 17)
+
+    def test_cap_refused_before_the_curves_are_built(self, monkeypatch):
+        # D_2d has genus d - 1, known from d: a huge prime d is refused
+        # without building D_2d, and the message does not write out q^(d-1)
+        def no_curve(*args):
+            raise AssertionError("curve built")
+
+        monkeypatch.setattr(zeta, "make_dm", no_curve)
+        monkeypatch.setattr(zeta, "make_cd", no_curve)
+        d = 10007
+        with pytest.raises(CapExceededError, match=rf"F_5\^{d - 1}, which exceeds cap") as exc:
+            remark_lpolys(d, 5)
+        assert len(str(exc.value)) < 100
+
+
+def test_l_polynomial_cap_message_names_the_field_not_its_size():
+    with pytest.raises(CapExceededError) as exc:
+        l_polynomial(make_dm(14), 17)
+    assert "F_17^6, which exceeds cap" in str(exc.value)
+    assert str(17**6) not in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "p, g, cap",
+    [(2, 23, 10**7), (2, 24, 10**7), (3, 14, 10**7), (3, 15, 10**7), (5, 0, 1), (7, 1, 7), (7, 1, 6), (7, -3, 1)],
+)
+def test_power_exceeds_is_the_power_comparison(p, g, cap):
+    assert zeta.power_exceeds(p, g, cap) == (g > 0 and p**g > cap)
+
+
+def test_power_exceeds_stops_early_on_a_huge_genus():
+    assert zeta.power_exceeds(5, 10**30, 10**7)
+    assert not zeta.power_exceeds(1, 3, 10**7)
 
 
 def test_c2_trace_pattern_small():
