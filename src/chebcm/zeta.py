@@ -5,9 +5,16 @@ Counting is exhaustive enumeration: N_k = sum over x in F_(p^k) of
 character (chi(0) = 0).  The engine has two parts, chosen by k.
 
 - k = 1: integer Horner acc = acc * x + c over int64 numpy chunks of
-  F_p.  acc is reduced mod p by floor division (a scalar // is a
-  multiply in numpy) only before a step that could reach 2^63, so a
-  cubic needs no reduction inside the loop for p <= 55,109, and chi is
+  F_p, from f's integer coefficients.  The top steps, as many as keep
+  |acc| below 2^63, run over Z; on the first chunk, x = 0 .. n - 1 with
+  n = min(_CHUNK, 2^ceil(log2 p)), they depend on f and n alone, so each
+  thread keeps them in a row tagged (coefficients, n) and refills it
+  only when the tag changes: a curve counted again at primes of one bit
+  length only reduces that row mod p.  Later chunks compute the same
+  prefix on their own residues.  Reduction is by floor division (a
+  scalar // is a multiply in numpy); the remaining steps run on the
+  reduced coefficients, reduced again only before a step that could
+  reach 2^63, so C_2 runs all of Horner over Z for p <= 2^21.  chi is
   read from a squares table by np.take(mode="wrap"), whose indices are
   always reduced, so the wrap never fires.  Every chunk is computed in
   place in rows that each thread makes on its first count and reuses
@@ -304,36 +311,77 @@ def _zech(log: np.ndarray, index: np.ndarray, pos, p: int) -> np.ndarray:
     return log[_add_one(index[pos], p)]
 
 
-def _reduce(a: np.ndarray, p: int, scratch: np.ndarray) -> np.ndarray:
-    """a %= p in place for a >= 0 as a -= (a // p) * p; numpy's // multiplies."""
+def _reduce(
+    a: np.ndarray, p: int, scratch: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """a mod p as a - (a // p) * p, into out, or in place when out is None;
+    numpy's // by a scalar multiplies, and floors, so a negative a lands in
+    [0, p) too."""
     quot = np.floor_divide(a, p, out=scratch[: len(a)])
     quot *= p
-    a -= quot
-    return a
+    return np.subtract(a, quot, out=a if out is None else out)
 
 
 def _chunk_rows() -> tuple[np.ndarray, ...]:
     """This thread's rows of _CHUNK elements for a count over F_p, made on
     its first count and reused by every later one: the int64 ramp 0, 1,
-    ..., _CHUNK - 1, x, acc and the quotient scratch of _reduce, and a
-    bool row for the lookup."""
+    ..., _CHUNK - 1, x, acc, the quotient scratch of _reduce and the Horner
+    prefix of the first chunk (see _affine_count_prime), and a bool row
+    for the lookup."""
     rows = getattr(_workspace, "rows", None)
     if rows is None:
         ramp = np.arange(_CHUNK, dtype=np.int64)
-        x, acc, scratch = np.empty((3, _CHUNK), dtype=np.int64)
-        rows = _workspace.rows = (ramp, x, acc, scratch, np.empty(_CHUNK, dtype=bool))
+        x, acc, scratch, prefix = np.empty((4, _CHUNK), dtype=np.int64)
+        rows = _workspace.rows = (ramp, x, acc, scratch, prefix, np.empty(_CHUNK, dtype=bool))
+        _workspace.prefix_of = None  # (coefficients, span) the prefix row holds
     return rows
 
 
-def _affine_count_prime(coeffs: list[int], p: int) -> int:
-    """sum over x in F_p of (1 + chi(f(x))) by integer Horner on int64 and a
-    squares table.  From acc <= bound, acc * x + c <= bound * p, and after
-    a reduction bound = p - 1, so one step from a reduced acc fits for
-    every p below _TABLE_LIMIT = 2^31.  acc is reduced only before a step
-    with bound * p >= 2^63, and once at the end; a cubic needs no
-    reduction inside the loop while (p - 1) p^3 < 2^63, every p <= 55,109.
-    Each chunk is computed in place in this thread's _chunk_rows; the
-    first chunk reads the ramp as x.
+def _steps_that_fit(bound: int, coeffs, top: int) -> int:
+    """How many Horner steps acc = acc * x + c, for c in coeffs in turn, keep
+    |acc| below 2^63 at every 0 <= x <= top, from |acc| <= bound.  A step
+    takes the bound to bound * top + |c|, which also bounds acc * x and c."""
+    for steps, c in enumerate(coeffs):
+        bound = bound * top + abs(c)
+        if bound >= 2**63:
+            return steps
+    return len(coeffs)
+
+
+def _horner(acc, coeffs, x: np.ndarray, out: np.ndarray):
+    """acc = acc * x + c for each c of coeffs in turn, in place in the int64
+    row out; acc is an int or out itself, and is returned as it is when
+    coeffs is empty.  The caller keeps |acc| below 2^63 (_steps_that_fit)."""
+    for c in coeffs:
+        acc = np.multiply(acc, x, out=out)
+        acc += c
+    return acc
+
+
+def _affine_count_prime(coeffs: tuple[int, ...], p: int) -> int:
+    """sum over x in F_p of (1 + chi(f(x))), f given by its integer
+    coefficients, by Horner acc = acc * x + c from acc = lc on int64 rows,
+    and a squares table.
+
+    The top s steps run over Z.  At 0 <= x <= X a step takes |acc| <=
+    bound to |acc| <= bound * X + |c|, a bound on acc * x too, so from
+    bound = |lc| the top s steps keep every value below 2^63 while |lc|
+    X^s + |c_(deg-1)| X^(s-1) + ... + |c_(deg-s)| < 2^63; s is the largest
+    such count (_steps_that_fit), and s = 0 when |lc| >= 2^63.  The
+    coefficients enter int64 arithmetic as Python-int scalars, all below
+    2^63 by that bound.  On the first chunk, x = 0, ..., n - 1 with n =
+    min(_CHUNK, 2^ceil(log2 p)), so the prefix depends on f and n alone:
+    it is read from this thread's prefix row, filled at X = n - 1 only
+    when (coefficients, n) differs from its last fill, and a curve counted
+    again at primes of the same bit length skips the Horner pass there.
+    Chunks after the first compute the same prefix on their own residues,
+    at X = p - 1.  The prefix is reduced once mod p by floor division
+    (_reduce), which sends a negative acc into [0, p) too.  The remaining
+    deg - s steps run on the reduced coefficients from bound p - 1,
+    reduced again only after the steps that fit; one step from a reduced
+    acc fits, (p - 1) p < 2^63, for every p below _TABLE_LIMIT = 2^31.  C_2, f = x^3 + 2x^2 - 2x - 4,
+    runs all three steps over Z while X^3 + 2X^2 + 2X + 4 < 2^63, that is
+    on every chunk for p <= 2^21.
 
     chi is read by np.take(square, acc, mode="wrap", out=...), which skips
     the bounds check and the buffered output of the default mode.  Its
@@ -341,7 +389,7 @@ def _affine_count_prime(coeffs: list[int], p: int) -> int:
     the wrap never fires: numpy wraps an index by subtracting p once per
     wrap, and an unreduced acc would take minutes.
     """
-    ramp, x_row, acc_row, scratch, hit_row = _chunk_rows()
+    ramp, x_row, acc_row, scratch, prefix_row, hit_row = _chunk_rows()
 
     def residues(start, n):
         return ramp[:n] if start == 0 else np.add(ramp[:n], start, out=x_row[:n])
@@ -353,22 +401,28 @@ def _affine_count_prime(coeffs: list[int], p: int) -> int:
         x = residues(start, n)
         square[_reduce(np.multiply(x, x, out=acc_row[:n]), p, scratch)] = True
     square[0] = False
+    lc, lower = coeffs[-1], coeffs[-2::-1]
+    reduced = [c % p for c in lower]
+    span = min(_CHUNK, 1 << (p - 1).bit_length())
+    first = _steps_that_fit(abs(lc), lower, span - 1)
+    if first and _workspace.prefix_of != (coeffs, span):
+        _horner(lc, lower[:first], ramp[:span], prefix_row[:span])
+        _workspace.prefix_of = (coeffs, span)
+    later = _steps_that_fit(abs(lc), lower, p - 1)
     total = 0
     for start in range(0, p, _CHUNK):
         n = min(_CHUNK, p - start)
         x = residues(start, n)
-        # the first step lc x + c from the reduced lc fits
-        acc = np.multiply(x, coeffs[-1], out=acc_row[:n])
-        acc += coeffs[-2]
-        bound = (p - 1) * p
-        for c in reversed(coeffs[:-2]):
-            if bound * p >= 2**63:
-                _reduce(acc, p, scratch)
-                bound = p - 1
-            acc *= x
-            acc += c
-            bound *= p
-        _reduce(acc, p, scratch)
+        if start == 0:
+            s, prefix = first, prefix_row[:n]
+        else:
+            s, prefix = later, _horner(lc, lower[:later], x, acc_row[:n])
+        acc = _reduce(prefix, p, scratch, out=acc_row[:n]) if s else lc % p
+        rest = reduced[s:]
+        while rest:
+            steps = _steps_that_fit(p - 1, rest, p - 1)
+            acc = _reduce(_horner(acc, rest[:steps], x, acc_row[:n]), p, scratch)
+            rest = rest[steps:]
         hit = hit_row[:n]
         total += np.count_nonzero(np.equal(acc, 0, out=hit))
         total += 2 * np.count_nonzero(np.take(square, acc, mode="wrap", out=hit))
@@ -507,29 +561,31 @@ def count_points(
     """Number of points of the smooth projective model over F_(p^k).
 
     The field size is refused before good_reduction, so a huge p gets
-    CapExceededError rather than is_prime's ValueError."""
+    CapExceededError rather than is_prime's ValueError, and p^k is compared
+    with the cap by power_exceeds, so a huge k is refused at once."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    q = p**k
-    if q > cap:
-        raise CapExceededError(f"field size {p}^{k} = {q} exceeds cap {cap}")
-    if q >= _TABLE_LIMIT:
+    # a p below 2 is no field (good_reduction refuses it), and
+    # power_exceeds would take k steps on it
+    if p >= 2 and power_exceeds(p, k, cap):
+        raise CapExceededError(f"field size F_{p}^{k} exceeds cap {cap}")
+    if p >= 2 and power_exceeds(p, k, _TABLE_LIMIT - 1):
         table = "int32 field indices" if k > 1 else "a p-byte squares table"
-        raise CapExceededError(
-            f"field size {p}^{k} = {q} is too large for {table} (< 2^31)"
-        )
+        raise CapExceededError(f"field size F_{p}^{k} is too large for {table} (< 2^31)")
     if not good_reduction(curve, p):
         raise BadReductionError(f"{curve.label} has bad reduction at p={p}")
 
-    coeffs = _reduced_coeffs(curve, p)
-    exponents = [e for e, c in enumerate(coeffs) if c]
     if k == 1:
-        affine = _affine_count_prime(coeffs, p)
-    elif len(exponents) == 2 and exponents[0] == 0:
-        affine = _binomial_count(coeffs[0], coeffs[-1], exponents[1], p, k)
+        affine = _affine_count_prime(curve.f.coeffs, p)
     else:
-        affine = _affine_count_extension(coeffs, p, k)
+        coeffs = _reduced_coeffs(curve, p)
+        exponents = [e for e, c in enumerate(coeffs) if c]
+        if len(exponents) == 2 and exponents[0] == 0:
+            affine = _binomial_count(coeffs[0], coeffs[-1], exponents[1], p, k)
+        else:
+            affine = _affine_count_extension(coeffs, p, k)
 
+    q = p**k
     n = affine + _infinity_points(curve, p, k)
     g = curve.genus
     if (n - q - 1) ** 2 > 4 * g * g * q:

@@ -310,7 +310,7 @@ class TestCountPoints:
 
     def test_guards_refuse_before_the_workspace(self):
         # in a thread that has not counted yet, a refusal does not build
-        # that thread's chunk rows either (four int64 rows of 512 KB)
+        # that thread's chunk rows either (five int64 rows of 512 KB)
         def peaks():
             out = []
             for p, k, match in ((3, 20, "int32"), (2147483659, 1, "squares table")):
@@ -341,22 +341,72 @@ class TestCountPoints:
         assert peak / 65497 < 2
 
     def test_horner_matches_euler_either_side_of_the_cubic_bound(self, monkeypatch):
-        # 55,109 is the last prime with (p - 1) p^3 < 2^63, so a cubic such
-        # as C_2 counts with no reduction inside the Horner loop; at 55,117
-        # it reduces once before its last step.  C_16 (degree 17) takes
-        # three steps per reduction at 55,109 and two at 55,117
+        # s, the Horner steps run over Z, is read at X = n - 1 on the first
+        # chunk (n = 2^ceil(log2 p), at most _CHUNK) and at X = p - 1 after
+        # it.  f = 2^40 x^3 + x + 1 runs all three steps over Z at p = 127
+        # (2^40 127^3 < 2^63) but two at p = 131 (n = 256, 2^40 255^3 >
+        # 2^63), and one on both chunks of 65537; lc = -(2^63 + 5) runs none
+        # (s = 0) and its rest reduces after two steps at 65537; C_2 runs
+        # all three over Z on both chunks of 65537, and C_16 (degree 17)
+        # three, then seven runs of two.  A count reduces once
+        # for the squares table, then on each chunk once after a prefix
+        # (s > 0) and once after each run of remaining steps
+        big = HyperellipticCurve(UniPolynomial((1, 1, 0, 2**40)))
+        huge = HyperellipticCurve(UniPolynomial((1, 1, 0, -(2**63 + 5))))
         reductions = []
         reduce = zeta._reduce
-        monkeypatch.setattr(zeta, "_reduce", lambda a, p, s: reductions.append(1) or reduce(a, p, s))
-        for p, inner in ((55109, 0), (55117, 1)):
-            for curve in (make_cd(2), make_cd(3), make_dm(5), make_cd(16)):
-                assert good_reduction(curve, p), (curve.label, p)
-                expected = count_points_euler(curve.f.coeffs, p)
-                reductions.clear()
-                assert count_points(curve, p, 1).count == expected, (curve.label, p)
-                if curve.f.degree == 3:
-                    # one reduction for the squares table, one at the end
-                    assert len(reductions) == 2 + inner, (curve.label, p)
+        monkeypatch.setattr(
+            zeta, "_reduce", lambda a, p, s, out=None: reductions.append(1) or reduce(a, p, s, out)
+        )
+        cells = [
+            (big, 127, 2), (big, 131, 3), (big, 65537, 5),
+            (huge, 127, 2), (huge, 65537, 5),
+            (make_cd(2), 127, 2), (make_cd(2), 65537, 3), (make_cd(16), 65537, 17),
+        ]
+        for curve, p, expected_reductions in cells:
+            assert good_reduction(curve, p), (curve.label, p)
+            reductions.clear()
+            assert count_points(curve, p, 1).count == count_points_euler(curve.f.coeffs, p), (curve.label, p)
+            assert len(reductions) == expected_reductions, (curve.label, p)
+        # C_2 = x^3 + 2x^2 - 2x - 4 runs all of Horner over Z for p <= 2^21
+        assert zeta._steps_that_fit(1, (2, -2, -4), 2**21 - 1) == 3
+        assert zeta._steps_that_fit(1, (2, -2, -4), 2**21) == 2
+
+    def test_prefix_row_is_filled_once_per_span(self, monkeypatch):
+        # C_2 at every odd prime below 2,000 fills a fresh thread's prefix
+        # row once for each span 4, 8, ..., 2048 that those primes take
+        fills = []
+        horner = zeta._horner
+
+        def spy(acc, coeffs, x, out):
+            if np.shares_memory(out, zeta._chunk_rows()[4]):
+                fills.append(len(out))
+            return horner(acc, coeffs, x, out)
+
+        monkeypatch.setattr(zeta, "_horner", spy)
+        c2, primes = make_cd(2), _odd_primes(1999)
+        with ThreadPoolExecutor(1) as pool:
+            counts = pool.submit(lambda: [count_points(c2, p).count for p in primes]).result(timeout=60)
+        assert fills == [1 << j for j in range(2, 12)]
+        assert counts == [count_points_euler(c2.f.coeffs, p) for p in primes]
+
+    def test_interleaved_curves_count_as_if_alone(self):
+        # C_2 and C_3 take turns at the same primes, so every count finds
+        # the other curve in the prefix row; each gets the counts it gets
+        # counted alone in a fresh thread, over one chunk or several
+        curves, primes = (make_cd(2), make_cd(3)), (101, 4099, 65537, 131071)
+
+        def alone(curve):
+            return [count_points(curve, p).count for p in primes]
+
+        def interleaved():
+            rows = [[count_points(curve, p).count for curve in curves] for p in primes]
+            return [list(column) for column in zip(*rows)]
+
+        with ThreadPoolExecutor(1) as pool:
+            expected = [pool.submit(alone, curve).result(timeout=60) for curve in curves]
+        with ThreadPoolExecutor(1) as pool:
+            assert pool.submit(interleaved).result(timeout=60) == expected
 
     @pytest.mark.parametrize("size", [7, 64])
     def test_prime_field_chunk_seams_match_naive_oracle(self, monkeypatch, size):
@@ -1098,6 +1148,26 @@ def test_huge_prime_is_refused_on_the_cap_before_good_reduction(call):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10
     )
     assert out.stdout.strip() == "refused", out.stderr
+
+
+@pytest.mark.parametrize("k", [10**4, 10**8])
+def test_huge_k_is_refused_on_the_cap_without_forming_p_to_the_k(k):
+    # 5^(10^4) has more than the 4300 digits an int may be written with,
+    # and 5^(10^8) takes minutes to form: the cap check compares p^k with
+    # the cap without forming it, and its message names F_5^k, not 5^k
+    code = (
+        "from chebcm.curves import make_cd\n"
+        "from chebcm.zeta import CapExceededError, count_points\n"
+        "try:\n"
+        f"    count_points(make_cd(2), 5, {k})\n"
+        "except CapExceededError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(zeta.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10
+    )
+    assert out.stdout.strip() == f"field size F_5^{k} exceeds cap {zeta.COUNT_CAP}", out.stderr
 
 
 @pytest.mark.parametrize(
