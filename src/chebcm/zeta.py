@@ -406,6 +406,7 @@ def _affine_count_prime(coeffs: tuple[int, ...], p: int) -> int:
     span = min(_CHUNK, 1 << (p - 1).bit_length())
     first = _steps_that_fit(abs(lc), lower, span - 1)
     if first and _workspace.prefix_of != (coeffs, span):
+        _workspace.prefix_of = None  # a fill cut short leaves no stale tag
         _horner(lc, lower[:first], ramp[:span], prefix_row[:span])
         _workspace.prefix_of = (coeffs, span)
     later = _steps_that_fit(abs(lc), lower, p - 1)

@@ -368,6 +368,13 @@ class TestCountPoints:
             reductions.clear()
             assert count_points(curve, p, 1).count == count_points_euler(curve.f.coeffs, p), (curve.label, p)
             assert len(reductions) == expected_reductions, (curve.label, p)
+        # the old cubic bound's curves and primes stay checked against the
+        # oracle: no other test counts C_3 or D_5 = x^5 + 1 (zero
+        # coefficients) at a p this size
+        for p in (55109, 55117):
+            for curve in (make_cd(2), make_cd(3), make_dm(5), make_cd(16)):
+                assert good_reduction(curve, p), (curve.label, p)
+                assert count_points(curve, p, 1).count == count_points_euler(curve.f.coeffs, p), (curve.label, p)
         # C_2 = x^3 + 2x^2 - 2x - 4 runs all of Horner over Z for p <= 2^21
         assert zeta._steps_that_fit(1, (2, -2, -4), 2**21 - 1) == 3
         assert zeta._steps_that_fit(1, (2, -2, -4), 2**21) == 2
