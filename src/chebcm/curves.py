@@ -294,7 +294,7 @@ def case2_automorphisms(p: int):
     return curve, z, sigma
 
 
-def quotient_identity(d: int, case: int | None = None) -> bool:
+def quotient_identity(d: int) -> bool:
     """Exact check that the substitution u = x + 1/x, with
     v = y*(1+x)*x^(-(d+2)/2) on X_d (d even) or v = y*(1+x)*x^(-(d+1)/2)
     on D_2d (d odd prime), lands on v^2 = (u+2)*phi_d(u).  With
@@ -304,8 +304,6 @@ def quotient_identity(d: int, case: int | None = None) -> bool:
     found = classify_d(d)
     if found is None:
         raise ValueError(f"d={d} is not 2^e or an odd prime")
-    if case is not None and case != found:
-        raise ValueError(f"d={d} belongs to case {found}, not case {case}")
     if found == 1:
         src = make_xd(d).f  # x^(2d+1) + x
         shift = d + 2

@@ -53,6 +53,7 @@ from .zeta import (
     good_reduction,
     l_polynomial,
     lpoly_is_irreducible,
+    power_exceeds,
     remark_lpolys,
 )
 
@@ -167,7 +168,7 @@ def _run(check):
         return "fail", f"{type(exc).__name__}: {exc}"
 
 
-def build_report(d: int, cap: int = COUNT_CAP) -> VerificationReport:
+def build_report(d: int) -> VerificationReport:
     case = classify_d(d)
     if case is None:
         raise ValueError(f"d={d} is not a power of 2 or an odd prime")
@@ -275,20 +276,22 @@ def build_report(d: int, cap: int = COUNT_CAP) -> VerificationReport:
             (
                 q
                 for q in range(3, 51)
-                if is_prime(q) and q**genus <= cap and good_reduction(curve, q)
+                if is_prime(q)
+                and not power_exceeds(q, genus, COUNT_CAP)
+                and good_reduction(curve, q)
             ),
             None,
         )
         if q is None:
             raise CapExceededError(
-                f"no good prime q <= 50 with q^{genus} under cap {cap}"
+                f"no good prime q <= 50 with q^{genus} under cap {COUNT_CAP}"
             )
         r = None
-        if case == 2 and q ** (d - 1) <= cap:
-            r = remark_lpolys(d, q, cap=cap)
+        if case == 2 and not power_exceeds(q, d - 1, COUNT_CAP):
+            r = remark_lpolys(d, q)
             lp = r["l_cd"]
         else:
-            lp = l_polynomial(curve, q, cap=cap)
+            lp = l_polynomial(curve, q)
         irr, _ = lpoly_is_irreducible(lp)
         detail = f"L(C_{d}, {q}) = {lp!r}; irreducible: {irr}"
         if r is not None:
@@ -317,12 +320,12 @@ def build_report(d: int, cap: int = COUNT_CAP) -> VerificationReport:
     return report
 
 
-def build_batch(dmax: int, cap: int = COUNT_CAP) -> dict:
+def build_batch(dmax: int) -> dict:
     """Reports for every in-scope d <= dmax, as one JSON-ready document."""
     if dmax > D_MAX:
         raise ValueError(f"dmax must be <= {D_MAX}")
     family = in_scope_family(dmax)
-    reports = [build_report(d, cap=cap) for d in family]
+    reports = [build_report(d) for d in family]
     return {
         "version": VERSION,
         "dmax": dmax,

@@ -50,12 +50,12 @@ F_p (see _index_chunks): one chunk of s gives the next by k multiply-adds
 over int32, with no field arithmetic.  Whatever a count holds (the
 binomial route's q + 4(q - 1)/G bytes when it reads F_q itself, 5 bytes
 per element of a subfield otherwise, the log domain's two int32 tables)
-is made per call and freed on return; fields of 2^31 elements or more
-are refused.  Counting does not call field_tower.  count_points_naive,
-the independent slow oracle, does: it enumerates F_p[x]/(m) with m =
-field_tower(p, k) for every k (F_p is k = 1) as reduced integer lists,
-evaluates f by Horner with algebra._mulmod and looks each value up in
-the set of squares.
+is made per call and freed on return; fields of more than COUNT_CAP
+elements are refused.  Counting does not call field_tower.
+count_points_naive, the independent slow oracle, does: it enumerates
+F_p[x]/(m) with m = field_tower(p, k) for every k (F_p is k = 1) as
+reduced integer lists, evaluates f by Horner with algebra._mulmod and
+looks each value up in the set of squares.
 
 L-polynomials are checked through the real Weil polynomial h, with
 T^(2g) L(1/T) = T^g h(T + q/T): the Weil bound |alpha| = sqrt q is an
@@ -100,12 +100,13 @@ from .chebyshev import classify_d, is_prime
 from .curves import HyperellipticCurve, VerificationError, make_cd, make_dm
 from .unitgroups import prime_factors
 
+# the largest field a count enumerates, refused before any table is built.
+# The engine relies on COUNT_CAP < 2^31: at k >= 2 field elements are
+# indexed in int32, and at k = 1 the squares table takes p bytes and one
+# Horner step from a reduced acc, (p - 1) p, stays below 2^63
 COUNT_CAP = 10**7
 
 _CHUNK = 1 << 16
-# q refused before any table is built: for k >= 2 field elements are
-# indexed in int32, for k = 1 the squares table takes p bytes
-_TABLE_LIMIT = 2**31
 _ZERO_LOG = -1  # log-domain code for 0; odd, so never a square
 _workspace = threading.local()  # per-thread chunk rows, see _chunk_rows
 # primes l at which lpoly_is_irreducible reads the factor degrees of h mod l
@@ -119,6 +120,25 @@ _PROOF_PATIENCE = 16
 
 class CapExceededError(RuntimeError):
     """Requested field is larger than the enumeration cap."""
+
+
+def _cap_error(p: int, k: int | None = None, curve: str | None = None):
+    """The refusal of the field F_p^k (of p itself when k is None), or of
+    L(curve, p), which needs counts over it.  A p or k longer than 64 bits
+    is named by its bit length, since an int of more than 4300 digits
+    cannot be written out."""
+
+    def name(n, var):
+        return str(n) if n.bit_length() <= 64 else f"({n.bit_length()}-bit {var})"
+
+    prime = name(p, "p")
+    field = prime if k is None else f"F_{prime}^{name(k, 'k')}"
+    if curve is None:
+        return CapExceededError(f"field size {field} exceeds cap {COUNT_CAP}")
+    return CapExceededError(
+        f"L({curve}, {prime}) needs counts over {field}, "
+        f"which exceeds cap {COUNT_CAP}"
+    )
 
 
 def power_exceeds(p: int, g: int, cap: int) -> bool:
@@ -161,10 +181,6 @@ def good_reduction(curve: HyperellipticCurve, p: int) -> bool:
     check costs one modulo and is_prime.
     """
     return p > 2 and _lc_discriminant(curve.f.coeffs) % p != 0 and is_prime(p)
-
-
-def _reduced_coeffs(curve: HyperellipticCurve, p: int) -> list[int]:
-    return [c % p for c in curve.f.coeffs]
 
 
 def _infinity_points(curve: HyperellipticCurve, p: int, k: int) -> int:
@@ -218,9 +234,9 @@ def _jump(
 ) -> np.ndarray:
     """out[t] = s_(J+t) = sum_j a_j s_(t+j) mod p for t < len(out), a = x^J
     mod m, over int32 rows with 0 <= s < p.  A term adds at most a_j (p - 1)
-    and (p - 1)^2 < 2^31 on every field _TABLE_LIMIT lets through at k >= 2,
-    so out is reduced (_reduce) only before a term that could pass 2^31,
-    and once at the end; scratch holds len(out) int32."""
+    and (p - 1)^2 < p^k <= COUNT_CAP < 2^31 on every field counted at
+    k >= 2, so out is reduced (_reduce) only before a term that could pass
+    2^31, and once at the end; scratch holds len(out) int32."""
     count = len(out)
     (j, c), *terms = [(j, c) for j, c in enumerate(a) if c]
     np.multiply(s[j : j + count], c, out=out)
@@ -379,9 +395,9 @@ def _affine_count_prime(coeffs: tuple[int, ...], p: int) -> int:
     (_reduce), which sends a negative acc into [0, p) too.  The remaining
     deg - s steps run on the reduced coefficients from bound p - 1,
     reduced again only after the steps that fit; one step from a reduced
-    acc fits, (p - 1) p < 2^63, for every p below _TABLE_LIMIT = 2^31.  C_2, f = x^3 + 2x^2 - 2x - 4,
-    runs all three steps over Z while X^3 + 2X^2 + 2X + 4 < 2^63, that is
-    on every chunk for p <= 2^21.
+    acc fits, (p - 1) p < 2^63, for every p <= COUNT_CAP < 2^31.  C_2,
+    f = x^3 + 2x^2 - 2x - 4, runs all three steps over Z while X^3 + 2X^2
+    + 2X + 4 < 2^63, that is on every chunk for p <= 2^21.
 
     chi is read by np.take(square, acc, mode="wrap", out=...), which skips
     the bounds check and the buffered output of the default mode.  Its
@@ -460,7 +476,7 @@ def _binomial_count(c0: int, c1: int, e: int, p: int, k: int) -> int:
 
     and S = c for s = 1.  Since N(c) = c^s for c in F_p, l = s (log_h c1 -
     log_h c0) mod G.  The power is exact in int64: a coefficient of
-    (-C)^j is at most |C|_1^j <= (p^f - 1)^s < p^k < 2^31.
+    (-C)^j is at most |C|_1^j <= (p^f - 1)^s < p^k <= COUNT_CAP.
 
     The pass: 1 + y is a nonzero square exactly when square[index(1 + y)],
     where the bitmap square is set at the even powers of h, and zero
@@ -553,33 +569,25 @@ def _affine_count_extension(coeffs: list[int], p: int, k: int) -> int:
     return zero + (n // period) * total
 
 
-def count_points(
-    curve: HyperellipticCurve,
-    p: int,
-    k: int = 1,
-    cap: int = COUNT_CAP,
-) -> PointCount:
+def count_points(curve: HyperellipticCurve, p: int, k: int = 1) -> PointCount:
     """Number of points of the smooth projective model over F_(p^k).
 
     The field size is refused before good_reduction, so a huge p gets
     CapExceededError rather than is_prime's ValueError, and p^k is compared
-    with the cap by power_exceeds, so a huge k is refused at once."""
+    with COUNT_CAP by power_exceeds, so a huge k is refused at once."""
     if k < 1:
         raise ValueError("k must be >= 1")
     # a p below 2 is no field (good_reduction refuses it), and
     # power_exceeds would take k steps on it
-    if p >= 2 and power_exceeds(p, k, cap):
-        raise CapExceededError(f"field size F_{p}^{k} exceeds cap {cap}")
-    if p >= 2 and power_exceeds(p, k, _TABLE_LIMIT - 1):
-        table = "int32 field indices" if k > 1 else "a p-byte squares table"
-        raise CapExceededError(f"field size F_{p}^{k} is too large for {table} (< 2^31)")
+    if p >= 2 and power_exceeds(p, k, COUNT_CAP):
+        raise _cap_error(p, k)
     if not good_reduction(curve, p):
         raise BadReductionError(f"{curve.label} has bad reduction at p={p}")
 
     if k == 1:
         affine = _affine_count_prime(curve.f.coeffs, p)
     else:
-        coeffs = _reduced_coeffs(curve, p)
+        coeffs = [c % p for c in curve.f.coeffs]
         exponents = [e for e, c in enumerate(coeffs) if c]
         if len(exponents) == 2 and exponents[0] == 0:
             affine = _binomial_count(coeffs[0], coeffs[-1], exponents[1], p, k)
@@ -758,11 +766,8 @@ class LPolynomial:
     def __mul__(self, other: "LPolynomial") -> "LPolynomial":
         if self.q != other.q:
             raise ValueError("L-polynomials over different fields")
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return LPolynomial(out, self.q)
+        product = UniPolynomial(self.coeffs) * UniPolynomial(other.coeffs)
+        return LPolynomial(product.coeffs, self.q)
 
     def __eq__(self, other):
         if not isinstance(other, LPolynomial):
@@ -793,30 +798,19 @@ class LPolynomial:
         }
 
 
-def l_polynomial(
-    curve: HyperellipticCurve,
-    p: int,
-    cap: int = COUNT_CAP,
-) -> LPolynomial:
+def l_polynomial(curve: HyperellipticCurve, p: int) -> LPolynomial:
     """Assemble L from the counts N_1..N_g; genus 0 gives [1].  As in
-    count_points, the largest field is refused before good_reduction; a
-    cap at or above _TABLE_LIMIT acts as _TABLE_LIMIT - 1.  At genus 0
-    there is no field to refuse, and a p beyond is_prime's deterministic
-    range raises its ValueError."""
+    count_points, the largest field is refused before good_reduction.  At
+    genus 0 there is no field to refuse, and a p beyond is_prime's
+    deterministic range raises its ValueError."""
     g = curve.genus
-    cap = min(cap, _TABLE_LIMIT - 1)
-    if power_exceeds(p, g, cap):
-        raise CapExceededError(
-            f"L({curve.label}, {p}) needs counts over F_{p}^{g}, which exceeds cap {cap}"
-        )
+    if power_exceeds(p, g, COUNT_CAP):
+        raise _cap_error(p, g, curve.label)
     if not good_reduction(curve, p):
         raise BadReductionError(f"{curve.label} has bad reduction at p={p}")
     if g == 0:
         return LPolynomial((1,), p)
-    s = [
-        p**k + 1 - count_points(curve, p, k, cap=cap).count
-        for k in range(1, g + 1)
-    ]
+    s = [p**k + 1 - count_points(curve, p, k).count for k in range(1, g + 1)]
     b = [1]
     for k in range(1, g + 1):
         acc = s[k - 1] + sum(b[j] * s[k - j - 1] for j in range(1, k))
@@ -913,7 +907,7 @@ def _subset_scan(lp: LPolynomial):
     return True, None
 
 
-def remark_lpolys(d: int, q: int, cap: int = COUNT_CAP, threads: int = 1) -> dict:
+def remark_lpolys(d: int, q: int, threads: int = 1) -> dict:
     """L-polynomials of C_d, D_d, D_2d at q plus the two equalities:
     L(C_d) = L(D_d) and L(D_2d) = L(D_d) * L(C_d).
 
@@ -921,18 +915,16 @@ def remark_lpolys(d: int, q: int, cap: int = COUNT_CAP, threads: int = 1) -> dic
     counting runs on one thread."""
     if classify_d(d) != 2:
         raise ValueError("d must be an odd prime")
-    cap = min(cap, _TABLE_LIMIT - 1)  # refused before the curves are built
-    if power_exceeds(q, d - 1, cap):  # D_2d has genus d - 1
-        raise CapExceededError(
-            f"L(D_{2*d}, {q}) needs counts over F_{q}^{d - 1}, which exceeds cap {cap}"
-        )
+    # refused before the curves are built; D_2d has genus d - 1
+    if power_exceeds(q, d - 1, COUNT_CAP):
+        raise _cap_error(q, d - 1, f"D_{2 * d}")
     cd, dd, d2d = make_cd(d), make_dm(d), make_dm(2 * d)
     for c in (cd, dd, d2d):
         if not good_reduction(c, q):
             raise BadReductionError(f"{c.label} has bad reduction at q={q}")
-    l_cd = l_polynomial(cd, q, cap=cap)
-    l_dd = l_polynomial(dd, q, cap=cap)
-    l_d2d = l_polynomial(d2d, q, cap=cap)
+    l_cd = l_polynomial(cd, q)
+    l_dd = l_polynomial(dd, q)
+    l_d2d = l_polynomial(d2d, q)
     return {
         "d": d,
         "q": q,
@@ -944,26 +936,27 @@ def remark_lpolys(d: int, q: int, cap: int = COUNT_CAP, threads: int = 1) -> dic
     }
 
 
-def cm_trace_pattern_c2(bound: int, cap: int = COUNT_CAP) -> bool:
+def cm_trace_pattern_c2(bound: int) -> bool:
     """a_q(C_2) = 0 exactly when -2 is a non-square mod q, for odd q <= bound.
-    The primes come from one sieve up to at most 2 cap, which holds a prime
-    above cap (Bertrand) whenever bound does; that prime is refused first,
-    and a bound below 3, which holds no odd prime, before that."""
+    The primes come from one sieve up to at most 2 COUNT_CAP, which holds a
+    prime above COUNT_CAP (Bertrand) whenever bound does; that prime is
+    refused first, and a bound below 3, which holds no odd prime, before
+    that."""
     if bound < 3:
         raise ValueError(f"bound must be >= 3, the least odd prime; got {bound}")
-    top = max(min(bound, 2 * cap), 4)
+    top = max(min(bound, 2 * COUNT_CAP), 4)
     sieve = np.ones(top + 1, dtype=bool)
     sieve[:3] = sieve[4::2] = False
     for i in range(3, isqrt(top) + 1, 2):
         if sieve[i]:
             sieve[i * i :: 2 * i] = False
     primes = [q for q in np.flatnonzero(sieve).tolist() if q <= bound]
-    if primes and primes[-1] > cap:
-        raise CapExceededError(f"field size {primes[-1]} exceeds cap {cap}")
+    if primes and primes[-1] > COUNT_CAP:
+        raise _cap_error(primes[-1])
     c2 = make_cd(2)
     for q in primes:
         try:
-            a = q + 1 - count_points(c2, q, 1, cap=cap).count
+            a = q + 1 - count_points(c2, q, 1).count
         except BadReductionError:
             continue
         nonsquare = pow(-2 % q, (q - 1) // 2, q) == q - 1

@@ -356,8 +356,6 @@ class TestQuotientIdentity:
     def test_out_of_scope_rejected(self):
         with pytest.raises(ValueError):
             quotient_identity(6)
-        with pytest.raises(ValueError):
-            quotient_identity(3, case=1)
 
 
 class TestQuotientEndomorphism:

@@ -86,8 +86,9 @@ def test_report_out_of_scope_rejected():
         build_report(6)
 
 
-def test_zeta_claim_skips_under_tiny_cap():
-    rep = build_report(2, cap=1)
+def test_zeta_claim_skips_past_the_cap():
+    # C_31 has genus 15, and 3^15 > COUNT_CAP
+    rep = build_report(31)
     statuses = {c.claim_id: c.status for c in rep.claims}
     assert statuses["zeta-consistency"] == "skip"
     assert not rep.failed  # skip is not a failure

@@ -285,24 +285,29 @@ class TestCountPoints:
                     break
                 assert _has_monic_divisor(f, p) or order_of_x(f, p) != p**k - 1, (p, k, m)
 
+    def test_count_cap_is_below_the_int32_limit(self):
+        # the int32 field indices at k >= 2, the p-byte squares table and
+        # the int64 Horner steps at k = 1 rely on it
+        assert zeta.COUNT_CAP < 2**31
+
     def test_int32_table_guard(self):
-        # 3^20 > 2^31: refused before any table is allocated
+        # 3^20 > 2^31: refused on the cap before any table is allocated
         tracemalloc.start()
         try:
-            with pytest.raises(CapExceededError, match="int32"):
-                count_points(make_cd(2), 3, 20, cap=2**40)
+            with pytest.raises(CapExceededError, match="exceeds cap"):
+                count_points(make_cd(2), 3, 20)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
 
     def test_squares_table_guard(self):
-        # p = 2147483659 > 2^31 at k = 1: no int32 table is involved, the
-        # p-byte squares table is what is refused, before it is allocated
+        # p = 2147483659 > 2^31 at k = 1: the p-byte squares table is
+        # refused on the cap before it is allocated
         tracemalloc.start()
         try:
-            with pytest.raises(CapExceededError, match="p-byte squares table"):
-                count_points(make_cd(2), 2147483659, 1, cap=2**40)
+            with pytest.raises(CapExceededError, match="exceeds cap"):
+                count_points(make_cd(2), 2147483659, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -313,11 +318,11 @@ class TestCountPoints:
         # that thread's chunk rows either (five int64 rows of 512 KB)
         def peaks():
             out = []
-            for p, k, match in ((3, 20, "int32"), (2147483659, 1, "squares table")):
+            for p, k in ((3, 20), (2147483659, 1)):
                 tracemalloc.start()
                 try:
-                    with pytest.raises(CapExceededError, match=match):
-                        count_points(make_cd(2), p, k, cap=2**40)
+                    with pytest.raises(CapExceededError, match="exceeds cap"):
+                        count_points(make_cd(2), p, k)
                     out.append(tracemalloc.get_traced_memory()[1])
                 finally:
                     tracemalloc.stop()
@@ -775,7 +780,7 @@ class TestCountPoints:
 
     def test_cap_enforced(self):
         with pytest.raises(CapExceededError):
-            count_points(make_cd(2), 101, 4, cap=10**6)
+            count_points(make_cd(2), 101, 4)
 
     def test_point_count_record(self):
         rec = count_points(make_cd(2), 3, 1)
@@ -1109,7 +1114,7 @@ def test_c2_trace_pattern_refuses_cap_before_counting(monkeypatch):
     calls = []
     monkeypatch.setattr(zeta, "count_points", lambda *a, **kw: calls.append(a))
     with pytest.raises(CapExceededError):
-        cm_trace_pattern_c2(10**6, cap=100)
+        cm_trace_pattern_c2(10**8)
     assert calls == []
 
 
@@ -1127,17 +1132,13 @@ def test_c2_trace_pattern_rejects_bound_below_three(monkeypatch):
 
 
 # 2^89 - 1 is prime and far above the cap: each call must refuse on the
-# cap first, and on the 2^31 table limit when the cap is larger still,
-# before is_prime is asked about it
+# cap first, before is_prime is asked about it
 @pytest.mark.parametrize(
     "call",
     [
         "count_points(make_cd(2), p)",
         "l_polynomial(make_cd(2), p)",
         "remark_lpolys(3, p)",
-        "count_points(make_cd(2), p, cap=2**200)",
-        "l_polynomial(make_cd(2), p, cap=2**200)",
-        "remark_lpolys(3, p, cap=2**200)",
     ],
 )
 def test_huge_prime_is_refused_on_the_cap_before_good_reduction(call):
@@ -1155,6 +1156,30 @@ def test_huge_prime_is_refused_on_the_cap_before_good_reduction(call):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10
     )
     assert out.stdout.strip() == "refused", out.stderr
+
+
+# 10^5000 + 1 has more than the 4300 digits an int may be written with:
+# a cap message names such a p (or k) by its bit length
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda n: count_points(make_cd(2), n), "field size F_(16610-bit p)^1 exceeds cap"),
+        (
+            lambda n: l_polynomial(make_cd(2), n),
+            "L(C_2, (16610-bit p)) needs counts over F_(16610-bit p)^1, which exceeds cap",
+        ),
+        (
+            lambda n: remark_lpolys(3, n),
+            "L(D_6, (16610-bit p)) needs counts over F_(16610-bit p)^2, which exceeds cap",
+        ),
+        (lambda n: count_points(make_cd(2), 5, n), "field size F_5^(16610-bit k) exceeds cap"),
+    ],
+    ids=["count_points", "l_polynomial", "remark_lpolys", "count_points-k"],
+)
+def test_long_numbers_are_named_by_bit_length_in_cap_messages(call, message):
+    with pytest.raises(CapExceededError) as exc:
+        call(10**5000 + 1)
+    assert str(exc.value) == f"{message} {zeta.COUNT_CAP}"
 
 
 @pytest.mark.parametrize("k", [10**4, 10**8])
