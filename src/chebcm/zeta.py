@@ -4,22 +4,24 @@ Counting is exhaustive enumeration: N_k = sum over x in F_(p^k) of
 (1 + chi(f(x))) plus the points at infinity, with chi the quadratic
 character (chi(0) = 0).  The engine has two parts, chosen by k.
 
-- k = 1: integer Horner acc = acc * x + c over int64 numpy chunks of
+- k = 1: integer Horner acc = acc * x + c over uint64 numpy chunks of
   F_p, from f's integer coefficients.  The top steps, as many as keep
-  |acc| below 2^63, run over Z; on the first chunk, x = 0 .. n - 1 with
-  n = min(_CHUNK, 2^ceil(log2 p)), they depend on f and n alone, so each
-  thread keeps them in a row tagged (coefficients, n) and refills it
-  only when the tag changes: a curve counted again at primes of one bit
-  length only reduces that row mod p.  Later chunks compute the same
-  prefix on their own residues.  Reduction is by floor division (a
-  scalar // is a multiply in numpy); the remaining steps run on the
-  reduced coefficients, reduced again only before a step that could
-  reach 2^63, so C_2 runs all of Horner over Z for p <= 2^21.  chi is
-  read from a squares table by np.take(mode="wrap"), whose indices are
-  always reduced, so the wrap never fires.  Every chunk is computed in
-  place in rows that each thread makes on its first count and reuses
-  across chunks and calls (threading.local), so a count allocates only
-  the p-byte squares table.
+  |acc| below 2^63, run over Z in int64 and are kept as acc + 2^63, the
+  sign bit flipped; on the first chunk, x = 0 .. n - 1 with n =
+  min(_CHUNK, 2^ceil(log2 p)), they depend on f and n alone, so each
+  thread keeps them in a row tagged (coefficients, n, steps) and refills
+  it only when the tag changes: a curve counted again at primes of one
+  bit length only reduces that row mod p.  Later chunks compute the same
+  prefix on their own residues.  Every reduction is an unsigned a - (a //
+  p) p (a scalar // is a multiply in numpy) and yields f(x) + K mod p, K
+  = 2^63 mod p, so zeros are read at K and the squares table is set at
+  x^2 + K; the remaining steps run on the reduced coefficients, reduced
+  again only before a step that could reach 2^63, so C_2 runs all of
+  Horner over Z for p <= 2^21.  chi is read from the squares table by
+  take(mode="wrap"), whose indices are always reduced, so the wrap never
+  fires.  Every chunk is computed in place in rows that each thread
+  makes on its first count and reuses across chunks and calls
+  (threading.local), so a count allocates only the p-byte squares table.
 - k >= 2: F_(p^k) = F_p[x]/(m) for the first monic m in encoding order
   modulo which x is primitive (_primitive_modulus), and g = x.  The index
   of g^i comes in int32 chunks (_index_chunks), and adding 1 to an
@@ -103,7 +105,7 @@ from .unitgroups import prime_factors
 # the largest field a count enumerates, refused before any table is built.
 # The engine relies on COUNT_CAP < 2^31: at k >= 2 field elements are
 # indexed in int32, and at k = 1 the squares table takes p bytes and one
-# Horner step from a reduced acc, (p - 1) p, stays below 2^63
+# Horner step from an acc below 2p, (2p - 2) p, stays below 2^63
 COUNT_CAP = 10**7
 
 _CHUNK = 1 << 16
@@ -233,20 +235,15 @@ def _jump(
     s: np.ndarray, a: list[int], p: int, out: np.ndarray, scratch: np.ndarray
 ) -> np.ndarray:
     """out[t] = s_(J+t) = sum_j a_j s_(t+j) mod p for t < len(out), a = x^J
-    mod m, over int32 rows with 0 <= s < p.  A term adds at most a_j (p - 1)
-    and (p - 1)^2 < p^k <= COUNT_CAP < 2^31 on every field counted at
-    k >= 2, so out is reduced (_reduce) only before a term that could pass
-    2^31, and once at the end; scratch holds len(out) int32."""
+    mod m, over int32 rows with 0 <= s < p.  Each of the at most k terms is
+    at most (p - 1)^2 < p^k <= COUNT_CAP, and k < 15 since 3^15 > COUNT_CAP,
+    so the sum stays below 15 COUNT_CAP < 2^31 and out is reduced (_reduce)
+    once, at the end; scratch holds len(out) int32."""
     count = len(out)
     (j, c), *terms = [(j, c) for j, c in enumerate(a) if c]
     np.multiply(s[j : j + count], c, out=out)
-    bound = c * (p - 1)
     for j, c in terms:
-        if bound + c * (p - 1) >= 2**31:
-            _reduce(out, p, scratch)
-            bound = p - 1
         out += np.multiply(s[j : j + count], c, out=scratch[:count])
-        bound += c * (p - 1)
     return _reduce(out, p, scratch)
 
 
@@ -330,26 +327,29 @@ def _zech(log: np.ndarray, index: np.ndarray, pos, p: int) -> np.ndarray:
 def _reduce(
     a: np.ndarray, p: int, scratch: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """a mod p as a - (a // p) * p, into out, or in place when out is None;
-    numpy's // by a scalar multiplies, and floors, so a negative a lands in
-    [0, p) too."""
+    """a mod p as a - (a // p) * p, for a >= 0, into out, or in place when
+    out is None.  numpy's // by a scalar is a multiply, and on uint64 rows
+    it skips the floor rule for negatives that int64 needs."""
     quot = np.floor_divide(a, p, out=scratch[: len(a)])
     quot *= p
     return np.subtract(a, quot, out=a if out is None else out)
 
 
 def _chunk_rows() -> tuple[np.ndarray, ...]:
-    """This thread's rows of _CHUNK elements for a count over F_p, made on
-    its first count and reused by every later one: the int64 ramp 0, 1,
-    ..., _CHUNK - 1, x, acc, the quotient scratch of _reduce and the Horner
-    prefix of the first chunk (see _affine_count_prime), and a bool row
-    for the lookup."""
+    """This thread's rows for a count over F_p, made on its first count and
+    reused by every later one: uint64 rows of _CHUNK elements, the ramp 0,
+    1, ..., _CHUNK - 1, x, acc, the quotient scratch of _reduce and the
+    Horner prefix of the first chunk (see _affine_count_prime), a bool row
+    for the lookup, and a uint64 row of x^2 + 2^63 for x < _CHUNK, filled
+    only as far as a count has needed."""
     rows = getattr(_workspace, "rows", None)
     if rows is None:
-        ramp = np.arange(_CHUNK, dtype=np.int64)
-        x, acc, scratch, prefix = np.empty((4, _CHUNK), dtype=np.int64)
-        rows = _workspace.rows = (ramp, x, acc, scratch, prefix, np.empty(_CHUNK, dtype=bool))
-        _workspace.prefix_of = None  # (coefficients, span) the prefix row holds
+        ramp = np.arange(_CHUNK, dtype=np.uint64)
+        x, acc, scratch, prefix = np.empty((4, _CHUNK), dtype=np.uint64)
+        squared = np.empty(_CHUNK, dtype=np.uint64)
+        rows = _workspace.rows = (ramp, x, acc, scratch, prefix, np.empty(_CHUNK, dtype=bool), squared)
+        _workspace.prefix_of = ((), 0, 0)  # (coefficients, span, steps) of the prefix row
+        _workspace.squared = 0  # how many x the squared row holds
     return rows
 
 
@@ -365,84 +365,116 @@ def _steps_that_fit(bound: int, coeffs, top: int) -> int:
 
 
 def _horner(acc, coeffs, x: np.ndarray, out: np.ndarray):
-    """acc = acc * x + c for each c of coeffs in turn, in place in the int64
-    row out; acc is an int or out itself, and is returned as it is when
-    coeffs is empty.  The caller keeps |acc| below 2^63 (_steps_that_fit)."""
+    """acc = acc * x + c for each c of coeffs in turn, in place in the row
+    out; acc is an int or out itself, and is returned as it is when coeffs
+    is empty.  The caller keeps |acc| below 2^63 (_steps_that_fit)."""
     for c in coeffs:
         acc = np.multiply(acc, x, out=out)
         acc += c
     return acc
 
 
+def _shifted_prefix(lc: int, coeffs, x: np.ndarray, out: np.ndarray) -> None:
+    """P + 2^63 into the uint64 row out, for P the Horner steps over Z from
+    lc through coeffs at the uint64 row x, run on int64 views of both."""
+    _horner(lc, coeffs, x.view(np.int64), out.view(np.int64))
+    out += 1 << 63
+
+
 def _affine_count_prime(coeffs: tuple[int, ...], p: int) -> int:
     """sum over x in F_p of (1 + chi(f(x))), f given by its integer
-    coefficients, by Horner acc = acc * x + c from acc = lc on int64 rows,
+    coefficients, by Horner acc = acc * x + c from acc = lc on uint64 rows,
     and a squares table.
 
     The top s steps run over Z.  At 0 <= x <= X a step takes |acc| <=
     bound to |acc| <= bound * X + |c|, a bound on acc * x too, so from
     bound = |lc| the top s steps keep every value below 2^63 while |lc|
     X^s + |c_(deg-1)| X^(s-1) + ... + |c_(deg-s)| < 2^63; s is the largest
-    such count (_steps_that_fit), and s = 0 when |lc| >= 2^63.  The
-    coefficients enter int64 arithmetic as Python-int scalars, all below
-    2^63 by that bound.  On the first chunk, x = 0, ..., n - 1 with n =
-    min(_CHUNK, 2^ceil(log2 p)), so the prefix depends on f and n alone:
-    it is read from this thread's prefix row, filled at X = n - 1 only
-    when (coefficients, n) differs from its last fill, and a curve counted
-    again at primes of the same bit length skips the Horner pass there.
-    Chunks after the first compute the same prefix on their own residues,
-    at X = p - 1.  The prefix is reduced once mod p by floor division
-    (_reduce), which sends a negative acc into [0, p) too.  The remaining
-    deg - s steps run on the reduced coefficients from bound p - 1,
-    reduced again only after the steps that fit; one step from a reduced
-    acc fits, (p - 1) p < 2^63, for every p <= COUNT_CAP < 2^31.  C_2,
-    f = x^3 + 2x^2 - 2x - 4, runs all three steps over Z while X^3 + 2X^2
-    + 2X + 4 < 2^63, that is on every chunk for p <= 2^21.
+    such count (_steps_that_fit), and s = 0 when |lc| >= 2^63.  They run
+    in int64, with the coefficients as Python-int scalars, and their value
+    P is kept as the uint64 P + 2^63, its sign bit flipped.  On the first
+    chunk, x = 0, ..., n - 1 with n = min(_CHUNK, 2^ceil(log2 p)), so that
+    row depends on f and n alone: it is this thread's prefix row, filled
+    at X = n - 1 only when (coefficients, n) differs from its last fill and
+    tagged with s too, so a curve counted again at primes of the same bit
+    length skips the Horner pass there.  Chunks after the first compute
+    the same prefix on their own residues, at X = p - 1.
 
-    chi is read by np.take(square, acc, mode="wrap", out=...), which skips
-    the bounds check and the buffered output of the default mode.  Its
-    indices must always be reduced into [0, p), as they are here, so that
-    the wrap never fires: numpy wraps an index by subtracting p once per
-    wrap, and an unreduced acc would take minutes.
+    Every reduction (_reduce) divides a uint64 row and gives r = (f + K)
+    mod p, K = 2^63 mod p, from the flipped prefix or from the last
+    coefficient, reduced as (c_0 + K) mod p.  So f(x) = 0 exactly when r =
+    K, and the squares table is set at (x^2 + 2^63) mod p, read on the
+    first chunk from this thread's row of x^2 + 2^63, which is independent
+    of p too.  Steps after a prefix start from acc + p - K, in [1, 2p - 2],
+    which undoes K; they run on the reduced coefficients, reduced again
+    only after the steps that fit.  One step fits, (2p - 2) p < 2^63, for
+    every p <= COUNT_CAP < 2^31.  C_2, f = x^3 + 2x^2 - 2x - 4, runs all
+    three steps over Z while X^3 + 2X^2 + 2X + 4 < 2^63, that is on every
+    chunk for p <= 2^21.
+
+    chi is read by square.take(r, mode="wrap", out=...), which skips the
+    bounds check and the buffered output of the default mode.  Its indices
+    are always reduced into [0, p), so the wrap never fires: numpy wraps
+    an index by subtracting p once per wrap, and an unreduced acc would
+    take minutes.  Take and scatter index by int64 views of r, since numpy
+    first casts a uint64 index to intp.
     """
-    ramp, x_row, acc_row, scratch, prefix_row, hit_row = _chunk_rows()
-
-    def residues(start, n):
-        return ramp[:n] if start == 0 else np.add(ramp[:n], start, out=x_row[:n])
-
+    ramp, x_row, acc_row, scratch, prefix_row, hit_row, squared = _chunk_rows()
+    shift = (1 << 63) % p  # K
+    modulus = np.array(p, dtype=np.uint64)  # a ufunc takes a 0-d array faster than an int
     square = np.zeros(p, dtype=bool)
     half = p // 2 + 1
+    need = min(_CHUNK, 1 << (half - 1).bit_length())  # x of the first chunk
+    if _workspace.squared < need:
+        np.multiply(ramp[:need], ramp[:need], out=squared[:need])
+        squared[:need] += 1 << 63
+        _workspace.squared = need
     for start in range(0, half, _CHUNK):
         n = min(_CHUNK, half - start)
-        x = residues(start, n)
-        square[_reduce(np.multiply(x, x, out=acc_row[:n]), p, scratch)] = True
-    square[0] = False
+        if start:
+            x = np.add(ramp[:n], start, out=x_row[:n])
+            x2 = np.multiply(x, x, out=acc_row[:n])
+            x2 += 1 << 63
+        else:
+            x2 = squared[:n]
+        square[_reduce(x2, modulus, scratch, out=acc_row[:n]).view(np.int64)] = True
+    square[shift] = False
     lc, lower = coeffs[-1], coeffs[-2::-1]
-    reduced = [c % p for c in lower]
     span = min(_CHUNK, 1 << (p - 1).bit_length())
-    first = _steps_that_fit(abs(lc), lower, span - 1)
-    if first and _workspace.prefix_of != (coeffs, span):
-        _workspace.prefix_of = None  # a fill cut short leaves no stale tag
-        _horner(lc, lower[:first], ramp[:span], prefix_row[:span])
-        _workspace.prefix_of = (coeffs, span)
-    later = _steps_that_fit(abs(lc), lower, p - 1)
+    tag = _workspace.prefix_of
+    if tag[:2] != (coeffs, span):
+        _workspace.prefix_of = ((), 0, 0)  # a fill cut short leaves no stale tag
+        steps = _steps_that_fit(abs(lc), lower, span - 1)
+        if steps:
+            _shifted_prefix(lc, lower[:steps], ramp[:span], prefix_row[:span])
+        tag = _workspace.prefix_of = (coeffs, span, steps)
+    later = reduced = None
     total = 0
     for start in range(0, p, _CHUNK):
         n = min(_CHUNK, p - start)
-        x = residues(start, n)
         if start == 0:
-            s, prefix = first, prefix_row[:n]
+            x, s, prefix = ramp[:n], tag[2], prefix_row[:n]
         else:
-            s, prefix = later, _horner(lc, lower[:later], x, acc_row[:n])
-        acc = _reduce(prefix, p, scratch, out=acc_row[:n]) if s else lc % p
-        rest = reduced[s:]
-        while rest:
-            steps = _steps_that_fit(p - 1, rest, p - 1)
-            acc = _reduce(_horner(acc, rest[:steps], x, acc_row[:n]), p, scratch)
-            rest = rest[steps:]
+            x = np.add(ramp[:n], start, out=x_row[:n])
+            if later is None:
+                later = _steps_that_fit(abs(lc), lower, p - 1)
+            s, prefix = later, acc_row[:n]
+            if s:
+                _shifted_prefix(lc, lower[:s], x, prefix)
+        acc = _reduce(prefix, modulus, scratch, out=acc_row[:n]) if s else lc % p
+        if s < len(lower):
+            if reduced is None:
+                reduced = [c % p for c in lower[:-1]] + [(lower[-1] + shift) % p]
+            if s:
+                acc += p - shift
+            rest, bound = reduced[s:], 2 * p - 2
+            while rest:
+                steps = _steps_that_fit(bound, rest, p - 1)
+                acc = _reduce(_horner(acc, rest[:steps], x, acc_row[:n]), modulus, scratch)
+                rest, bound = rest[steps:], p - 1
         hit = hit_row[:n]
-        total += np.count_nonzero(np.equal(acc, 0, out=hit))
-        total += 2 * np.count_nonzero(np.take(square, acc, mode="wrap", out=hit))
+        total += np.count_nonzero(np.equal(acc, shift, out=hit))
+        total += 2 * np.count_nonzero(square.take(acc.view(np.int64), mode="wrap", out=hit))
     return int(total)
 
 
@@ -956,10 +988,10 @@ def cm_trace_pattern_c2(bound: int) -> bool:
     c2 = make_cd(2)
     for q in primes:
         try:
-            a = q + 1 - count_points(c2, q, 1).count
+            a = q + 1 - count_points(c2, q).count
         except BadReductionError:
             continue
-        nonsquare = pow(-2 % q, (q - 1) // 2, q) == q - 1
-        if (a == 0) != nonsquare:
+        # (-2/q) = (-1/q)(2/q) = -1 exactly when q = 5, 7 (mod 8)
+        if (a == 0) != (q % 8 >= 5):
             return False
     return True

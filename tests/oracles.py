@@ -16,7 +16,11 @@ integer-list layer, which take no gcd over a field of fractions.
 
 count_points_euler counts y^2 = f(x) over F_p by Euler's criterion on
 Python ints, one x at a time: the reference for the numpy count over F_p
-at primes too large for zeta.count_points_naive.
+at primes too large for zeta.count_points_naive.  count_points_euler_int64
+is the same count on int64 rows, for primes near 2^21 where one x at a
+time takes seconds; it keeps every product below p^2 by numpy's signed %,
+where the count under test uses unsigned floor division and a squares
+table.
 
 is_prime_trial is trial division, the reference for chebyshev.is_prime's
 Miller-Rabin test.
@@ -24,6 +28,8 @@ Miller-Rabin test.
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 from chebcm.algebra import UniPolynomial
 from chebcm.cyclotomic import zeta_powers
@@ -194,6 +200,31 @@ def count_points_euler(coeffs, p):
             v = (v * x + c) % p
         total += 1 + chi(v)
     return total + (1 if len(coeffs) % 2 == 0 else 1 + chi(coeffs[-1]))
+
+
+def count_points_euler_int64(coeffs, p, block=1 << 18):
+    """count_points_euler for p < 2^31, a block of x at a time in int64:
+    Horner on the coefficients mod p, then v^((p - 1)/2) by square and
+    multiply, each product reduced by % at once."""
+    assert p < 2**31
+    reduced = [c % p for c in reversed(coeffs)]
+    total = 0
+    for start in range(0, p, block):
+        x = np.arange(start, min(start + block, p), dtype=np.int64)
+        v = np.zeros_like(x)
+        for c in reduced:
+            v = (v * x + c) % p
+        power, base, e = np.ones_like(x), v.copy(), (p - 1) // 2
+        while e:
+            if e & 1:
+                power = power * base % p
+            base = base * base % p
+            e >>= 1
+        # 1 + chi(v): 1 at v = 0, 2 where power = 1, 0 where power = p - 1
+        total += int(np.count_nonzero(v == 0)) + 2 * int(np.count_nonzero((v != 0) & (power == 1)))
+    lc = coeffs[-1] % p
+    chi_lc = 0 if lc == 0 else 1 if pow(lc, (p - 1) // 2, p) == 1 else -1
+    return total + (1 if len(coeffs) % 2 == 0 else 1 + chi_lc)
 
 
 def is_prime_trial(n):

@@ -6,7 +6,7 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from math import gcd
+from math import gcd, isqrt
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +46,7 @@ from chebcm.zeta import (
 
 # the encodings and the brute-force divisor test behind field_tower's tests
 from test_algebra import SMALL_TOWERS, _encoding, _has_monic_divisor
-from oracles import count_points_euler, gcd_mod
+from oracles import count_points_euler, count_points_euler_int64, gcd_mod
 
 
 def _odd_primes(bound):
@@ -248,10 +248,13 @@ class TestCountPoints:
                 power = _mulmod(power, g, m, p)
 
     def test_jump_reduces_before_int32_overflow(self):
-        # near the k = 2 limit, p^2 < 2^31, one term (p - 1)^2 fits int32
-        # but two do not, so _jump must reduce between them; the oracle is
-        # Python ints
-        p = 46337
+        # 3137 is the largest prime with p^2 <= COUNT_CAP, so a k = 2 jump
+        # there sums the largest terms that any counted field gives, two of
+        # up to (p - 1)^2, in int32 and reduces once; the oracle is Python
+        # ints
+        p = 3137
+        assert is_prime(p) and p**2 <= COUNT_CAP
+        assert not any(is_prime(q) for q in range(p + 1, isqrt(COUNT_CAP) + 1))
         s = np.random.default_rng(5).integers(0, p, 1000).astype(np.int32)
         s[:3] = p - 1
         a = [p - 1, p - 2]
@@ -383,6 +386,86 @@ class TestCountPoints:
         # C_2 = x^3 + 2x^2 - 2x - 4 runs all of Horner over Z for p <= 2^21
         assert zeta._steps_that_fit(1, (2, -2, -4), 2**21 - 1) == 3
         assert zeta._steps_that_fit(1, (2, -2, -4), 2**21) == 2
+
+    def test_offset_residues_match_euler(self):
+        # a k = 1 count reduces f(x) + K, K = 2^63 mod p, in uint64: the
+        # prefix over Z is kept as P + 2^63, or the last coefficient carries
+        # K, and the squares table sits at x^2 + K.  K is 1 at p = 7 and 73
+        # and p - 1 at p = 3; C_2's prefix is negative at x = 0 and 1 (f =
+        # -4, -3), -x^3 - 5's at every x; lc = -(2^63 + 5) and 2^63 run no
+        # step over Z (s = 0); 2^40 x^3 + x + 1 runs steps after a prefix
+        # at 131 and 65537 (s = 2, 1); 65521 and 65537 sit either side of
+        # the 2^16 chunk seam; and a seeded sample of the primes that
+        # cm_trace_pattern_c2(30000) counts
+        assert [(1 << 63) % p for p in (3, 7, 73)] == [2, 1, 1]
+        negative = HyperellipticCurve(UniPolynomial((-5, 0, 0, -1)))
+        wide = [HyperellipticCurve(UniPolynomial((1, 1, 0, c))) for c in (-(2**63 + 5), 2**63, 2**40)]
+        curves = [make_cd(2), negative] + wide
+        cells = [(curve, p) for curve in curves + [make_cd(3), make_dm(5)] for p in (3, 7, 73, 131)]
+        cells += [(curve, p) for curve in curves for p in (65521, 65537)]
+        trace_primes = [q for q in _odd_primes(30000) if good_reduction(make_cd(2), q)]
+        cells += [(make_cd(2), q) for q in random.Random(26).sample(trace_primes, 20)]
+        checked = 0
+        for curve, p in cells:
+            if good_reduction(curve, p):
+                assert count_points(curve, p).count == count_points_euler(curve.f.coeffs, p), (curve.label, p)
+                checked += 1
+        assert checked >= 40
+
+    def test_c2_either_side_of_its_all_over_z_bound(self):
+        # C_2 runs all three Horner steps over Z on every chunk for p <=
+        # 2^21 and two on the chunks after the first above it; the oracle is
+        # Euler's criterion on int64 rows (count_points_euler would take
+        # seconds per prime here)
+        c2 = make_cd(2)
+        assert 2097143 < 2**21 < 2097169
+        for p in (2097143, 2097169):
+            assert good_reduction(c2, p)
+            assert count_points(c2, p).count == count_points_euler_int64(c2.f.coeffs, p), p
+
+    def test_prime_field_rows_stay_integer(self, monkeypatch):
+        # under numpy 1.24's value-based casting a uint64 row combined with
+        # a negative Python int, or any uint64 with int64, becomes float64,
+        # exact only below 2^53, and raises nothing.  Every numpy call of a
+        # k = 1 count returns integer or bool arrays and never mixes uint64
+        # with a signed value, here at C_2 near 2^21, where f(x) nears 2^63,
+        # and on the shapes of the Horner pass: a negative prefix, s = 0,
+        # steps after a prefix
+        calls = []
+
+        def signed(a):
+            if isinstance(a, (np.ndarray, np.generic)):
+                return a.dtype.kind == "i"
+            return isinstance(a, int) and a < 0
+
+        class IntegerNumpy:
+            def __getattr__(self, name):
+                attr = getattr(np, name)
+                if isinstance(attr, type) or not callable(attr):
+                    return attr
+
+                def checked(*args, **kwargs):
+                    values = list(args) + list(kwargs.values())
+                    if any(getattr(a, "dtype", None) == np.uint64 for a in values):
+                        assert not any(signed(a) for a in values), (name, args)
+                    out = attr(*args, **kwargs)
+                    for a in out if isinstance(out, tuple) else (out,):
+                        if isinstance(a, (np.ndarray, np.generic)):
+                            assert a.dtype.kind in "biu", (name, a.dtype)
+                    calls.append(name)
+                    return out
+
+                return checked
+
+        monkeypatch.setattr(zeta, "np", IntegerNumpy())
+        huge = HyperellipticCurve(UniPolynomial((1, 1, 0, -(2**63 + 5))))
+        cells = [(make_cd(2), 2097143), (make_cd(2), 2097169), (make_cd(16), 65537), (huge, 65537)]
+        with ThreadPoolExecutor(1) as pool:
+            counts = pool.submit(lambda: [count_points(curve, p).count for curve, p in cells]).result(timeout=120)
+            rows = pool.submit(zeta._chunk_rows).result(timeout=10)
+        assert all(type(count) is int for count in counts)
+        assert {"floor_divide", "multiply", "add", "equal"} <= set(calls)
+        assert all(row.dtype.kind in "bu" for row in rows)
 
     def test_prefix_row_is_filled_once_per_span(self, monkeypatch):
         # C_2 at every odd prime below 2,000 fills a fresh thread's prefix
