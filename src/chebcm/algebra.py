@@ -14,12 +14,14 @@ identities: compose_x_plus_inverse returns x^n f(x + 1/x) for f of
 degree n.
 
 Polynomials over F_p are plain integer lists (_int_poly_divmod, _gcd_mod,
-_mulmod, _powmod, _factor_degrees_mod): coefficients low degree first,
-no element objects.  An element of F_(p^k) = F_p[x]/(m) is such a list
-reduced mod m, with m = field_tower(p, k), which this layer proves
-irreducible.  zeta uses the layer for good_reduction, for the primitive
-modulus behind its field tables, for the factor degrees of the real Weil
-polynomial mod small primes and for its slow oracle count_points_naive.
+_mulmod, _powmod, _berlekamp_massey, _factor_degrees_mod): coefficients
+low degree first, no element objects.  An element of F_(p^k) =
+F_p[x]/(m) is such a list reduced mod m, with m = field_tower(p, k),
+which this layer proves irreducible.  zeta uses the layer for
+good_reduction, for the primitive modulus behind its field tables and
+the recurrence of its norm sequences, for the factor degrees of the real
+Weil polynomial mod small primes and for its slow oracle
+count_points_naive.
 """
 
 from __future__ import annotations
@@ -154,9 +156,6 @@ class UniPolynomial:
         for c in reversed(self.coeffs[:-1]):
             acc = acc * v + c
         return acc
-
-    def derivative(self):
-        return UniPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def __eq__(self, other):
         o = self._coerce_operand(other)
@@ -324,6 +323,27 @@ def _powmod(a, e, f, p):
         a = _mulmod(a, a, f, p)
         e >>= 1
     return out
+
+
+def _berlekamp_massey(s, p):
+    """Monic characteristic polynomial, low degree first, of least degree L
+    such that s_(i+L) = -(c_1 s_(i+L-1) + ... + c_L s_i) for the whole list
+    s over F_p (Massey 1969); it is that of the infinite sequence s begins
+    whenever len(s) >= 2L for that sequence's least L."""
+    c, b, L, gap, last = [1], [1], 0, 1, 1  # connection polynomials C, B
+    for i, x in enumerate(s):
+        d = (x + sum(c[j] * s[i - j] for j in range(1, min(len(c), i + 1)))) % p
+        if d:  # d is the discrepancy; C - (d/last) z^gap B also gives s_i
+            scale, old = d * pow(last, -1, p) % p, c
+            c = c + [0] * (len(b) + gap - len(c))
+            for j, y in enumerate(b):
+                c[j + gap] = (c[j + gap] - scale * y) % p
+        if d and 2 * L <= i:
+            L, b, last, gap = i + 1 - L, old, d, 1
+        else:
+            gap += 1
+    c += [0] * (L + 1 - len(c))
+    return c[L::-1]
 
 
 def _monics(p, k):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from math import isqrt
 
 from .chebyshev import classify_d, is_prime
 from .curves import make_cd, make_dm, make_xd
@@ -137,6 +138,11 @@ def _cmd_remark(args) -> int:
         return 2
     if args.pmax < 3:
         print(f"pmax must be >= 3, the least odd prime; got {args.pmax}", file=sys.stderr)
+        return 2
+    # D_2d has genus d - 1 >= 2; this also keeps a huge pmax from is_prime
+    if args.pmax > isqrt(COUNT_CAP):
+        print(f"pmax must be <= {isqrt(COUNT_CAP)}: for q > {isqrt(COUNT_CAP)}, L(D_{2 * args.d}, q) "
+              f"needs counts over F_q^2, which exceeds cap {COUNT_CAP}", file=sys.stderr)
         return 2
     rows = []
     failed = False

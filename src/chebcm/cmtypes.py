@@ -63,13 +63,6 @@ class CMType:
     def translate(self, g) -> "CMType":
         return CMType(self.group, self.group.translate(self.group.rep(g), self.s))
 
-    def serialize(self) -> dict:
-        return {
-            "n": self.group.n,
-            "kernel": sorted(self.group.kernel),
-            "S": sorted(self.s),
-        }
-
     def __eq__(self, other):
         return (
             isinstance(other, CMType)

@@ -27,17 +27,18 @@ character (chi(0) = 0).  The engine has two parts, chosen by k.
   of g^i comes in int32 chunks (_index_chunks), and adding 1 to an
   element adds 1 to the constant digit of its index.  Two routes, chosen
   by the shape of f:
-  - f = c0 + c1 x^e with c0 != 0, such as every D_m: with L = log c1 -
-    log c0, chi(f(g^i)) = chi(c0) chi(1 + g^(L + e i)).  As i runs over
-    Z/(q - 1), L + e i runs G = gcd(q - 1, e) times over one coset of
-    G Z/(q - 1).  The characters of order dividing G are defined over
-    F_(p^f), f = ord_G(p), so one pass over the chunks of F_(p^f) sets a
-    bitmap of its squares, the even powers of its generator, reads
-    chi(1 + y) from it, and sums it over the G cosets; Hasse-Davenport
-    lifts those sums to the one coset sum over F_q.  For f = k the pass
-    keeps only that coset's (q - 1)/G indices; for f < k, F_(p^f) has at
-    most sqrt(q) elements.  L comes from the norm of x before the pass,
-    and no table of F_q is built.
+  - f = c0 + c1 x^e with c0 != 0, such as every D_m: with c = c1/c0,
+    x^e runs G = gcd(q - 1, e) times over the T = (q - 1)/G powers of
+    w = g^G, so a count is S = sum over t < T of chi(1 + c w^t).  The
+    characters of order dividing G are defined over F_(p^f), f =
+    ord_G(p), so one pass over the chunks of F_(p^f) sets a bitmap of its
+    squares, the even powers of its generator, reads chi(1 + y) from it,
+    and sums it over the G cosets; Hasse-Davenport lifts those sums to S.
+    When f = k, T >= _CHUNK and 8^f < T, S is read instead from the norms
+    u_t = N(1 + c w^t), as chi = chi_p o N: they are a linear recurring
+    sequence of F_p of order at most 2^f, which Berlekamp-Massey finds
+    from 2^(f+1) norms.  For f < k, F_(p^f) has at most sqrt(q) elements;
+    no table of F_q is built.
   - any other f, in the log domain: the chunks fill an int32 index table
     and an int32 table of log(y), and the index table is rewritten into
     Z(n) = log(1 + g^n).  At x = g^i each term c x^e has log
@@ -47,17 +48,18 @@ character (chi(0) = 0).  The engine has two parts, chosen by k.
     times.
   x = 0 is counted apart.
 
-The index chunks come from the linear recurring sequence s_i = L(x^i) of
-F_p (see _index_chunks): one chunk of s gives the next by k multiply-adds
-over int32, with no field arithmetic.  Whatever a count holds (the
-binomial route's q + 4(q - 1)/G bytes when it reads F_q itself, 5 bytes
-per element of a subfield otherwise, the log domain's two int32 tables)
-is made per call and freed on return; fields of more than COUNT_CAP
-elements are refused.  Counting does not call field_tower.
-count_points_naive, the independent slow oracle, does: it enumerates
-F_p[x]/(m) with m = field_tower(p, k) for every k (F_p is k = 1) as
-reduced integer lists, evaluates f by Horner with algebra._mulmod and
-looks each value up in the set of squares.
+The index chunks and the norms both come from linear recurring sequences
+of F_p (_recurrence_chunks; the index from s_i = L(x^i), see
+_index_chunks): one chunk gives the next by L multiply-adds over int32,
+with no field arithmetic.  Whatever a count holds (the binomial bitmap's
+q + 4(q - 1)/G bytes when it reads F_q itself, 5 bytes per element of a
+subfield otherwise, the norms' three int32 rows of _CHUNK + L - 1, the
+log domain's two int32 tables) is made per call and freed on return;
+fields of more than COUNT_CAP elements are refused.  Counting does not
+call field_tower.  count_points_naive, the independent slow oracle,
+does: it enumerates F_p[x]/(m) with m = field_tower(p, k) for every k
+(F_p is k = 1) as reduced integer lists, evaluates f by Horner with
+algebra._mulmod and looks each value up in the set of squares.
 
 L-polynomials are checked through the real Weil polynomial h, with
 T^(2g) L(1/T) = T^g h(T + q/T): the Weil bound |alpha| = sqrt q is an
@@ -88,6 +90,7 @@ import numpy as np
 
 from .algebra import (
     UniPolynomial,
+    _berlekamp_massey,
     _factor_degrees_mod,
     _gcd_mod,
     _lc_discriminant,
@@ -235,16 +238,54 @@ def _jump(
     s: np.ndarray, a: list[int], p: int, out: np.ndarray, scratch: np.ndarray
 ) -> np.ndarray:
     """out[t] = s_(J+t) = sum_j a_j s_(t+j) mod p for t < len(out), a = x^J
-    mod m, over int32 rows with 0 <= s < p.  Each of the at most k terms is
-    at most (p - 1)^2 < p^k <= COUNT_CAP, and k < 15 since 3^15 > COUNT_CAP,
-    so the sum stays below 15 COUNT_CAP < 2^31 and out is reduced (_reduce)
-    once, at the end; scratch holds len(out) int32."""
+    mod the characteristic polynomial of s, over int32 rows with 0 <= s <
+    p.  The sum has at most L terms, each at most (p - 1)^2, and is reduced
+    (_reduce) once, at the end; scratch holds len(out) int32.  A count
+    runs sequences of F_(p^f) with L = f (the index) or L <= 2^f (the
+    norms), and p^2 <= COUNT_CAP (F_p is read only as a subfield), so L
+    (p - 1)^2 < 2^31: it is below 4 COUNT_CAP for f <= 2, and below 2^f
+    p^2 <= 2^14 COUNT_CAP^(2/3) for 3 <= f < 15 (3^15 > COUNT_CAP)."""
     count = len(out)
     (j, c), *terms = [(j, c) for j, c in enumerate(a) if c]
     np.multiply(s[j : j + count], c, out=out)
     for j, c in terms:
         out += np.multiply(s[j : j + count], c, out=scratch[:count])
     return _reduce(out, p, scratch)
+
+
+def _recurrence_chunks(first: list[int], m: list[int], p: int, n: int):
+    """Yield (start, row) for the chunks of i < n of the linear recurring
+    sequence s of F_p with s_0 .. s_(L-1) = first and monic characteristic
+    polynomial m of degree L, low degree first: row holds s_start ..
+    s_(start+count+L-2), the terms that the count windows s_i .. s_(i+L-1)
+    of the chunk read, and is rewritten after each yield.
+
+    As x^(i+J) = x^i a for a = x^J mod m, s_(i+J) = sum_j a_j s_(i+j): the
+    first chunk grows from the first L terms by doubling, and each chunk
+    comes from the last by one _jump, in two int32 rows that take turns
+    (three rows of _CHUNK + L - 1 with the scratch of _jump)."""
+    L = len(m) - 1
+    size = min(_CHUNK, n)
+    cur, nxt, scratch = np.zeros((3, size + L - 1), dtype=np.int32)
+    cur[:L] = first
+    # xw = x^w mod m, w = filled - L + 1, until a step grows less than it doubles
+    filled, xw = L, [0, 1]
+    while filled - L + 1 < size:
+        w = filled - L + 1
+        a = _mulmod(xw, [0] * (L - 1) + [1], m, p)  # x^(w+L-1) = x^filled
+        grow = min(w, size - w)
+        _jump(cur, a, p, cur[filled : filled + grow], scratch)
+        filled += grow
+        xw = _mulmod(xw, xw, m, p) if grow == w else None
+    # the jump to the next chunk, x^(size+L-1), built only when there is one
+    if n > size:
+        a = _mulmod(xw, [0] * (L - 1) + [1], m, p) if xw else _powmod([0, 1], size + L - 1, m, p)
+    for start in range(0, n, size):
+        yield start, cur[: min(size, n - start) + L - 1]
+        if start + size < n:
+            nxt[: L - 1] = cur[size:]
+            _jump(cur, a, p, nxt[L - 1 :], scratch)
+            cur, nxt = nxt, cur
 
 
 def _index_chunks(p: int, k: int):
@@ -258,42 +299,21 @@ def _index_chunks(p: int, k: int):
     and s_1 = ... = s_(k-1) = 0: v has index sum_j L(x^j v) p^j, so g^i
     has index sum_j s_(i+j) p^j.  The map is linear and sends 1 to 1, so
     a constant c has index c and adding 1 adds 1 to digit 0, mod p
-    (_add_one).  Since x^(i+J) = x^i a for a = x^J mod m, s_(i+J) =
-    sum_j a_j s_(i+j): s is produced in chunks of _CHUNK windows, each
-    chunk from the last by _jump, in two int32 rows that take turns, and
-    each chunk of index by Horner over its windows.  About 2-5 ns per
-    element on a 2-CPU machine (F_43^4 to F_3^12).  No table of the field
-    is held: the peak is four int32 rows of a chunk.
+    (_add_one).  s has characteristic polynomial m and comes in chunks
+    from _recurrence_chunks; each chunk of index is Horner over its
+    windows.  About 2-5 ns per element on a 2-CPU machine (F_43^4 to
+    F_3^12).  No table of the field is held: the peak is four int32 rows
+    of a chunk.
     """
-    m = _primitive_modulus(p, k)
     n = p**k - 1
-    size = min(_CHUNK, n)
-    # cur holds s_i .. s_(i+size+k-2), the digits of the windows i ..
-    # i+size-1; the first chunk grows from s_0 .. s_(k-1) by doubling
-    cur, nxt, scratch, row = np.zeros((4, size + k - 1), dtype=np.int32)
-    cur[0] = 1
-    filled, xw = k, [0, 1]  # xw = x^w mod m
-    while filled - k + 1 < size:
-        w = filled - k + 1
-        a = _mulmod(xw, [0] * (k - 1) + [1], m, p)  # x^(w+k-1) = x^filled
-        grow = min(w, size - w)
-        _jump(cur, a, p, cur[filled : filled + grow], scratch)
-        filled += grow
-        xw = _mulmod(xw, xw, m, p)
-    # the jump to the next chunk, built only when there is one
-    a = _powmod([0, 1], size + k - 1, m, p) if n > size else None
-    for start in range(0, n, size):
-        count = min(size, n - start)
-        idx = row[:count]
-        idx[:] = cur[k - 1 : k - 1 + count]
+    row = np.empty(min(_CHUNK, n), dtype=np.int32)
+    for start, s in _recurrence_chunks([1] + [0] * (k - 1), _primitive_modulus(p, k), p, n):
+        idx = row[: len(s) - k + 1]
+        idx[:] = s[k - 1 :]
         for j in range(k - 2, -1, -1):
             idx *= p
-            idx += cur[j : j + count]
+            idx += s[j : j + len(idx)]
         yield start, idx
-        if start + size < n:
-            nxt[: k - 1] = cur[size:]
-            _jump(cur, a, p, nxt[k - 1 :], scratch)
-            cur, nxt = nxt, cur
 
 
 def _zech_tables(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -480,16 +500,76 @@ def _affine_count_prime(coeffs: tuple[int, ...], p: int) -> int:
 
 def _binomial_count(c0: int, c1: int, e: int, p: int, k: int) -> int:
     """sum over x in F_(p^k), k >= 2, of (1 + chi(f(x))) for f = c0 + c1 x^e
-    with c0, c1 nonzero in F_p, in one pass over _index_chunks(p, f) for
-    the least f with G = gcd(p^k - 1, e) dividing p^f - 1 (so f | k).
+    with c0, c1 nonzero in F_p.
 
-    Over F_q, q = p^k, with g a generator of F_q^*: f(g^i) = c0 (1 +
-    g^(l + e i)) for l = log c1 - log c0, and chi(c0) = chi_p(c0)^k =
-    chi0.  As i runs below q - 1, l + e i runs G times over the coset
-    l + G Z/(q - 1), so with S_a = sum over j = a mod G of chi(1 + g^j),
-    and x = 0 counting 1 + chi0,
+    Over F_q, q = p^k, with g a generator of F_q^*: as x runs over F_q^*,
+    x^e runs G = gcd(q - 1, e) times over the T = (q - 1)/G powers w^t of
+    w = g^G.  With c = c1/c0, chi(c0) = chi_p(c0)^k = chi0 and x = 0
+    counting 1 + chi0,
 
-        sum = 1 + chi0 + G ((q - 1)/G + chi0 S_l).
+        sum = q + chi0 + G chi0 S,  S = sum over t < T of chi(1 + c w^t).
+
+    S comes from a squares bitmap of F_(p^f), f the least with G | p^f - 1
+    (_coset_sum_from_bitmap), or, where that reads F_q itself (f = k), T
+    >= _CHUNK and 8^f < T, from the norms of 1 + c w^t, which hold no
+    memory that grows with q (_coset_sum_from_norms).  Those cost 2^(f+1)
+    norms and 2^f multiply-adds per term: faster from F_1009^2 to F_47^4
+    when 8^f < T, slower at F_11^6 and F_5^9, where 8^f > T.
+    """
+    q = p**k
+    G = gcd(q - 1, e)
+    f = next(f for f in range(1, k + 1) if (p**f - 1) % G == 0)
+    c = c1 * pow(c0, -1, p) % p
+    chi0 = 1 if pow(c0, (p - 1) // 2 * k, p) == 1 else -1
+    if f == k and _CHUNK <= (q - 1) // G and 8**f < (q - 1) // G:
+        S = _coset_sum_from_norms(c, G, p, k)
+    else:
+        S = _coset_sum_from_bitmap(c, G, p, f, k)
+    return q + chi0 + G * chi0 * S
+
+
+def _coset_sum_from_norms(c: int, G: int, p: int, k: int) -> int:
+    """S = sum over t < T = (q - 1)/G of chi(1 + c w^t), q = p^k, for c in
+    F_p^* and w = x^G in F_q = F_p[x]/(m), m = _primitive_modulus(p, k),
+    from the norms u_t = N(1 + c w^t) to F_p, with no table of F_q.
+
+    chi = chi_p o N: N(y) = y^((q - 1)/(p - 1)), so by Euler's criterion in
+    both fields chi_p(N(y)) = N(y)^((p - 1)/2) = y^((q - 1)/2) = chi(y),
+    and u_t = 0 exactly when 1 + c w^t = 0.  N(y) is the product of the
+    conjugates y^(p^i), i < k, so u_t = prod_i (1 + c (w^(p^i))^t) = sum
+    over A in {0, .., k - 1} of c^|A| b_A^t, b_A = prod over i in A of
+    w^(p^i): u satisfies the recurrence of P(z) = prod_A (z - b_A), of
+    order 2^k.  Frobenius sends b_A to b_(A+1), A shifted mod k, so it
+    permutes the roots of P, and P is over F_p.  The polynomials over F_p
+    whose recurrence u satisfies form an ideal that holds P, so u's least
+    recurrence, its generator, has order L <= 2^k.  Two recurrences of
+    orders L, L' that agree on L + L' terms generate the same sequence, so
+    Berlekamp-Massey on the first 2^(k+1) norms finds that of u;
+    _recurrence_chunks gives the rest.
+    """
+    q, m = p**k, _primitive_modulus(p, k)
+    w, y, first = _powmod([0, 1], G, m, p), [1], []
+    for _ in range(2 ** (k + 1)):
+        z = _reduce_mod([1 + c * y[0]] + [c * v for v in y[1:]], p)  # 1 + c w^t
+        norm = _powmod(z, (q - 1) // (p - 1), m, p)
+        first.append(norm[0] if norm else 0)
+        y = _mulmod(y, w, m, p)
+    char = _berlekamp_massey(first, p)
+    L = len(char) - 1
+    square = np.zeros(p, dtype=bool)
+    square[np.arange(1, p) ** 2 % p] = True
+    total = 0
+    for _, u in _recurrence_chunks(first[:L], char, p, (q - 1) // G):
+        u = u[: len(u) - L + 1]
+        total += 2 * np.count_nonzero(square[u]) + np.count_nonzero(u == 0) - len(u)
+    return int(total)
+
+
+def _coset_sum_from_bitmap(c: int, G: int, p: int, f: int, k: int) -> int:
+    """S = sum over t < T = (q - 1)/G of chi(1 + c w^t), q = p^k, as in
+    _binomial_count, in one pass over _index_chunks(p, f), where f is the
+    least with G | p^f - 1 (so f | k).  With S_a = sum over j = a mod G,
+    j < q - 1, of chi(1 + g^j) and c = g^l, S = S_l.
 
     The lift (Weil 1949; Hasse-Davenport 1935).  Let F = F_(p^f), s = k/f,
     N the norm from F_q to F, h a generator of F^* and g one with N(g) = h
@@ -506,9 +586,9 @@ def _binomial_count(c0: int, c1: int, e: int, p: int, k: int) -> int:
 
         sum_a S_a z^a = -(-C(z))^s mod (z^G - 1),
 
-    and S = c for s = 1.  Since N(c) = c^s for c in F_p, l = s (log_h c1 -
-    log_h c0) mod G.  The power is exact in int64: a coefficient of
-    (-C)^j is at most |C|_1^j <= (p^f - 1)^s < p^k <= COUNT_CAP.
+    and S_a = c_a for s = 1.  Since N(c) = c^s for c in F_p, l = s log_h c
+    mod G.  The power is exact in int64: a coefficient of (-C)^j is at most
+    |C|_1^j <= (p^f - 1)^s < p^k <= COUNT_CAP.
 
     The pass: 1 + y is a nonzero square exactly when square[index(1 + y)],
     where the bitmap square is set at the even powers of h, and zero
@@ -520,16 +600,12 @@ def _binomial_count(c0: int, c1: int, e: int, p: int, k: int) -> int:
     in F, N_F = (-1)^f m_0 mod p, and a constant c has index c, so log_h c
     = step j for the j < p - 1 with N_F^j = c mod p.
     """
-    G = gcd(p**k - 1, e)
-    f = next(f for f in range(1, k + 1) if (p**f - 1) % G == 0)
     s, n = k // f, p**f - 1
     norm = (-1) ** f * _primitive_modulus(p, f)[0] % p
-    logs, power = {}, 1
-    for j in range(p - 1):
-        logs[power] = n // (p - 1) * j
-        power = power * norm % p
-    ell = s * (logs[c1] - logs[c0]) % G
-    chi0 = 1 if pow(c0, (p - 1) // 2 * k, p) == 1 else -1
+    power, j = 1, 0
+    while power != c:
+        power, j = power * norm % p, j + 1
+    ell = s * (n // (p - 1) * j) % G
     # kept[t] = index(h^(r + stride t)): the coset of l for s = 1, else all
     stride, r = (G, ell) if s == 1 else (1, 0)
     square = np.zeros(n + 1, dtype=bool)
@@ -557,16 +633,16 @@ def _binomial_count(c0: int, c1: int, e: int, p: int, k: int) -> int:
         idx = kept[start : start + block]
         squares = columns(square[_add_one(idx, p)])
         sums += 2 * squares + columns(idx == p - 1) - len(idx) // len(sums)
-    c = np.zeros(G, dtype=np.int64)
-    c[r::stride] = sums
+    coeffs = np.zeros(G, dtype=np.int64)
+    coeffs[r::stride] = sums
     # lifted = (-C)^s mod (z^G - 1), so S_l = -lifted[l]
     lifted = np.zeros(G, dtype=np.int64)
     lifted[0] = 1
     for _ in range(s):
-        full = np.convolve(lifted, -c)
+        full = np.convolve(lifted, -coeffs)
         lifted = full[:G]
         lifted[: G - 1] += full[G:]
-    return int(p**k + chi0 - G * chi0 * lifted[ell])
+    return -int(lifted[ell])
 
 
 def _affine_count_extension(coeffs: list[int], p: int, k: int) -> int:
@@ -821,13 +897,6 @@ class LPolynomial:
                 var = "T" if i == 1 else f"T^{i}"
                 terms.append(("- " if b < 0 else "+ ") + mag + var)
         return " ".join(terms)
-
-    def serialize(self) -> dict:
-        return {
-            "q": self.q,
-            "genus": self.genus,
-            "coefficients": [str(b) for b in self.coeffs],
-        }
 
 
 def l_polynomial(curve: HyperellipticCurve, p: int) -> LPolynomial:

@@ -105,9 +105,6 @@ class TestUniPolynomial:
         g = zpoly(1, 1)
         assert f(g).coeffs == (1, 2, 1)
 
-    def test_derivative(self):
-        assert zpoly(5, 3, 0, 2).derivative().coeffs == (3, 0, 6)
-
     def test_str_omits_unit_coefficients(self):
         assert str(zpoly(1, 0, -1, 1)) == "x^3 - x^2 + 1"
 
@@ -176,14 +173,14 @@ class TestGcd:
         assert squarefree(zpoly(-6))
         assert squarefree(zpoly(4, 6))  # content 2, leading coefficient 6
         assert not squarefree(zpoly(0, 0, 3))  # 3x^2
-        assert squarefree(zpoly(0, 0, 3).derivative())
+        assert squarefree(zpoly(0, 6))  # 6x, the derivative of 3x^2
 
 
 def squarefree_over_q(f):
     """The gcd-over-Q route the integer Sturm chain replaced."""
     if f.degree <= 0:
         return not f.is_zero()
-    return len(gcd_q(f.coeffs, f.derivative().coeffs)) == 1
+    return len(gcd_q(f.coeffs, [i * c for i, c in enumerate(f.coeffs)][1:])) == 1
 
 
 @settings(max_examples=80, deadline=None)

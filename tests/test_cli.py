@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from math import isqrt
 from pathlib import Path
 
 import pytest
 
 from chebcm import __version__, cli
 from chebcm.cli import main
+from chebcm.zeta import COUNT_CAP, BadReductionError
 
 
 def test_verify_in_scope_passes(capsys):
@@ -192,6 +194,29 @@ def test_remark_rejects_pmax_below_three(capsys, monkeypatch):
         captured = capsys.readouterr()
         assert "pmax must be >= 3" in captured.err
         assert captured.out == ""
+
+
+def test_remark_refuses_pmax_past_the_cap(capsys, monkeypatch):
+    # D_2d has genus d - 1 >= 2, so every q > isqrt(COUNT_CAP) = 3162 is
+    # refused on the cap: such a pmax is refused before any count, and a
+    # huge one before is_prime runs on every integer below it
+    def no_work(*args, **kwargs):
+        raise AssertionError("remark_lpolys called")
+
+    monkeypatch.setattr(cli, "remark_lpolys", no_work)
+    assert isqrt(COUNT_CAP) == 3162
+    for pmax in ("3163", "100000", str(10**12)):
+        assert main(["remark", "--d", "3", "--pmax", pmax]) == 2
+        captured = capsys.readouterr()
+        assert "pmax must be <= 3162" in captured.err and f"exceeds cap {COUNT_CAP}" in captured.err
+        assert captured.out == ""
+
+    def bad_reduction(d, q):
+        raise BadReductionError("bad reduction")
+
+    monkeypatch.setattr(cli, "remark_lpolys", bad_reduction)
+    assert main(["remark", "--d", "3", "--pmax", "3162", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"][-1]["q"] == 3137
 
 
 def test_report_warning_on_empty_family(capsys):

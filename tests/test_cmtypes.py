@@ -76,9 +76,9 @@ class TestCMType:
         assert t.induced_oracle()
         assert t.stabilizer() == h
 
-    def test_serialize(self):
+    def test_fields(self):
         t = paper_type_case2(5)
-        assert t.serialize() == {"n": 5, "kernel": [1], "S": [1, 2]}
+        assert (t.group.n, sorted(t.group.kernel), sorted(t.s)) == (5, [1], [1, 2])
 
 
 class TestPaperTypes:
@@ -92,7 +92,7 @@ class TestPaperTypes:
 
     def test_case1_smallest(self):
         t = paper_type_case1(1)
-        assert t.serialize() == {"n": 8, "kernel": [1, 3], "S": [1]}
+        assert (t.group.n, sorted(t.group.kernel), sorted(t.s)) == (8, [1, 3], [1])
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19])
     def test_case2_valid_and_primitive(self, p):

@@ -98,8 +98,6 @@ PUBLIC_UNREACHED = {
     "cm_trace_pattern_c2": "the C_2 trace-pattern check; perfbench's trace-c2 workload runs it",
     "count_points_naive": "the enumeration oracle the tests and acceptance criterion 09 count against",
     "field_tower": "count_points_naive's moduli; perfbench reads its cache_info()",
-    "derivative": "UniPolynomial.derivative, of the public polynomial type; only tests call it",
-    "serialize": "CMType.serialize and LPolynomial.serialize, of public types; only tests call them",
 }
 
 

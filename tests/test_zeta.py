@@ -14,7 +14,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chebcm.algebra import UniPolynomial, _mulmod, _powmod, _reduce_mod, field_tower, squarefree
+from chebcm.algebra import (
+    UniPolynomial,
+    _berlekamp_massey,
+    _mulmod,
+    _powmod,
+    _reduce_mod,
+    field_tower,
+    squarefree,
+)
 from chebcm import zeta
 from chebcm.chebyshev import classify_d, is_prime
 from chebcm.curves import HyperellipticCurve, VerificationError, make_cd, make_dm, make_xd
@@ -51,6 +59,61 @@ from oracles import count_points_euler, count_points_euler_int64, gcd_mod
 
 def _odd_primes(bound):
     return [p for p in range(3, bound + 1, 2) if is_prime(p)]
+
+
+class _IntegerNumpy:
+    """numpy for zeta, failing any call that returns a non-integer array or
+    combines a uint64 value with a signed one; calls holds (name, dtypes of
+    the arrays returned)."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if isinstance(attr, type) or not callable(attr):
+            return attr
+
+        def signed(a):
+            if isinstance(a, (np.ndarray, np.generic)):
+                return a.dtype.kind == "i"
+            return isinstance(a, int) and a < 0
+
+        def checked(*args, **kwargs):
+            values = list(args) + list(kwargs.values())
+            if any(getattr(a, "dtype", None) == np.uint64 for a in values):
+                assert not any(signed(a) for a in values), (name, args)
+            out = attr(*args, **kwargs)
+            outs = out if isinstance(out, tuple) else (out,)
+            arrays = [a for a in outs if isinstance(a, (np.ndarray, np.generic))]
+            assert all(a.dtype.kind in "biu" for a in arrays), (name, [a.dtype for a in arrays])
+            self.calls.append((name, [a.dtype for a in arrays]))
+            return out
+
+        return checked
+
+
+def _run_recurrence(char, first, p, n):
+    """n terms of the sequence with monic characteristic polynomial char
+    (low degree first) that starts with first, in Python ints."""
+    s, L = list(first), len(char) - 1
+    while len(s) < n:
+        s.append(-sum(a * x for a, x in zip(char[:L], s[len(s) - L :])) % p)
+    return s[:n]
+
+
+def _spy_routes(monkeypatch):
+    """The coset-sum routes that _binomial_count takes, in call order."""
+    routes = []
+    for name in ("norms", "bitmap"):
+        route = getattr(zeta, f"_coset_sum_from_{name}")
+
+        def spy(*args, name=name, route=route):
+            routes.append(name)
+            return route(*args)
+
+        monkeypatch.setattr(zeta, f"_coset_sum_from_{name}", spy)
+    return routes
 
 
 def _reciprocal_from_h(lp):
@@ -248,20 +311,24 @@ class TestCountPoints:
                 power = _mulmod(power, g, m, p)
 
     def test_jump_reduces_before_int32_overflow(self):
-        # 3137 is the largest prime with p^2 <= COUNT_CAP, so a k = 2 jump
-        # there sums the largest terms that any counted field gives, two of
-        # up to (p - 1)^2, in int32 and reduces once; the oracle is Python
-        # ints
+        # 3137 is the largest prime with p^2 <= COUNT_CAP, so a jump of a
+        # sequence of F_3137^2 sums the largest terms that any counted field
+        # gives, up to L = 2^2 (the norms) of up to (p - 1)^2, in int32 and
+        # reduces once; the oracle is Python ints.  L (p - 1)^2 < 2^31 for
+        # every L <= 2^f and in-cap p^f, f >= 2
         p = 3137
         assert is_prime(p) and p**2 <= COUNT_CAP
         assert not any(is_prime(q) for q in range(p + 1, isqrt(COUNT_CAP) + 1))
+        for f in range(2, 15):
+            top = max(p for p in range(3, isqrt(COUNT_CAP) + 1) if p**f <= COUNT_CAP)
+            assert 2**f * (top - 1) ** 2 < 2**31, f
         s = np.random.default_rng(5).integers(0, p, 1000).astype(np.int32)
-        s[:3] = p - 1
-        a = [p - 1, p - 2]
-        out, scratch = np.empty((2, 999), dtype=np.int32)
-        zeta._jump(s, a, p, out, scratch)
-        expected = [(a[0] * int(s[t]) + a[1] * int(s[t + 1])) % p for t in range(999)]
-        assert out.tolist() == expected
+        s[:5] = p - 1
+        for a in ([p - 1, p - 2], [p - 1, p - 2, p - 1, p - 3]):
+            out, scratch = np.empty((2, 1001 - len(a)), dtype=np.int32)
+            zeta._jump(s, a, p, out, scratch)
+            expected = [sum(c * int(s[t + j]) for j, c in enumerate(a)) % p for t in range(len(out))]
+            assert out.tolist() == expected, len(a)
 
     def test_primitive_modulus_search(self):
         # brute force: x has order exactly p^k - 1 modulo m, m is
@@ -431,41 +498,39 @@ class TestCountPoints:
         # with a signed value, here at C_2 near 2^21, where f(x) nears 2^63,
         # and on the shapes of the Horner pass: a negative prefix, s = 0,
         # steps after a prefix
-        calls = []
-
-        def signed(a):
-            if isinstance(a, (np.ndarray, np.generic)):
-                return a.dtype.kind == "i"
-            return isinstance(a, int) and a < 0
-
-        class IntegerNumpy:
-            def __getattr__(self, name):
-                attr = getattr(np, name)
-                if isinstance(attr, type) or not callable(attr):
-                    return attr
-
-                def checked(*args, **kwargs):
-                    values = list(args) + list(kwargs.values())
-                    if any(getattr(a, "dtype", None) == np.uint64 for a in values):
-                        assert not any(signed(a) for a in values), (name, args)
-                    out = attr(*args, **kwargs)
-                    for a in out if isinstance(out, tuple) else (out,):
-                        if isinstance(a, (np.ndarray, np.generic)):
-                            assert a.dtype.kind in "biu", (name, a.dtype)
-                    calls.append(name)
-                    return out
-
-                return checked
-
-        monkeypatch.setattr(zeta, "np", IntegerNumpy())
+        numpy = _IntegerNumpy()
+        monkeypatch.setattr(zeta, "np", numpy)
         huge = HyperellipticCurve(UniPolynomial((1, 1, 0, -(2**63 + 5))))
         cells = [(make_cd(2), 2097143), (make_cd(2), 2097169), (make_cd(16), 65537), (huge, 65537)]
         with ThreadPoolExecutor(1) as pool:
             counts = pool.submit(lambda: [count_points(curve, p).count for curve, p in cells]).result(timeout=120)
             rows = pool.submit(zeta._chunk_rows).result(timeout=10)
         assert all(type(count) is int for count in counts)
-        assert {"floor_divide", "multiply", "add", "equal"} <= set(calls)
+        assert {"floor_divide", "multiply", "add", "equal"} <= {name for name, _ in numpy.calls}
         assert all(row.dtype.kind in "bu" for row in rows)
+
+    def test_norm_rows_stay_int32(self, monkeypatch):
+        # under numpy 1.24's value-based casting an int32 row combined with
+        # a scalar past int32 becomes int64, and with a float becomes
+        # float64, without an error.  A norm-route count (D_10/F_37^4)
+        # runs its recurrence on int32 rows with scalars below p: every
+        # row that _recurrence_chunks yields is int32, and every numpy call
+        # returns int32, int64 or bool
+        expected = count_points(make_dm(10), 37, 4).count
+        numpy, rows, chunks = _IntegerNumpy(), [], zeta._recurrence_chunks
+
+        def spy(*args):
+            for start, row in chunks(*args):
+                rows.append(row.dtype)
+                yield start, row
+
+        monkeypatch.setattr(zeta, "np", numpy)
+        monkeypatch.setattr(zeta, "_recurrence_chunks", spy)
+        routes = _spy_routes(monkeypatch)
+        assert count_points(make_dm(10), 37, 4).count == expected
+        assert routes == ["norms"] and set(rows) == {np.dtype(np.int32)}
+        assert {"multiply", "floor_divide", "count_nonzero"} <= {name for name, _ in numpy.calls}
+        assert {d for _, out in numpy.calls for d in out} <= {np.dtype(t) for t in (np.int32, np.int64, bool)}
 
     def test_prefix_row_is_filled_once_per_span(self, monkeypatch):
         # C_2 at every odd prime below 2,000 fills a fresh thread's prefix
@@ -577,11 +642,12 @@ class TestCountPoints:
 
     def test_binomial_count_takes_under_two_bytes_per_element(self):
         # D_10 over F_37^4 and F_43^4: G = gcd(q - 1, 10) = 10 divides no
-        # p^f - 1 with f < 4, so the pass runs over F_q itself and holds the
-        # q-byte squares bitmap and the (q - 1)/10 int32 indices of one
-        # coset, 1.4 bytes; no int32 table of the field (5 bytes with one)
+        # p^f - 1 with f < 4, so the count reads F_q itself, from the norms:
+        # three int32 rows of a chunk, whatever q is.  The bitmap route
+        # there held the q-byte squares bitmap and the (q - 1)/10 int32
+        # indices of one coset, 1.4 bytes per element
         assert all(gcd(p**2 - 1, 10) < 10 for p in (37, 43))
-        assert self._peak_bytes_per_element(make_dm(10), (37, 43)) < 2
+        assert self._peak_bytes_per_element(make_dm(10), (37, 43)) < 0.05
 
     def test_lifted_binomials_hold_no_table_of_the_field(self):
         # D_11 (G = 1, read from F_p) and D_6 (G = 6, read from F_p or
@@ -699,7 +765,8 @@ class TestCountPoints:
         # straddles chunk seams; G = gcd(q - 1, e) covers 1, 2, 3, 5, 7, 10
         # and 14, among others.  Only _binomial_count runs while _CHUNK is
         # patched: the k = 1 chunk rows are sized from it on a thread's
-        # first count
+        # first count.  The F_29^2 cells with G = 3, 5 and 10 (T = 280, 168
+        # and 84 >= 64 > 8^2) take the norms there, the rest the bitmap
         cells = [(29, 2, e) for e in (11, 2, 3, 5, 7, 10, 14)]
         cells += [(3, 4, 5), (3, 4, 10), (13, 2, 14), (7, 3, 9), (5, 3, 4)]
         curves = []
@@ -710,12 +777,15 @@ class TestCountPoints:
             assert good_reduction(curve, p), (p, k, e)
             curves.append((curve, coeffs, p, k, count_points_naive(curve, p, k)))
         assert {gcd(p**k - 1, e) for p, k, e in cells} >= {1, 2, 3, 5, 7, 10, 14}
+        routes = _spy_routes(monkeypatch)
         for size in (7, 64):
             monkeypatch.setattr(zeta, "_CHUNK", size)
+            routes.clear()
             for curve, coeffs, p, k, expected in curves:
                 fast = zeta._binomial_count(coeffs[0], coeffs[-1], len(coeffs) - 1, p, k)
                 fast += zeta._infinity_points(curve, p, k)
                 assert fast == expected, (size, curve.f, p, k)
+            assert set(routes) == {"norms", "bitmap"}, size
 
     def test_index_of_the_norm_powers(self):
         # g^(step j), step = (q - 1)/(p - 1), is N^j for the norm
@@ -777,9 +847,11 @@ class TestCountPoints:
         assert checked >= 1000 and naive >= 20 and powers >= {2, 3, 4}
 
     def test_binomial_pass_reads_the_least_subfield(self, monkeypatch):
-        # the one pass runs over F_(p^f) with f = ord_G(p): D_26/F_3^12
+        # the bitmap pass runs over F_(p^f) with f = ord_G(p): D_26/F_3^12
         # (G = 26, 3^3 = 1 mod 26) reads F_27, D_10/F_41^4 (G = 10) reads
-        # F_41, and D_10/F_43^4 (43 has order 4 mod 10) reads F_43^4 itself
+        # F_41, and D_10/F_23^4 (23 has order 4 mod 10) reads F_23^4
+        # itself.  D_10/F_43^4 (order 4 too) reads its norms and indexes no
+        # field
         chunks, fields = zeta._index_chunks, []
 
         def spy(p, k):
@@ -787,10 +859,91 @@ class TestCountPoints:
             return chunks(p, k)
 
         monkeypatch.setattr(zeta, "_index_chunks", spy)
-        for m, p, k, f in ((26, 3, 12, 3), (10, 41, 4, 1), (10, 43, 4, 4)):
+        cells = [(26, 3, 12, [(3, 3)]), (10, 41, 4, [(41, 1)]), (10, 23, 4, [(23, 4)])]
+        for m, p, k, read in cells + [(10, 43, 4, [])]:
             fields.clear()
             count_points(make_dm(m), p, k)
-            assert fields == [(p, f)], (m, p, k)
+            assert fields == read, (m, p, k)
+
+    def test_binomial_route_choice(self, monkeypatch):
+        # the norms where the bitmap would read F_q itself, T = (q - 1)/G >=
+        # _CHUNK and 8^f < T: D_10 (G = 10, f = 4) over F_37^4, F_43^4 and
+        # F_47^4 (T = 187,416, 341,880 and 487,968); the bitmap for
+        # D_10/F_23^4 (T = 27,984 < _CHUNK), D_14/F_5^6 and D_14/F_3^6 (G =
+        # 14, f = 6, T = 1,116 and 52)
+        routes = _spy_routes(monkeypatch)
+        cells = [(10, p, 4, "norms") for p in (37, 43, 47)]
+        cells += [(10, 23, 4, "bitmap"), (14, 5, 6, "bitmap"), (14, 3, 6, "bitmap")]
+        for m, p, k, route in cells:
+            routes.clear()
+            count_points(make_dm(m), p, k)
+            assert routes == [route], (m, p, k)
+
+    def test_norm_and_bitmap_routes_agree(self, monkeypatch):
+        # both coset sums, called directly, on every cell whose bitmap
+        # reads F_q itself (f = k): D_e and a seeded c0 + c1 x^e, e = 3..26,
+        # p not dividing e, over F_(p^k) with odd p <= 47, p^k <= 4 * 10^6
+        # and k <= 8.  F_5^9 and F_3^k, k >= 9, are left out: 8^k > q there,
+        # so the norms are never chosen, and their 2^(k+1) norms take
+        # seconds.  1 + c w^t = 0 at some t, so u_t = 0, exactly when -1/c
+        # is a G-th power, (-1/c)^T = 1.  On each field below 3000, the cell
+        # of least e is also counted whole, with the norms, against
+        # count_points_naive
+        def norms_only(c, G, p, f, k):
+            return zeta._coset_sum_from_norms(c, G, p, k)
+
+        rng = random.Random(28)
+        checked, zeros, naive = 0, 0, 0
+        for p in _odd_primes(47):
+            for k in range(2, 9):
+                q = p**k
+                if q > 4 * 10**6:
+                    break
+                oracle = q <= 3000
+                for e in (e for e in range(3, 27) if e % p):
+                    G = gcd(q - 1, e)
+                    if any((p**f - 1) % G == 0 for f in range(1, k)):
+                        continue
+                    for c0, c1 in ((1, 1), (rng.randrange(1, p), rng.randrange(1, p))):
+                        c = c1 * pow(c0, -1, p) % p
+                        norms = zeta._coset_sum_from_norms(c, G, p, k)
+                        assert norms == zeta._coset_sum_from_bitmap(c, G, p, k, k), (c0, c1, e, p, k)
+                        zeros += pow(-pow(c, -1, p), (q - 1) // G, p) == 1
+                        checked += 1
+                    if oracle:
+                        curve = HyperellipticCurve(UniPolynomial([c0] + [0] * (e - 1) + [c1]))
+                        with monkeypatch.context() as patch:
+                            patch.setattr(zeta, "_coset_sum_from_bitmap", norms_only)
+                            fast = count_points(curve, p, k).count
+                        assert fast == count_points_naive(curve, p, k), (e, p, k)
+                        naive += 1
+                        oracle = False
+        assert checked >= 400 and 300 <= zeros < checked and naive >= 20, (checked, zeros, naive)
+
+    def test_berlekamp_massey_finds_the_norm_recurrence(self):
+        # u_t = N(1 + c w^t), w = x^G, over F_(p^k): from the first 2^(k+1)
+        # norms, Berlekamp-Massey returns an order L <= 2^k whose
+        # recurrence gives the next 64 norms, computed as norms too.  And
+        # on random sequences of order r over F_p, from 2r terms, an order
+        # <= r that gives the next 5r terms
+        rng = random.Random(30)
+        for p, k, G, c in ((3, 4, 5, 1), (7, 3, 9, 3), (29, 2, 5, 2), (43, 4, 10, 1), (5, 5, 11, 4)):
+            q, m = p**k, _primitive_modulus(p, k)
+            w = _powmod([0, 1], G, m, p)
+            norms = []
+            for t in range(2 ** (k + 1) + 64):
+                y = _powmod(w, t, m, p) or [0]
+                z = _reduce_mod([1 + c * y[0]] + [c * v for v in y[1:]], p)
+                norms.append((_powmod(z, (q - 1) // (p - 1), m, p) or [0])[0])
+            char = _berlekamp_massey(norms[: 2 ** (k + 1)], p)
+            assert char[-1] == 1 and len(char) - 1 <= 2**k, (p, k)
+            assert _run_recurrence(char, norms[: len(char) - 1], p, len(norms)) == norms, (p, k)
+        for _ in range(40):
+            p, r = rng.choice((3, 5, 7, 101)), rng.randrange(1, 9)
+            char = [rng.randrange(p) for _ in range(r)] + [1]
+            s = _run_recurrence(char, [rng.randrange(p) for _ in range(r)], p, 7 * r)
+            found = _berlekamp_massey(s[: 2 * r], p)
+            assert len(found) - 1 <= r and _run_recurrence(found, s[: len(found) - 1], p, 7 * r) == s
 
     def test_horner_reduces_partway_matches_naive(self):
         # p^(deg+1) >= 2^63, so the k = 1 Horner must reduce mod p inside
@@ -979,12 +1132,9 @@ class TestLPolynomial:
         b = LPolynomial((1, 0, 3), 3)
         assert (a * b).coeffs == (1, -2, 6, -6, 9)
 
-    def test_serialize(self):
-        assert l_polynomial(make_cd(2), 3).serialize() == {
-            "q": 3,
-            "genus": 1,
-            "coefficients": ["1", "-2", "3"],
-        }
+    def test_fields(self):
+        lp = l_polynomial(make_cd(2), 3)
+        assert (lp.q, lp.genus, lp.coeffs) == (3, 1, (1, -2, 3))
 
     def test_repr(self):
         assert repr(LPolynomial((1, -2, 3), 3)) == "1 - 2*T + 3*T^2"
@@ -1123,7 +1273,7 @@ class TestSimplicity:
         c3 = make_cd(3)
         assert [good_reduction(c3, q) for q in (2, 3, 5)] == [False, False, True]
         lp = l_polynomial(c3, 5)
-        assert lp.serialize()["genus"] == 1
+        assert lp.genus == 1
         irreducible, factor = lpoly_is_irreducible(lp)
         assert irreducible == (factor is None)
 
