@@ -167,28 +167,28 @@ class UniPolynomial:
         return hash(self.coeffs)
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        terms = [
-            _format_term(c, i)
-            for i, c in reversed(list(enumerate(self.coeffs)))
-            if c != 0
-        ]
-        return " + ".join(terms).replace("+ -", "- ")
+        return format_polynomial(self.coeffs, "x")
 
     def __repr__(self):
         return f"UniPolynomial({self})"
 
 
-def _format_term(c, k):
-    if k == 0:
-        return f"{c}"
-    e = "x" if k == 1 else f"x^{k}"
-    if c == 1:
-        return e
-    if c == -1:
-        return f"-{e}"
-    return f"{c}*{e}"
+def format_polynomial(coeffs, var: str, ascending: bool = False) -> str:
+    """Integer coefficients, low degree first, as text in var: highest
+    power first ("z^3 - 2*z + 1") unless ascending ("1 - 2*T + 3*T^2").
+    A unit coefficient prints as a sign; the zero polynomial is "0"."""
+    terms = []
+    for k, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        if k == 0:
+            terms.append(str(c))
+            continue
+        e = var if k == 1 else f"{var}^{k}"
+        terms.append(e if c == 1 else f"-{e}" if c == -1 else f"{c}*{e}")
+    if not ascending:
+        terms.reverse()
+    return " + ".join(terms).replace("+ -", "- ") or "0"
 
 
 def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:

@@ -19,6 +19,8 @@ from .zeta import (
     COUNT_CAP,
     BadReductionError,
     CapExceededError,
+    _cap_error,
+    _int_name,
     count_points,  # noqa: F401 - kept as chebcm.cli.count_points, which perfbench wraps
     l_polynomial,
     lpoly_is_irreducible,
@@ -31,9 +33,9 @@ _STATUS = {"pass": "PASS", "fail": "FAIL", "skip": "skip"}
 
 def _out_of_scope_message(d: int) -> str:
     if d < 2:
-        return f"d={d} is out of scope: need d >= 2"
+        return f"d={_int_name(d, 'd')} is out of scope: need d >= 2"
     if d > D_MAX:
-        return f"d={d} is out of scope: need d <= {D_MAX}"
+        return f"d={_int_name(d, 'd')} is out of scope: need d <= {D_MAX}"
     if d % 2 == 0:
         return (
             f"d={d} is out of scope: phi(4d) = phi({4 * d}) = {euler_phi(4 * d)} "
@@ -62,14 +64,13 @@ def _cmd_verify(args) -> int:
         print(_out_of_scope_message(args.d), file=sys.stderr)
         return 2
     report = build_report(args.d)
-    _emit(args, report.to_dict())
+    _emit(args, report)
     if not args.json:
-        print(f"C_{args.d} (case {report.case}, genus {args.d // 2}) - claim checks:")
-        for c in report.claims:
-            print(f"  [{_STATUS[c.status]:4}] {c.claim_id}: {c.details}")
-        verdict = "FAILED" if report.failed else "all claims passed"
-        print(f"result: {verdict}")
-    return 1 if report.failed else 0
+        print(f"C_{args.d} (case {report['case']}, genus {args.d // 2}) - claim checks:")
+        for c in report["claims"]:
+            print(f"  [{_STATUS[c['status']]:4}] {c['claim']}: {c['details']}")
+        print(f"result: {'all claims passed' if report['ok'] else 'FAILED'}")
+    return 0 if report["ok"] else 1
 
 
 def _make_curve(kind: str, d: int):
@@ -84,25 +85,22 @@ def _cmd_lpoly(args) -> int:
     # every curve here has genus >= 1, so a p above the cap is refused
     # before anything else
     if args.p > COUNT_CAP:
-        print(f"field size {args.p} exceeds cap {COUNT_CAP}", file=sys.stderr)
+        print(_cap_error(args.p), file=sys.stderr)
         return 2
     if not is_prime(args.p):
-        print(f"p must be prime, got {args.p}", file=sys.stderr)
+        print(f"p must be prime, got {_int_name(args.p, 'p')}", file=sys.stderr)
         return 2
     # the genus of C_d, D_m or X_d from --d alone, so that a p^g above
     # the cap is refused before a huge model is built
     genus = {"C": args.d // 2, "D": (args.d - 1) // 2, "X": args.d}[args.curve]
-    if power_exceeds(args.p, genus, COUNT_CAP):
-        print(
-            f"L({args.curve}_{args.d}, {args.p}) needs counts over "
-            f"F_{args.p}^{genus}, which exceeds cap {COUNT_CAP}",
-            file=sys.stderr,
-        )
+    label = f"{args.curve}_{_int_name(args.d, 'd')}"
+    if power_exceeds(args.p, genus):
+        print(_cap_error(args.p, genus, label), file=sys.stderr)
         return 2
     try:
         curve = _make_curve(args.curve, args.d)
     except ValueError as exc:
-        print(f"cannot build {args.curve}_{args.d}: {exc}", file=sys.stderr)
+        print(f"cannot build {label}: {exc}", file=sys.stderr)
         return 2
     try:
         # checks reduction and the cap before counting anything
@@ -134,10 +132,12 @@ def _cmd_remark(args) -> int:
     # D_2d has genus d - 1, so past D_MAX every q would be skipped on the
     # cap; refusing first also keeps a huge d away from is_prime
     if args.d > D_MAX or classify_d(args.d) != 2:
-        print(f"remark needs an odd prime d <= {D_MAX}, got {args.d}", file=sys.stderr)
+        d = _int_name(args.d, "d")
+        print(f"remark needs an odd prime d <= {D_MAX}, got {d}", file=sys.stderr)
         return 2
     if args.pmax < 3:
-        print(f"pmax must be >= 3, the least odd prime; got {args.pmax}", file=sys.stderr)
+        pmax = _int_name(args.pmax, "pmax")
+        print(f"pmax must be >= 3, the least odd prime; got {pmax}", file=sys.stderr)
         return 2
     # D_2d has genus d - 1 >= 2; this also keeps a huge pmax from is_prime
     if args.pmax > isqrt(COUNT_CAP):

@@ -157,15 +157,19 @@ class MonomialAutomorphism:
             k >>= 1
         return result
 
-    def order(self, limit: int = 10000) -> int:
-        k = 1
+    def order(self) -> int:
+        """The least k >= 1 with self^k the identity.  With s = 1, self^k
+        multiplies y by x^(kt), so t != 0 means infinite order (ValueError),
+        and with t = 0 it scales x and y by units of order dividing n.  With
+        s = -1, self^2 is such a scaling, so every finite order is <= 2n."""
+        if self.s == 1 and self.t:
+            raise ValueError(f"infinite order: y picks up x^{self.t} at each step")
         cur = self
-        while not cur.is_identity():
+        for k in range(1, 2 * self.n + 1):
+            if cur.is_identity():
+                return k
             cur = cur.compose(self)
-            k += 1
-            if k > limit:
-                raise ValueError("order exceeds limit")
-        return k
+        raise AssertionError("a finite order exceeds 2n")
 
     def __eq__(self, other):
         if not isinstance(other, MonomialAutomorphism):
@@ -263,7 +267,7 @@ def case1_automorphisms(d: int):
         raise MapNotValidError("rotation does not preserve X_d")
     if not automorphism_valid(curve, tau):
         raise MapNotValidError("tau does not preserve X_d")
-    if z.order(limit=8 * d) != 4 * d:
+    if z.order() != 4 * d:
         raise VerificationError("rotation does not have order 4d")
     if z.power(2 * d) != MonomialAutomorphism.hyperelliptic_involution(n):
         raise VerificationError("zeta^(2d) is not the hyperelliptic involution")
@@ -287,7 +291,7 @@ def case2_automorphisms(p: int):
         raise MapNotValidError("rotation does not preserve D_2p")
     if not automorphism_valid(curve, sigma):
         raise MapNotValidError("sigma does not preserve D_2p")
-    if z.order(limit=8 * p) != 2 * p:
+    if z.order() != 2 * p:
         raise VerificationError("rotation does not have order 2p")
     if not sigma.compose(sigma).is_identity():
         raise VerificationError("sigma is not an involution")

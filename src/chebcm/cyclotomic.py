@@ -7,8 +7,8 @@ that the automorphisms in curves carry are exponents mod n; zeta_powers
 is the one table that turns an exponent into a vector.  The vectors
 built from it are differences zeta^u - zeta^v (zeta_difference): eta_n =
 zeta_n - zeta_n^(-1), its Galois images, and the eigenvalues of [zeta] -
-[zeta^(-1)], which format_cyclotomic prints; and, in the minimality
-proof below, polynomials in eta_n.
+[zeta^(-1)], which the report prints with algebra.format_polynomial;
+and, in the minimality proof below, polynomials in eta_n.
 
 The elements eta_n generate the CM fields this package certifies; their
 Galois stabilizers are computed here from the power table so they can be
@@ -73,29 +73,6 @@ def zeta_difference(n: int, u: int, v: int) -> tuple:
     """Coefficient vector of zeta_n^u - zeta_n^v."""
     table = zeta_powers(n)
     return tuple(a - b for a, b in zip(table[u % n], table[v % n]))
-
-
-def format_cyclotomic(v) -> str:
-    """A coefficient vector as text, highest power of z = zeta_n first,
-    for example "z^3 - 2*z + 1"; the zero vector is "0"."""
-    terms = []
-    for k in range(len(v) - 1, -1, -1):
-        c = v[k]
-        if c == 0:
-            continue
-        if k == 0:
-            terms.append(f"{c}")
-        else:
-            e = "z" if k == 1 else f"z^{k}"
-            if c == 1:
-                terms.append(e)
-            elif c == -1:
-                terms.append(f"-{e}")
-            else:
-                terms.append(f"{c}*{e}")
-    if not terms:
-        return "0"
-    return " + ".join(terms).replace("+ -", "- ")
 
 
 def eta(n: int) -> tuple:

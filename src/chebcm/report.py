@@ -1,18 +1,19 @@
 """Claim registry and per-d verification reports.
 
 Each report runs a fixed list of named claims for one d in the family
-(d a power of 2, or an odd prime), records pass/fail/skip with details,
-and serializes to JSON with a stable key order.  Claims that only make
-sense for one of the two cases are reported as "skip" on the other so
-that every report carries the full registry exactly once.
+(d a power of 2, or an odd prime) and records pass/fail/skip with
+details.  A report is the plain dict that is emitted as JSON, with a
+stable key order.  Claims that only make sense for one of the two cases
+are reported as "skip" on the other so that every report carries the
+full registry exactly once.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from . import __version__ as VERSION
+from .algebra import format_polynomial
 from .chebyshev import (
     classify_d,
     genus_of_cd,
@@ -33,7 +34,6 @@ from .curves import (
 from .cyclotomic import (
     eta_minimal_polynomial,
     eta_stabilizer,
-    format_cyclotomic,
     kd_degree_check,
 )
 from .unitgroups import (
@@ -104,58 +104,8 @@ CLAIM_REGISTRY = (
 )
 
 
-@dataclass
-class ClaimResult:
-    claim_id: str
-    statement: str
-    status: str  # pass | fail | skip
-    details: str
-
-    def to_dict(self) -> dict:
-        return {
-            "claim": self.claim_id,
-            "statement": self.statement,
-            "status": self.status,
-            "details": self.details,
-        }
-
-
-@dataclass
-class VerificationReport:
-    version: str
-    d: int
-    case: int
-    claims: list = field(default_factory=list)
-
-    @property
-    def failed(self) -> bool:
-        return any(c.status == "fail" for c in self.claims)
-
-    def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "d": self.d,
-            "case": self.case,
-            "ok": not self.failed,
-            "claims": [c.to_dict() for c in self.claims],
-        }
-
-
-def _json_safe(obj):
-    """Recursively stringify integers that do not fit in 64 bits."""
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, int):
-        return str(obj) if abs(obj) > 2**63 - 1 else obj
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    return obj
-
-
 def emit_json(doc: dict) -> str:
-    return json.dumps(_json_safe(doc), indent=2)
+    return json.dumps(doc, indent=2)
 
 
 def _run(check):
@@ -168,13 +118,15 @@ def _run(check):
         return "fail", f"{type(exc).__name__}: {exc}"
 
 
-def build_report(d: int) -> VerificationReport:
+def build_report(d: int) -> dict:
+    """The report for one d, as the JSON document it is emitted as: keys
+    version, d, case, ok and claims, each claim with keys claim,
+    statement, status and details."""
     case = classify_d(d)
     if case is None:
         raise ValueError(f"d={d} is not a power of 2 or an odd prime")
     n = 4 * d if case == 1 else 2 * d
     genus = genus_of_cd(d)
-    report = VerificationReport(VERSION, d, case)
 
     def claim_functional_equation():
         ok = verify_functional_equation(d)
@@ -243,7 +195,7 @@ def build_report(d: int) -> VerificationReport:
         det = endo_quotient_details(d)
         ok = det["ok"]
         eigs = ", ".join(
-            "None" if v is None else format_cyclotomic(v) for v in det["eigenvalues"][:4]
+            "None" if v is None else format_polynomial(v, "z") for v in det["eigenvalues"][:4]
         )
         if len(det["eigenvalues"]) > 4:
             eigs += ", ..."
@@ -277,7 +229,7 @@ def build_report(d: int) -> VerificationReport:
                 q
                 for q in range(3, 51)
                 if is_prime(q)
-                and not power_exceeds(q, genus, COUNT_CAP)
+                and not power_exceeds(q, genus)
                 and good_reduction(curve, q)
             ),
             None,
@@ -287,7 +239,7 @@ def build_report(d: int) -> VerificationReport:
                 f"no good prime q <= 50 with q^{genus} under cap {COUNT_CAP}"
             )
         r = None
-        if case == 2 and not power_exceeds(q, d - 1, COUNT_CAP):
+        if case == 2 and not power_exceeds(q, d - 1):
             r = remark_lpolys(d, q)
             lp = r["l_cd"]
         else:
@@ -314,10 +266,19 @@ def build_report(d: int) -> VerificationReport:
         "cm-type-primitive": claim_primitive,
         "zeta-consistency": claim_zeta,
     }
+    claims = []
     for claim_id, statement in CLAIM_REGISTRY:
         status, details = _run(bodies[claim_id])
-        report.claims.append(ClaimResult(claim_id, statement, status, details))
-    return report
+        claims.append(
+            {"claim": claim_id, "statement": statement, "status": status, "details": details}
+        )
+    return {
+        "version": VERSION,
+        "d": d,
+        "case": case,
+        "ok": all(c["status"] != "fail" for c in claims),
+        "claims": claims,
+    }
 
 
 def build_batch(dmax: int) -> dict:
@@ -330,6 +291,6 @@ def build_batch(dmax: int) -> dict:
         "version": VERSION,
         "dmax": dmax,
         "family": family,
-        "ok": all(not r.failed for r in reports),
-        "reports": [r.to_dict() for r in reports],
+        "ok": all(r["ok"] for r in reports),
+        "reports": reports,
     }

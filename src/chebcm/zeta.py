@@ -81,7 +81,6 @@ q^k + 1 - N_k, and Newton's identities with that sign give the b_k.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, isqrt
@@ -100,6 +99,7 @@ from .algebra import (
     _pseudo_remainder,
     _reduce_mod,
     field_tower,
+    format_polynomial,
 )
 from .chebyshev import classify_d, is_prime
 from .curves import HyperellipticCurve, VerificationError, make_cd, make_dm
@@ -127,17 +127,19 @@ class CapExceededError(RuntimeError):
     """Requested field is larger than the enumeration cap."""
 
 
+def _int_name(n: int, var: str) -> str:
+    """n as a refusal names it: in decimal, or by its bit length when it is
+    longer than 64 bits, since an int of more than 4300 digits cannot be
+    written out and a shorter one can still fill kilobytes."""
+    return str(n) if n.bit_length() <= 64 else f"({n.bit_length()}-bit {var})"
+
+
 def _cap_error(p: int, k: int | None = None, curve: str | None = None):
     """The refusal of the field F_p^k (of p itself when k is None), or of
-    L(curve, p), which needs counts over it.  A p or k longer than 64 bits
-    is named by its bit length, since an int of more than 4300 digits
-    cannot be written out."""
-
-    def name(n, var):
-        return str(n) if n.bit_length() <= 64 else f"({n.bit_length()}-bit {var})"
-
-    prime = name(p, "p")
-    field = prime if k is None else f"F_{prime}^{name(k, 'k')}"
+    L(curve, p), which needs counts over it, with p and k named by
+    _int_name."""
+    prime = _int_name(p, "p")
+    field = prime if k is None else f"F_{prime}^{_int_name(k, 'k')}"
     if curve is None:
         return CapExceededError(f"field size {field} exceeds cap {COUNT_CAP}")
     return CapExceededError(
@@ -146,28 +148,20 @@ def _cap_error(p: int, k: int | None = None, curve: str | None = None):
     )
 
 
-def power_exceeds(p: int, g: int, cap: int) -> bool:
-    """p^g > cap, for p >= 2, by a product that stops once it passes cap:
-    a huge genus costs at most log_2(cap) + 1 steps, and p^g is never
-    written out."""
+def power_exceeds(p: int, g: int) -> bool:
+    """p^g > COUNT_CAP, for p >= 2, by a product that stops once it passes
+    the cap: a huge genus costs at most log_2(COUNT_CAP) + 1 steps, and p^g
+    is never written out."""
     q = 1
     for _ in range(g):
         q *= p
-        if q > cap:
+        if q > COUNT_CAP:
             return True
     return False
 
 
 class BadReductionError(ValueError):
     """The reduced model is not a smooth curve of the same degree."""
-
-
-@dataclass(frozen=True)
-class PointCount:
-    curve: str
-    p: int
-    k: int
-    count: int
 
 
 def good_reduction(curve: HyperellipticCurve, p: int) -> bool:
@@ -677,7 +671,7 @@ def _affine_count_extension(coeffs: list[int], p: int, k: int) -> int:
     return zero + (n // period) * total
 
 
-def count_points(curve: HyperellipticCurve, p: int, k: int = 1) -> PointCount:
+def count_points(curve: HyperellipticCurve, p: int, k: int = 1) -> int:
     """Number of points of the smooth projective model over F_(p^k).
 
     The field size is refused before good_reduction, so a huge p gets
@@ -687,7 +681,7 @@ def count_points(curve: HyperellipticCurve, p: int, k: int = 1) -> PointCount:
         raise ValueError("k must be >= 1")
     # a p below 2 is no field (good_reduction refuses it), and
     # power_exceeds would take k steps on it
-    if p >= 2 and power_exceeds(p, k, COUNT_CAP):
+    if p >= 2 and power_exceeds(p, k):
         raise _cap_error(p, k)
     if not good_reduction(curve, p):
         raise BadReductionError(f"{curve.label} has bad reduction at p={p}")
@@ -709,7 +703,7 @@ def count_points(curve: HyperellipticCurve, p: int, k: int = 1) -> PointCount:
         raise VerificationError(
             f"count N_{k}({curve.label}/F_{p}) = {n} violates the Weil bound"
         )
-    return PointCount(curve.label, p, k, n)
+    return n
 
 
 def count_points_naive(curve: HyperellipticCurve, p: int, k: int = 1) -> int:
@@ -886,17 +880,7 @@ class LPolynomial:
         return hash((self.q, self.coeffs))
 
     def __repr__(self):
-        terms = []
-        for i, b in enumerate(self.coeffs):
-            if b == 0:
-                continue
-            if i == 0:
-                terms.append(str(b))
-            else:
-                mag = f"{abs(b)}*" if abs(b) != 1 else ""
-                var = "T" if i == 1 else f"T^{i}"
-                terms.append(("- " if b < 0 else "+ ") + mag + var)
-        return " ".join(terms)
+        return format_polynomial(self.coeffs, "T", ascending=True)
 
 
 def l_polynomial(curve: HyperellipticCurve, p: int) -> LPolynomial:
@@ -905,13 +889,13 @@ def l_polynomial(curve: HyperellipticCurve, p: int) -> LPolynomial:
     genus 0 there is no field to refuse, and a p beyond is_prime's
     deterministic range raises its ValueError."""
     g = curve.genus
-    if power_exceeds(p, g, COUNT_CAP):
+    if power_exceeds(p, g):
         raise _cap_error(p, g, curve.label)
     if not good_reduction(curve, p):
         raise BadReductionError(f"{curve.label} has bad reduction at p={p}")
     if g == 0:
         return LPolynomial((1,), p)
-    s = [p**k + 1 - count_points(curve, p, k).count for k in range(1, g + 1)]
+    s = [p**k + 1 - count_points(curve, p, k) for k in range(1, g + 1)]
     b = [1]
     for k in range(1, g + 1):
         acc = s[k - 1] + sum(b[j] * s[k - j - 1] for j in range(1, k))
@@ -1017,7 +1001,7 @@ def remark_lpolys(d: int, q: int, threads: int = 1) -> dict:
     if classify_d(d) != 2:
         raise ValueError("d must be an odd prime")
     # refused before the curves are built; D_2d has genus d - 1
-    if power_exceeds(q, d - 1, COUNT_CAP):
+    if power_exceeds(q, d - 1):
         raise _cap_error(q, d - 1, f"D_{2 * d}")
     cd, dd, d2d = make_cd(d), make_dm(d), make_dm(2 * d)
     for c in (cd, dd, d2d):
@@ -1057,7 +1041,7 @@ def cm_trace_pattern_c2(bound: int) -> bool:
     c2 = make_cd(2)
     for q in primes:
         try:
-            a = q + 1 - count_points(c2, q).count
+            a = q + 1 - count_points(c2, q)
         except BadReductionError:
             continue
         # (-2/q) = (-1/q)(2/q) = -1 exactly when q = 5, 7 (mod 8)

@@ -111,7 +111,8 @@ def test_lpoly_refuses_a_huge_p_before_the_primality_test(capsys, monkeypatch):
     for p in (2**89 - 1, 2**89 + 1):
         assert main(["lpoly", "--curve", "C", "--d", "2", "--p", str(p)]) == 2
         captured = capsys.readouterr()
-        assert f"field size {p} exceeds cap" in captured.err
+        # longer than 64 bits, so p is named by its bit length
+        assert f"field size ({p.bit_length()}-bit p) exceeds cap" in captured.err
         assert captured.out == ""
 
 
@@ -151,6 +152,34 @@ def test_lpoly_refuses_a_huge_genus_before_building_the_curve(curve, d):
     assert "exceeds cap" in out.stderr
     assert len(out.stderr.encode()) < 1024
     assert out.stdout == ""
+
+
+_LONG = "9" * 4002  # below int()'s 4300-digit limit, so argparse takes it
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lpoly", "--curve", "C", "--d", "2", "--p", _LONG],
+        ["lpoly", "--curve", "C", "--d", "2", "--p", "-" + _LONG],
+        ["lpoly", "--curve", "C", "--d", _LONG, "--p", "5"],
+        ["lpoly", "--curve", "C", "--d", "-" + _LONG, "--p", "5"],
+        ["verify", "--d", _LONG],
+        ["verify", "--d", "-" + _LONG],
+        ["remark", "--d", _LONG],
+        ["remark", "--d", "3", "--pmax", "-" + _LONG],
+    ],
+    ids=[
+        "lpoly-p", "lpoly-neg-p", "lpoly-d", "lpoly-neg-d",
+        "verify-d", "verify-neg-d", "remark-d", "remark-neg-pmax",
+    ],
+)
+def test_refusals_name_a_long_number_by_its_bit_length(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "(13295-bit " in captured.err
+    assert len(captured.err.encode()) < 1024
+    assert captured.out == ""
 
 
 def test_remark_table(capsys):
