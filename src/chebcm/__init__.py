@@ -10,7 +10,7 @@ Entry points (everything else lives in the submodules):
 - make_cd(d), make_dm(m), make_xd(d): the curves C_d, D_m and X_d;
 - count_points(curve, p, k), l_polynomial(curve, q): the number of points
   over F_(p^k), an int, and the exact L-polynomial;
-- lpoly_is_irreducible(lp): exact irreducibility of an L-polynomial;
+- lpoly_is_irreducible(lp): exact irreducibility of an L-polynomial, None if undecided;
 - remark_lpolys(d, q): L(C_d), L(D_d), L(D_2d) and the isogeny equalities.
 """
 

@@ -82,15 +82,6 @@ class UniPolynomial:
         n = max(len(self.coeffs), len(o.coeffs))
         return UniPolynomial([self.coefficient(i) - o.coefficient(i) for i in range(n)])
 
-    def __rsub__(self, other):
-        o = self._coerce_operand(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __neg__(self):
-        return UniPolynomial([-c for c in self.coeffs])
-
     def __mul__(self, other):
         o = self._coerce_operand(other)
         if o is None:

@@ -2,13 +2,14 @@
 
 Exit codes: 0 all checks pass, 1 at least one claim or verdict failed,
 2 usage errors and out-of-scope inputs (d outside the family, p not
-prime, bad reduction, enumeration cap).
+prime, bad reduction, enumeration cap, an --out that cannot be opened).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from math import isqrt
 
 from .chebyshev import classify_d, is_prime
@@ -48,12 +49,11 @@ def _out_of_scope_message(d: int) -> str:
 
 
 def _emit(args, doc: dict) -> str:
-    """doc as JSON text, written to --out when given and printed under
-    --json; every subcommand's document goes through here."""
+    """doc as JSON text, written to the --out file when given and printed
+    under --json; every subcommand's document goes through here."""
     text = emit_json(doc)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        args.out.write(text + "\n")
     if args.json:
         print(text)
     return text
@@ -189,7 +189,7 @@ def _cmd_report(args) -> int:
         print(f"warning: no d in scope with d <= {args.dmax}", file=sys.stderr)
     text = _emit(args, doc)
     if not args.json:
-        print(f"wrote {args.out}" if args.out else text)
+        print(f"wrote {args.out.name}" if args.out else text)
     for rep in doc["reports"]:
         statuses = [c["status"] for c in rep["claims"]]
         print(
@@ -231,13 +231,19 @@ def main(argv=None) -> int:
         p.add_argument("--out", type=str, default=None, help="write JSON to this path")
 
     args = parser.parse_args(argv)
+    try:  # opened before any work, so a bad path costs none; closed on return
+        args.out = open(args.out, "w", encoding="utf-8") if args.out else None
+    except OSError as exc:
+        print(f"cannot open --out: {exc}", file=sys.stderr)
+        return 2
     handlers = {
         "verify": _cmd_verify,
         "lpoly": _cmd_lpoly,
         "remark": _cmd_remark,
         "report": _cmd_report,
     }
-    return handlers[args.command](args)
+    with args.out or nullcontext():
+        return handlers[args.command](args)
 
 
 if __name__ == "__main__":

@@ -43,9 +43,7 @@ character (chi(0) = 0).  The engine has two parts, chosen by k.
     and an int32 table of log(y), and the index table is rewritten into
     Z(n) = log(1 + g^n).  At x = g^i each term c x^e has log
     (e i + log c) mod (q - 1), a sum of logs a, b is a + Z(b - a), and
-    chi(y) = +1 exactly when log y is even.  With G the gcd of q - 1 and
-    the exponents of f, i runs over one period (q - 1)/G, counted G
-    times.
+    chi(y) = +1 exactly when log y is even.
   x = 0 is counted apart.
 
 The index chunks and the norms both come from linear recurring sequences
@@ -69,10 +67,11 @@ That proof uses the integer-list polynomial layer over F_p in algebra;
 good_reduction reads p against lc(f) disc(f), computed once per curve by
 a subresultant PRS over Z (algebra._lc_discriminant, which the curve's
 squarefree check has already run); a repeated factor of L is the last
-member of its integer Sturm chain.
-All pass/fail logic uses exact integer arithmetic; floating point
-appears only in the candidate factors that the fallback subset scan of
-lpoly_is_irreducible proposes, each decided by exact trial division.
+member of its integer Sturm chain.  Failing the proof, a factor of h of
+a degree k <= g/2 the primes leave (h1 h2 has one) is sought among the
+products of k roots of h, real by the Weil check and distinct as L is
+squarefree: floats propose, exact division decides, and "undecided" is
+the verdict when none divides.  No verdict rests on rounding.
 
 Sign conventions: L(T) = prod (1 - alpha_i T), s_k = sum alpha_i^k =
 q^k + 1 - N_k, and Newton's identities with that sign give the b_k.
@@ -187,7 +186,7 @@ def _infinity_points(curve: HyperellipticCurve, p: int, k: int) -> int:
         return 1
     lc = curve.f.coeffs[-1] % p
     # lc in F_p*; square in F_(p^k) iff lc^((q-1)/2) = 1, exponent taken mod p-1
-    e = ((p**k - 1) // 2) % (p - 1) if p > 2 else 0
+    e = ((p**k - 1) // 2) % (p - 1)
     return 2 if pow(lc, e, p) == 1 else 0
 
 
@@ -530,7 +529,8 @@ def _coset_sum_from_norms(c: int, G: int, p: int, k: int) -> int:
     chi = chi_p o N: N(y) = y^((q - 1)/(p - 1)), so by Euler's criterion in
     both fields chi_p(N(y)) = N(y)^((p - 1)/2) = y^((q - 1)/2) = chi(y),
     and u_t = 0 exactly when 1 + c w^t = 0.  N(y) is the product of the
-    conjugates y^(p^i), i < k, so u_t = prod_i (1 + c (w^(p^i))^t) = sum
+    conjugates y^(p^i), i < k, so u_t = prod_i (1 + c (w^(p^i))^t), which
+    is how the first norms are computed, and expands to the sum
     over A in {0, .., k - 1} of c^|A| b_A^t, b_A = prod over i in A of
     w^(p^i): u satisfies the recurrence of P(z) = prod_A (z - b_A), of
     order 2^k.  Frobenius sends b_A to b_(A+1), A shifted mod k, so it
@@ -542,12 +542,15 @@ def _coset_sum_from_norms(c: int, G: int, p: int, k: int) -> int:
     _recurrence_chunks gives the rest.
     """
     q, m = p**k, _primitive_modulus(p, k)
-    w, y, first = _powmod([0, 1], G, m, p), [1], []
+    # ys[i] = (w^(p^i))^t, each stepped by one product per t
+    steps = [_powmod([0, 1], G * p**i, m, p) for i in range(k)]
+    ys, first = [[1]] * k, []
     for _ in range(2 ** (k + 1)):
-        z = _reduce_mod([1 + c * y[0]] + [c * v for v in y[1:]], p)  # 1 + c w^t
-        norm = _powmod(z, (q - 1) // (p - 1), m, p)
+        norm = [1]
+        for y in ys:
+            norm = _mulmod(norm, _reduce_mod([1 + c * y[0]] + [c * v for v in y[1:]], p), m, p)
         first.append(norm[0] if norm else 0)
-        y = _mulmod(y, w, m, p)
+        ys = [_mulmod(y, w, m, p) for y, w in zip(ys, steps)]
     char = _berlekamp_massey(first, p)
     L = len(char) - 1
     square = np.zeros(p, dtype=bool)
@@ -645,22 +648,19 @@ def _affine_count_extension(coeffs: list[int], p: int, k: int) -> int:
     x = g^i; each term c x^e has log (e i + log c) mod n, n = q - 1, a sum
     of logs a, b is a + Z(b - a), and chi(y) = +1 exactly when log y is
     even.  _ZERO_LOG is odd, so zeros never count as squares.  index is
-    rewritten into Z once; with G = gcd(n, every exponent of f), f(g^i)
-    has period n/G in i, so i runs below n/G and that sum counts G times.
+    rewritten into Z once.
     """
     log, index = _zech_tables(p, k)
     n = p**k - 1
-    exponents = [e for e, c in enumerate(coeffs) if c]
-    (e0, l0), *terms = [(e % n, int(log[coeffs[e]])) for e in exponents]
-    period = n // gcd(n, *exponents)
+    (e0, l0), *terms = [(e % n, int(log[c])) for e, c in enumerate(coeffs) if c]
     for start in range(0, n, _CHUNK):
         window = slice(start, start + _CHUNK)
         index[window] = _zech(log, index, window, p)
     c0 = coeffs[0]
     zero = 1 if c0 == 0 else 2 * (int(log[c0]) % 2 == 0)  # x = 0
     total = 0
-    for start in range(0, period, _CHUNK):
-        i = np.arange(start, min(start + _CHUNK, period), dtype=np.int64)
+    for start in range(0, n, _CHUNK):
+        i = np.arange(start, min(start + _CHUNK, n), dtype=np.int64)
         acc = (e0 * i + l0) % n
         for e, lc in terms:
             t = (e * i + lc) % n
@@ -668,7 +668,7 @@ def _affine_count_extension(coeffs: list[int], p: int, k: int) -> int:
             s = np.where(z == _ZERO_LOG, _ZERO_LOG, (acc + z) % n)
             acc = np.where(acc == _ZERO_LOG, t, s)
         total += int((acc == _ZERO_LOG).sum()) + 2 * int(((acc & 1) == 0).sum())
-    return zero + (n // period) * total
+    return zero + total
 
 
 def count_points(curve: HyperellipticCurve, p: int, k: int = 1) -> int:
@@ -907,9 +907,9 @@ def l_polynomial(curve: HyperellipticCurve, p: int) -> LPolynomial:
     return LPolynomial(b, p)
 
 
-def _proves_irreducible(h: tuple[int, ...]) -> bool:
-    """True when the factor degrees of h mod the primes in _PROOF_PRIMES
-    leave no degree for a proper factor over Q.
+def _possible_degrees(h: tuple[int, ...]) -> int:
+    """Bit mask of the degrees k <= g = deg h that the factor degrees of h
+    mod the primes in _PROOF_PRIMES leave possible for a factor over Q.
 
     A factor of degree k over Q reduces mod ell (ell not dividing the
     discriminant) to a product of some factors of h mod ell, so k is a
@@ -933,27 +933,34 @@ def _proves_irreducible(h: tuple[int, ...]) -> bool:
             sums |= sums << k
         stalled = stalled + 1 if possible & sums == possible else 0
         possible &= sums
-    return possible == alone
+    return possible
 
 
 def lpoly_is_irreducible(lp: LPolynomial):
-    """Exact irreducibility over Q; returns (verdict, integer factor or None).
+    """Exact irreducibility over Q: (True, None), (False, f) with f a
+    factor of L in Z[T], f(0) = 1, or (None, None) when neither is found.
 
     A repeated factor is found exactly, from gcd(L, L').  A squarefree L
     is irreducible over Q exactly when its real Weil polynomial h is
-    (LPolynomial.real_weil_polynomial).  A factorization h = h1 h2 gives
-    one of L.  Conversely, let h be irreducible, alpha a root of
-    T^(2g) L(1/T) and x = alpha + q/alpha, a root of h.  Then
-    alpha^2 - x alpha + q = 0, so [Q(alpha) : Q] is 2g or g.  It is not g:
-    that would put alpha in Q(x), a real field because every root of h is
-    real, so alpha = +-sqrt q = q/alpha, a double root of L.  The argument
-    rests on the exact Weil check that every LPolynomial passes.
+    (LPolynomial.real_weil_polynomial): a factor h1 of h of degree k gives
+    the factor T^k h1(T + q/T) of T^(2g) L(1/T).  Conversely, let h be
+    irreducible, alpha a root of T^(2g) L(1/T) and x = alpha + q/alpha, a
+    root of h.  Then alpha^2 - x alpha + q = 0, so [Q(alpha) : Q] is 2g or
+    g.  It is not g: that would put alpha in Q(x), a real field because
+    every root of h is real, so alpha = +-sqrt q = q/alpha, a double root
+    of L.  The argument rests on the exact Weil check that every
+    LPolynomial passes.
 
-    Irreducibility of h is proved from its factor degrees mod small
-    primes (_proves_irreducible).  Only when that is inconclusive does
-    the subset scan (_subset_scan) run.
+    h is proved irreducible from its factor degrees mod small primes
+    (_possible_degrees).  Otherwise the monic products of k roots of h are
+    tried for the degrees k <= g/2 that the primes leave, smallest first:
+    if h = h1 h2, both degrees survive every prime and one is at most g/2.
+    The roots are real and distinct, since a root x of h lifts to the
+    roots of T^2 - x T + q in the squarefree L, a double one at x = +-2
+    sqrt q.  A product is rounded to integers and kept only if it divides
+    h exactly: floating point proposes candidates and never decides.
     """
-    g = lp.genus
+    g, q = lp.genus, lp.q
     if g == 0:
         return False, None
     # the last Sturm member is the primitive gcd of L and L' up to sign;
@@ -961,35 +968,20 @@ def lpoly_is_irreducible(lp: LPolynomial):
     common = _sturm_chain(list(lp.coeffs))[-1]
     if len(common) > 1:
         return False, common if common[0] == 1 else [-c for c in common]
-    if _proves_irreducible(lp.real_weil_polynomial()):
+    h = UniPolynomial(lp.real_weil_polynomial())
+    possible = _possible_degrees(h.coeffs)
+    if possible == 1 | 1 << g:
         return True, None
-    return _subset_scan(lp)
-
-
-def _subset_scan(lp: LPolynomial):
-    """Fallback of lpoly_is_irreducible for a squarefree L.
-
-    A degree <= g integer factor, if one exists, is the product of a
-    subset of the reciprocal roots alpha_i; each subset product is rounded
-    to an integer polynomial and decided by exact trial division, so
-    floating point only proposes candidates.  When no candidate divides,
-    the verdict "irreducible" rests on that rounding.
-    """
-    g = lp.genus
-    roots = np.roots(np.array(lp.coeffs, dtype=float))
-    # work on the monic reciprocal T^2g L(1/T); its roots are the alpha_i,
-    # and a monic integer factor h of it mirrors to the L-side factor
-    # with h's coefficients reversed
-    rec = UniPolynomial(reversed(lp.coeffs))
-    for size in range(1, g + 1):
-        for subset in combinations(range(2 * g), size):
-            cand_hi = np.poly(roots[list(subset)])
-            ints = [int(round(float(np.real(c)))) for c in cand_hi]
-            if np.max(np.abs(cand_hi - np.array(ints))) > 0.3:
-                continue
-            if (rec % UniPolynomial(reversed(ints))).is_zero():
-                return False, ints
-    return True, None
+    roots = np.roots(np.array(h.coeffs[::-1], dtype=float)).real
+    for k in (k for k in range(1, g // 2 + 1) if possible >> k & 1):
+        for subset in combinations(roots, k):
+            h1 = UniPolynomial(int(round(c)) for c in np.poly(subset)[::-1])
+            if (h % h1).is_zero():
+                # f is T^k h1(T + q/T) = sum_j c_j (T^2 + q)^j T^(k-j) reversed
+                lift = sum((UniPolynomial((q, 0, 1)) ** j * UniPolynomial((0,) * (k - j) + (c,))
+                            for j, c in enumerate(h1.coeffs)), UniPolynomial(()))
+                return False, list(reversed(lift.coeffs))
+    return None, None
 
 
 def remark_lpolys(d: int, q: int, threads: int = 1) -> dict:

@@ -24,10 +24,16 @@ table.
 
 is_prime_trial is trial division, the reference for chebyshev.is_prime's
 Miller-Rabin test.
+
+subset_scan is the L-side factor search that zeta.lpoly_is_irreducible
+once ran: it rounds the products of up to g of the 2g complex roots of
+L and answers "irreducible" when none divides.  That verdict rests on
+rounding, so it is only a reference for the verdicts, not a proof.
 """
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -225,6 +231,25 @@ def count_points_euler_int64(coeffs, p, block=1 << 18):
     lc = coeffs[-1] % p
     chi_lc = 0 if lc == 0 else 1 if pow(lc, (p - 1) // 2, p) == 1 else -1
     return total + (1 if len(coeffs) % 2 == 0 else 1 + chi_lc)
+
+
+def subset_scan(lp):
+    """(False, f) for the first product f of a subset of L's reciprocal
+    roots alpha_i, rounded to integers, whose reciprocal divides T^(2g)
+    L(1/T) exactly; f is the L-side factor, constant term 1.  (True,
+    None) when no subset of at most g roots gives one."""
+    g = lp.genus
+    roots = np.roots(np.array(lp.coeffs, dtype=float))
+    rec = UniPolynomial(reversed(lp.coeffs))
+    for size in range(1, g + 1):
+        for subset in combinations(range(2 * g), size):
+            cand_hi = np.poly(roots[list(subset)])
+            ints = [int(round(float(np.real(c)))) for c in cand_hi]
+            if np.max(np.abs(cand_hi - np.array(ints))) > 0.3:
+                continue
+            if (rec % UniPolynomial(reversed(ints))).is_zero():
+                return False, ints
+    return True, None
 
 
 def is_prime_trial(n):

@@ -268,6 +268,29 @@ def test_report_writes_file(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == json.loads(path.read_text())
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--d", "2"],
+        ["lpoly", "--curve", "C", "--d", "2", "--p", "5"],
+        ["remark", "--d", "3", "--pmax", "7"],
+        ["report", "--dmax", "64"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_out_is_refused_before_any_work(capsys, monkeypatch, tmp_path, argv):
+    def no_work(*args):
+        raise AssertionError("work done before --out was opened")
+
+    for name in ("build_report", "build_batch", "l_polynomial", "remark_lpolys"):
+        monkeypatch.setattr(cli, name, no_work)
+    bad = tmp_path / "missing" / "x.json"
+    assert main(argv + ["--out", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "--out" in err and len(err.encode()) < 1024
+    assert not bad.parent.exists()
+
+
 def test_report_dmax_limit(capsys):
     assert main(["report", "--dmax", "65"]) == 2
     assert "dmax must be <= 64" in capsys.readouterr().err

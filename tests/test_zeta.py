@@ -43,10 +43,9 @@ from chebcm.zeta import (
     _ZERO_LOG,
     _factor_degrees_mod,
     _PROOF_PATIENCE,
+    _possible_degrees,
     _primitive_modulus,
-    _proves_irreducible,
     _sturm_chain,
-    _subset_scan,
     _weil_interval_ok,
     _zech,
     _zech_tables,
@@ -54,7 +53,7 @@ from chebcm.zeta import (
 
 # the encodings and the brute-force divisor test behind field_tower's tests
 from test_algebra import SMALL_TOWERS, _encoding, _has_monic_divisor
-from oracles import count_points_euler, count_points_euler_int64, gcd_mod
+from oracles import count_points_euler, count_points_euler_int64, gcd_mod, subset_scan
 
 
 def _odd_primes(bound):
@@ -663,8 +662,7 @@ class TestCountPoints:
         # _binomial_count; b is a non-residue mod p, so a non-square
         # constant when k is odd.  x^(m+1) + b x (on the fields below 1000,
         # to bound the oracle's time) is the X_d shape, with f(0) = 0, and
-        # goes through the log-domain engine, which sums one period n/G of
-        # i, G = gcd(n, 1, m + 1) = 1
+        # goes through the log-domain engine
         checked = 0
         for p in _odd_primes(54):  # p^2 <= 3000
             for k in range(2, 8):
@@ -945,6 +943,32 @@ class TestCountPoints:
             found = _berlekamp_massey(s[: 2 * r], p)
             assert len(found) - 1 <= r and _run_recurrence(found, s[: len(found) - 1], p, 7 * r) == s
 
+    def test_norms_are_products_of_conjugates(self, monkeypatch):
+        # the first 2^(k+1) norms that _coset_sum_from_norms hands to
+        # Berlekamp-Massey, products of the k conjugates 1 + c (w^(p^i))^t,
+        # equal N(1 + c w^t) = (1 + c w^t)^((q - 1)/(p - 1)).  c = p - 1
+        # makes the t = 0 term the zero norm
+        seen = []
+
+        def spy(s, p):
+            seen.append(list(s))
+            return _berlekamp_massey(s, p)
+
+        monkeypatch.setattr(zeta, "_berlekamp_massey", spy)
+        for p, k, G in ((43, 4, 5), (37, 4, 5), (31, 4, 13), (11, 6, 9)):
+            q, m = p**k, _primitive_modulus(p, k)
+            w = _powmod([0, 1], G, m, p)
+            for c in (1, 2, p - 1):
+                seen.clear()
+                zeta._coset_sum_from_norms(c, G, p, k)
+                norms = []
+                for t in range(2 ** (k + 1)):
+                    y = _powmod(w, t, m, p)
+                    z = _reduce_mod([1 + c * y[0]] + [c * v for v in y[1:]], p)
+                    norms.append((_powmod(z, (q - 1) // (p - 1), m, p) or [0])[0])
+                assert seen == [norms], (p, k, G, c)
+                assert (norms[0] == 0) == (c == p - 1)
+
     def test_horner_reduces_partway_matches_naive(self):
         # p^(deg+1) >= 2^63, so the k = 1 Horner must reduce mod p inside
         # its loop, not only at the end; p = 1 (mod 52) puts the roots of
@@ -1180,21 +1204,50 @@ class TestIrreducibility:
 
     def test_real_weil_proof_decides_alone(self, monkeypatch):
         lps = _report_lpolys()
-        # C_7 at q = 3 is the one reducible L of the report; the scan finds
-        # its factor
+        # C_7 at q = 3 is the one reducible L of the report; the search
+        # finds its factor
         c7 = lps[4]
         assert (c7.genus, c7.q) == (3, 3)
         assert lpoly_is_irreducible(c7) == (False, [1, 3, 3])
 
-        def no_scan(lp):
-            raise AssertionError("fallback scan called")
+        def no_search(*args):
+            raise AssertionError("factor search called")
 
-        monkeypatch.setattr("chebcm.zeta._subset_scan", no_scan)
+        monkeypatch.setattr("chebcm.zeta.combinations", no_search)
         irreducible = [lp for lp in lps if lp is not c7]
         irreducible.append(l_polynomial(make_cd(23), 3))
         assert max(lp.genus for lp in irreducible) == 11
         for lp in irreducible:
             assert lpoly_is_irreducible(lp) == (True, None), lp
+
+    def test_undecided_when_no_candidate_divides(self, monkeypatch):
+        # h of L(C_5, 11) is irreducible; with every prime scripted to
+        # split it into linear factors, the mask rules out nothing, the
+        # search tries both roots alone and neither divides h
+        lp = l_polynomial(make_cd(5), 11)
+        assert lpoly_is_irreducible(lp) == (True, None)
+        monkeypatch.setattr("chebcm.zeta._factor_degrees_mod", lambda h, ell: [1, 1])
+        assert _possible_degrees(lp.real_weil_polynomial()) == 0b111
+        assert lpoly_is_irreducible(lp) == (None, None)
+
+    def test_verdicts_at_three(self):
+        # the verdicts and factors the L-side subset scan gave at q = 3.
+        # L(C_29, 3) = 1 + 3^14 T^28, as in tests/golden/report-d64.json;
+        # the primes leave the degrees 2, 6, 8 and 12 for a factor of its
+        # h, and the first pair of roots of h that divides gives 1 + 9T^4
+        lps = {d: l_polynomial(make_cd(d), 3) for d in (7, 19, 23)}
+        lps[29] = LPolynomial((1,) + (0,) * 27 + (3**14,), 3)
+        golden = (Path(__file__).parent / "golden" / "report-d64.json").read_text()
+        assert "L(C_29, 3) = 1 + 4782969*T^28; irreducible: False" in golden
+        possible = _possible_degrees(lps[29].real_weil_polynomial())
+        assert [k for k in range(15) if possible >> k & 1] == [0, 2, 6, 8, 12, 14]
+        verdicts = {d: lpoly_is_irreducible(lp) for d, lp in lps.items()}
+        assert verdicts == {
+            7: (False, [1, 3, 3]),
+            19: (False, [1, 3, 3]),
+            23: (True, None),
+            29: (False, [1, 0, 0, 0, 9]),
+        }
 
     def test_factor_degrees_mod(self):
         # x^2 - 6: split mod 5 (6 = 1), irreducible mod 7 (6 = -1), and
@@ -1218,7 +1271,7 @@ class TestIrreducibility:
             monkeypatch.setattr(
                 "chebcm.zeta._factor_degrees_mod", lambda h, ell: next(degrees)
             )
-            return _proves_irreducible((0, 0, 0, 0, 1))
+            return _possible_degrees((0, 0, 0, 0, 1)) == 1 | 1 << 4
 
         stall, run = [1, 1, 1, 1], _PROOF_PATIENCE
         # stalls count only in a row, and unusable primes do not count
@@ -1233,18 +1286,22 @@ class TestIrreducibility:
     )
     def test_proof_never_claims_a_product(self, a, b):
         # a product of two monic integer polynomials is never "proved"
-        # irreducible, and the factor degrees mod l always sum to the degree
+        # irreducible: the mask keeps the degree of either factor, and the
+        # factor degrees mod l always sum to the degree
         f = UniPolynomial(a + [1]) * UniPolynomial(b + [1])
         h = tuple(f.coeffs)
-        assert not _proves_irreducible(h)
+        possible = _possible_degrees(h)
+        assert possible >> len(a) & 1 and possible >> len(b) & 1
+        assert possible != 1 | 1 << (len(h) - 1)
         for ell in (2, 3, 5, 7):
             degrees = _factor_degrees_mod(h, ell)
             if degrees is not None:
                 assert sum(degrees) == len(h) - 1
 
     def test_verdicts_match_the_subset_scan(self):
-        # C_d, D_m and X_d at good primes, g <= 6: the proof and the scan
-        # agree on every squarefree L
+        # C_d, D_m and X_d at good primes, g <= 6: the verdict agrees with
+        # the L-side subset scan on every squarefree L, and each factor
+        # divides L, though it may be another factor than the scan's
         curves = [make_cd(d) for d in (2, 3, 4, 5, 7, 8, 11, 13)]
         curves += [make_dm(m) for m in range(3, 14)]
         curves += [make_xd(d) for d in (2, 4)]
@@ -1257,8 +1314,10 @@ class TestIrreducibility:
                 lp = l_polynomial(curve, q)
                 verdict = lpoly_is_irreducible(lp)
                 if squarefree(UniPolynomial(lp.coeffs)):
-                    assert verdict == _subset_scan(lp), (curve.label, q)
+                    assert verdict[0] == subset_scan(lp)[0], (curve.label, q)
                     assert _reciprocal_from_h(lp) == tuple(reversed(lp.coeffs))
+                if verdict[0] is False:
+                    self._check_exact_factor(lp, verdict[1])
                 verdicts.add(verdict[0])
                 cells += 1
         assert cells >= 100 and verdicts == {True, False}
