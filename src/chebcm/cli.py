@@ -213,18 +213,22 @@ def main(argv=None) -> int:
 
     p_verify = sub.add_parser("verify", help="run the full claim suite for one d")
     p_verify.add_argument("--d", type=int, required=True)
+    p_verify.set_defaults(handler=_cmd_verify)
 
     p_lpoly = sub.add_parser("lpoly", help="point counts and L-polynomial of one curve")
     p_lpoly.add_argument("--curve", choices=("C", "D", "X"), required=True)
     p_lpoly.add_argument("--d", type=int, required=True, help="family index (m for D_m)")
     p_lpoly.add_argument("--p", type=int, required=True, help="prime of good reduction")
+    p_lpoly.set_defaults(handler=_cmd_lpoly)
 
     p_remark = sub.add_parser("remark", help="isogeny L-polynomial equalities for odd prime d")
     p_remark.add_argument("--d", type=int, required=True)
     p_remark.add_argument("--pmax", type=int, default=50)
+    p_remark.set_defaults(handler=_cmd_remark)
 
     p_report = sub.add_parser("report", help="batch JSON report for all in-scope d <= dmax")
     p_report.add_argument("--dmax", type=int, required=True)
+    p_report.set_defaults(handler=_cmd_report)
 
     for p in (p_verify, p_lpoly, p_remark, p_report):
         p.add_argument("--json", action="store_true", help="emit JSON")
@@ -236,14 +240,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cannot open --out: {exc}", file=sys.stderr)
         return 2
-    handlers = {
-        "verify": _cmd_verify,
-        "lpoly": _cmd_lpoly,
-        "remark": _cmd_remark,
-        "report": _cmd_report,
-    }
     with args.out or nullcontext():
-        return handlers[args.command](args)
+        return args.handler(args)
 
 
 if __name__ == "__main__":

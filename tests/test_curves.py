@@ -218,7 +218,7 @@ class TestBuiltOnce:
 
         monkeypatch.setattr(curves, "automorphism_valid", spy)
         assert build_batch(16)["ok"]
-        # d = 2, 4, 8, 16 and 3, 5, 7, 11, 13, each built by claim_rotation
+        # d = 2, 4, 8, 16 and 3, 5, 7, 11, 13, each built by the rotation-relations check
         # and endo_quotient_details
         assert case1_automorphisms.cache_info().misses == 4
         assert case2_automorphisms.cache_info().misses == 5

@@ -18,7 +18,7 @@ from chebcm.report import (
 
 def test_registry_shape():
     assert len(CLAIM_REGISTRY) == 12
-    ids = [cid for cid, _ in CLAIM_REGISTRY]
+    ids = [cid for cid, *_ in CLAIM_REGISTRY]
     assert len(set(ids)) == 12
     assert all(cid == cid.lower() and " " not in cid for cid in ids)
 
@@ -27,8 +27,23 @@ def test_report_d2_all_pass():
     rep = build_report(2)
     assert rep["case"] == 1
     assert rep["ok"] is True
-    assert [c["claim"] for c in rep["claims"]] == [cid for cid, _ in CLAIM_REGISTRY]
+    assert [c["claim"] for c in rep["claims"]] == [cid for cid, *_ in CLAIM_REGISTRY]
     assert all(c["status"] == "pass" for c in rep["claims"])
+
+
+def test_a_registry_row_is_a_claim(monkeypatch):
+    # adding a claim is one check and one row; build_report needs no edit
+    row = ("extra-claim", "a claim added by one registry row", lambda d: ("skip", f"not run at d={d}"))
+    monkeypatch.setattr(report, "CLAIM_REGISTRY", CLAIM_REGISTRY + (row,))
+    rep = build_report(2)
+    assert [c["claim"] for c in rep["claims"]] == [cid for cid, *_ in CLAIM_REGISTRY] + ["extra-claim"]
+    assert rep["claims"][-1] == {
+        "claim": "extra-claim",
+        "statement": "a claim added by one registry row",
+        "status": "skip",
+        "details": "not run at d=2",
+    }
+    assert rep["ok"] is True
 
 
 def test_report_d3_skips_only_subfields():
@@ -83,6 +98,16 @@ def test_report_finds_the_eta_minimal_polynomial_once(monkeypatch):
 def test_report_out_of_scope_rejected():
     with pytest.raises(ValueError):
         build_report(6)
+
+
+def test_report_refuses_d_past_d_max_before_any_claim(monkeypatch):
+    # 67 is the least prime past D_MAX; a huge prime d would otherwise
+    # build phi_d of degree d in the first claim
+    called = []
+    monkeypatch.setattr(report, "verify_functional_equation", lambda d: called.append(d))
+    with pytest.raises(ValueError, match=f"d must be <= {report.D_MAX}"):
+        build_report(67)
+    assert called == []
 
 
 def test_zeta_claim_skips_past_the_cap():
