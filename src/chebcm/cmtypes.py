@@ -11,7 +11,7 @@ nontrivial subgroup.
 from __future__ import annotations
 
 from .chebyshev import is_prime
-from .unitgroups import QuotientGroup, SUBGROUP_CAP, kd_kernel
+from .unitgroups import QuotientGroup, SUBGROUP_CAP, galois_group
 
 
 class CMType:
@@ -94,18 +94,14 @@ def paper_type_case1(e: int) -> CMType:
     order-<=2 kernel generated by 2^(e+1) - 1."""
     if e < 1:
         raise ValueError("e must be >= 1")
-    n = 1 << (e + 2)
-    group = QuotientGroup(n, kd_kernel(n))
-    s = range(1, (1 << e), 2)
-    return CMType(group, s)
+    return CMType(galois_group(1 << (e + 2)), range(1, 1 << e, 2))
 
 
 def paper_type_case2(p: int) -> CMType:
     """The half-system {1, ..., (p-1)/2} on (Z/pZ)^*."""
     if not (p % 2 == 1 and is_prime(p)):
         raise ValueError("p must be an odd prime")
-    group = QuotientGroup(p, {1})
-    return CMType(group, range(1, (p - 1) // 2 + 1))
+    return CMType(galois_group(p), range(1, (p - 1) // 2 + 1))
 
 
 def sum_criterion(p: int):

@@ -38,8 +38,6 @@ def cyclotomic_polynomial(n: int) -> UniPolynomial:
     if n < 1:
         raise ValueError("n must be >= 1")
     xn_minus_1 = UniPolynomial((-1,) + (0,) * (n - 1) + (1,))
-    if n == 1:
-        return xn_minus_1
     prod = UniPolynomial((1,))
     for d in range(1, n):
         if n % d == 0:
@@ -83,8 +81,6 @@ def eta(n: int) -> tuple:
 def eta_stabilizer(n: int) -> frozenset:
     """Units a mod n whose automorphism zeta -> zeta^a fixes eta(n), by
     direct cyclotomic arithmetic on zeta^a - zeta^(-a)."""
-    if n == 1:
-        return frozenset({0})
     target = eta(n)
     return frozenset(a for a in unit_group(n) if zeta_difference(n, a, -a) == target)
 

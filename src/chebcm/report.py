@@ -41,9 +41,9 @@ from .cyclotomic import (
 from .unitgroups import (
     case1_cm_criterion,
     case2_cm_criterion,
-    element_order,
     eta_fixers_congruence,
     euler_phi,
+    galois_group,
     kd_galois_structure,
     kd_is_cm,
     kd_kernel,
@@ -102,8 +102,9 @@ def _galois_cyclic(d: int):
         n = _modulus(d)
         _, gen, order = kd_galois_structure(n)
         return "pass", f"quotient of (Z/{n})^* cyclic of order {order}, generated by the class of {gen}"
+    group = galois_group(d)
     for a in range(2, d):
-        if element_order(d, a) == d - 1:
+        if group.coset_order(a) == d - 1:
             return "pass", f"(Z/{d})^* cyclic of order {d - 1}, generator {a}"
     return "fail", f"no generator found in (Z/{d})^*"
 

@@ -2,7 +2,10 @@
 used to describe the Galois structure of the fields Q(zeta_n - zeta_n^(-1)).
 
 Convention: the unit group mod 1 is the trivial group, represented as {0}.
-Cosets of a quotient are named by their smallest member.
+It needs no special case: products are a * b % n, the identity is 1 % n and
+gcd(0, 1) = 1, so mod 1 everything is 0.  Cosets of a quotient are named by
+their smallest member.  galois_group(n) is the one builder of the Galois
+group of Q(zeta_n - zeta_n^(-1)); every reader shares its cached quotient.
 """
 
 from __future__ import annotations
@@ -40,35 +43,22 @@ def euler_phi(n: int) -> int:
 def unit_group(n: int):
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        return (0,)
-    return tuple(a for a in range(1, n) if math.gcd(a, n) == 1)
-
-
-def _mul(n, a, b):
-    if n == 1:
-        return 0
-    return (a * b) % n
-
-
-def _identity(n):
-    return 0 if n == 1 else 1
+    return tuple(a for a in range(n) if math.gcd(a, n) == 1)
 
 
 def subgroup_generated(n: int, gens) -> frozenset:
     """Closure of gens inside (Z/nZ)^*; breadth-first products."""
     gens = [g % n for g in gens]
     for g in gens:
-        if math.gcd(g if n > 1 else 1, n) != 1:
+        if math.gcd(g, n) != 1:
             raise ValueError(f"{g} is not a unit mod {n}")
-    e = _identity(n)
-    seen = {e}
-    frontier = [e]
+    seen = {1 % n}
+    frontier = [1 % n]
     while frontier:
         nxt = []
         for a in frontier:
             for g in gens:
-                b = _mul(n, a, g)
+                b = a * g % n
                 if b not in seen:
                     seen.add(b)
                     nxt.append(b)
@@ -78,40 +68,20 @@ def subgroup_generated(n: int, gens) -> frozenset:
     return frozenset(seen)
 
 
-def element_order(n: int, a: int) -> int:
-    a %= n
-    if n > 1 and math.gcd(a, n) != 1:
-        raise ValueError(f"{a} is not a unit mod {n}")
-    e = _identity(n)
-    k = 1
-    b = a
-    while b != e:
-        b = _mul(n, b, a)
-        k += 1
-        if k > n:
-            raise AssertionError("order search ran away")
-    return k
+def kd_kernel(n: int) -> frozenset:
+    """Units a mod n with zeta_n^a - zeta_n^(-a) = zeta_n - zeta_n^(-1).
 
-
-def kd_kernel(d: int) -> frozenset:
-    """Units a mod d with zeta_d^a - zeta_d^(-a) = zeta_d - zeta_d^(-1).
-
-    Trivial unless 4 | d, in which case it is generated by -1 + d/2.
+    Trivial unless 4 | n, in which case it is generated by -1 + n/2.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if d % 4 != 0:
-        return frozenset({_identity(d)})
-    return subgroup_generated(d, (d // 2 - 1,))
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return subgroup_generated(n, (n // 2 - 1,) if n % 4 == 0 else ())
 
 
-def kd_is_cm(d: int) -> bool:
-    """True when Q(zeta_d - zeta_d^(-1)) is a CM field (complex, closed under conjugation)."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if d <= 2:
-        return False
-    return (-1) % d not in kd_kernel(d)
+def kd_is_cm(n: int) -> bool:
+    """True when Q(zeta_n - zeta_n^(-1)) is a CM field (complex, closed under
+    conjugation): -1 = n - 1 is outside the kernel, so never for n <= 2."""
+    return n - 1 not in kd_kernel(n)
 
 
 def case1_cm_criterion(d: int) -> bool:
@@ -133,7 +103,7 @@ def eta_fixers_congruence(n: int) -> frozenset:
     either a = 1 mod n, or 2 = n - 2a mod 2n (possible only when 4 | n)."""
     out = set()
     for a in unit_group(n):
-        if n == 1 or a % n == 1 % n:
+        if a == 1 % n:
             out.add(a)
         elif (2 - (n - 2 * a)) % (2 * n) == 0:
             out.add(a)
@@ -153,7 +123,6 @@ class QuotientGroup:
         units = unit_group(n)
         if not kernel <= set(units):
             raise ValueError("kernel is not a subset of the unit group")
-        e = _identity(n)
         if subgroup_generated(n, kernel) != kernel:
             raise ValueError("kernel is not a subgroup")
         self.n = n
@@ -163,14 +132,14 @@ class QuotientGroup:
         for a in units:
             if a in rep_of:
                 continue
-            coset = sorted(_mul(n, a, k) for k in kernel)
+            coset = sorted(a * k % n for k in kernel)
             r = coset[0]
             reps.append(r)
             for c in coset:
                 rep_of[c] = r
         self.reps = tuple(sorted(reps))
         self._rep_of = rep_of
-        self.identity = rep_of[e]
+        self.identity = rep_of[1 % n]
         self.conj = rep_of[-1 % n]
 
     @property
@@ -184,7 +153,7 @@ class QuotientGroup:
         return self._rep_of[a]
 
     def mul(self, a: int, b: int) -> int:
-        return self._rep_of[_mul(self.n, a, b)]
+        return self._rep_of[a * b % self.n]
 
     def translate(self, g: int, s) -> frozenset:
         """The coset names g * s."""
@@ -240,16 +209,23 @@ class QuotientGroup:
         return f"QuotientGroup(n={self.n}, kernel={sorted(self.kernel)})"
 
 
-def kd_galois_structure(d: int):
-    """For d = 2^e, e >= 3: the Galois group of Q(zeta_d - zeta_d^(-1)) as a
-    quotient of (Z/dZ)^*, with the certificate that the class of 5 generates.
+@lru_cache(maxsize=None)
+def galois_group(n: int) -> QuotientGroup:
+    """The Galois group of Q(zeta_n - zeta_n^(-1)): (Z/nZ)^* modulo
+    kd_kernel(n), built once per n and shared, so callers only read it."""
+    return QuotientGroup(n, kd_kernel(n))
+
+
+def kd_galois_structure(n: int):
+    """For n = 2^e, e >= 3: the Galois group of Q(zeta_n - zeta_n^(-1)) as a
+    quotient of (Z/nZ)^*, with the certificate that the class of 5 generates.
 
     Returns (quotient, generator_residue, order).
     """
-    e = d.bit_length() - 1
-    if d != 1 << e or e < 3:
-        raise ValueError("d must be 2^e with e >= 3")
-    q = QuotientGroup(d, kd_kernel(d))
+    e = n.bit_length() - 1
+    if n != 1 << e or e < 3:
+        raise ValueError("n must be 2^e with e >= 3")
+    q = galois_group(n)
     expected = 1 << (e - 2)
     if q.order != expected:
         raise AssertionError(f"quotient order {q.order} != 2^(e-2) = {expected}")
@@ -260,12 +236,11 @@ def kd_galois_structure(d: int):
 
 
 def proper_subfields_totally_real(e: int) -> bool:
-    """For d = 2^e: every nontrivial subgroup of the Galois quotient contains
+    """For n = 2^e: every nontrivial subgroup of the Galois quotient contains
     the class of -1, so every proper subfield is fixed by conjugation."""
     if e < 1:
         raise ValueError("e must be >= 1")
-    d = 1 << e
-    q = QuotientGroup(d, kd_kernel(d))
+    q = galois_group(1 << e)
     for h in q.subgroups():
         if len(h) == 1:
             continue

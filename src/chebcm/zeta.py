@@ -148,9 +148,12 @@ def _cap_error(p: int, k: int | None = None, curve: str | None = None):
 
 
 def power_exceeds(p: int, g: int) -> bool:
-    """p^g > COUNT_CAP, for p >= 2, by a product that stops once it passes
-    the cap: a huge genus costs at most log_2(COUNT_CAP) + 1 steps, and p^g
-    is never written out."""
+    """p^g > COUNT_CAP, by a product that stops once it passes the cap: a
+    huge genus costs at most log_2(COUNT_CAP) + 1 steps, and p^g is never
+    written out.  False for p < 2, which is no field (good_reduction
+    refuses it), so such a p is bad reduction and not a cap excess."""
+    if p < 2:
+        return False
     q = 1
     for _ in range(g):
         q *= p
@@ -679,9 +682,7 @@ def count_points(curve: HyperellipticCurve, p: int, k: int = 1) -> int:
     with COUNT_CAP by power_exceeds, so a huge k is refused at once."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    # a p below 2 is no field (good_reduction refuses it), and
-    # power_exceeds would take k steps on it
-    if p >= 2 and power_exceeds(p, k):
+    if power_exceeds(p, k):
         raise _cap_error(p, k)
     if not good_reduction(curve, p):
         raise BadReductionError(f"{curve.label} has bad reduction at p={p}")

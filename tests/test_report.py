@@ -7,6 +7,7 @@ import chebcm.algebra as algebra
 import chebcm.curves as curves
 import chebcm.cyclotomic as cyclotomic
 import chebcm.report as report
+import chebcm.unitgroups as unitgroups
 from chebcm.report import (
     CLAIM_REGISTRY,
     VERSION,
@@ -93,6 +94,22 @@ def test_report_finds_the_eta_minimal_polynomial_once(monkeypatch):
     assert proofs == [26]
     info = cyclotomic.eta_minimal_polynomial.cache_info()
     assert (info.misses, info.currsize) == (1, 1) and info.hits >= 1
+
+
+def test_report_builds_each_galois_group_once(monkeypatch):
+    # galois-cyclic, subfields-totally-real and cm-type-primitive all read
+    # Gal(Q(eta_32)/Q) at d = 8
+    unitgroups.galois_group.cache_clear()
+    built = []
+    init = unitgroups.QuotientGroup.__init__
+
+    def counting_init(self, n, kernel):
+        built.append(n)
+        init(self, n, kernel)
+
+    monkeypatch.setattr(unitgroups.QuotientGroup, "__init__", counting_init)
+    assert build_report(8)["ok"] is True
+    assert built == [32]
 
 
 def test_report_out_of_scope_rejected():

@@ -1,10 +1,10 @@
 import pytest
 
+from chebcm.cyclotomic import eta_stabilizer
 from chebcm.unitgroups import (
     QuotientGroup,
     case1_cm_criterion,
     case2_cm_criterion,
-    element_order,
     eta_fixers_congruence,
     euler_phi,
     kd_galois_structure,
@@ -42,9 +42,17 @@ def test_subgroup_generated():
 
 
 def test_element_order():
-    assert element_order(5, 2) == 4
-    assert element_order(8, 3) == 2
-    assert element_order(1, 0) == 1
+    # element orders in (Z/n)^* are coset orders over the trivial kernel
+    assert QuotientGroup(5, {1}).coset_order(2) == 4
+    assert QuotientGroup(8, {1}).coset_order(3) == 2
+    assert QuotientGroup(1, {0}).coset_order(0) == 1
+
+
+def test_units_mod_1_are_the_trivial_group_zero():
+    # (Z/1)^* = {0} falls out of arithmetic mod 1; no routine special-cases it
+    assert set(unit_group(1)) == {0}
+    assert kd_kernel(1) == subgroup_generated(1, (0,)) == {0}
+    assert eta_fixers_congruence(1) == eta_stabilizer(1) == {0}
 
 
 @pytest.mark.parametrize(

@@ -1528,3 +1528,14 @@ def test_bad_prime_inside_the_cap_is_still_bad_reduction():
                 call(curve, p)
     with pytest.raises(BadReductionError):
         remark_lpolys(5, 5)
+
+
+def test_a_p_below_two_is_bad_reduction_not_a_cap_excess():
+    # (-3)^30 and (-3)^60 pass the cap, but F_-3 is no field: the same
+    # BadReductionError that count_points gives
+    with pytest.raises(BadReductionError):
+        l_polynomial(make_xd(30), -3)
+    with pytest.raises(BadReductionError):
+        remark_lpolys(61, -3)
+    with pytest.raises(BadReductionError):
+        count_points(make_xd(30), -3, 30)
