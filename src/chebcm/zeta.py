@@ -60,8 +60,9 @@ does: it enumerates F_p[x]/(m) with m = field_tower(p, k) for every k
 algebra._mulmod and looks each value up in the set of squares.
 
 L-polynomials are checked through the real Weil polynomial h, with
-T^(2g) L(1/T) = T^g h(T + q/T): the Weil bound |alpha| = sqrt q is an
-exact Sturm count of the roots of h in [-2 sqrt q, 2 sqrt q], and
+T^(2g) L(1/T) = T^g h(T + q/T): |alpha| = sqrt q for every alpha exactly
+when the roots of h lie in [-2 sqrt q, 2 sqrt q], which a Sturm count on
+H(y) = h(sqrt y) h(-sqrt y) at the integers 0 and 4q decides exactly, and
 irreducibility is proved from the factor degrees of h mod small primes.
 That proof uses the integer-list polynomial layer over F_p in algebra;
 good_reduction reads p against lc(f) disc(f), computed once per curve by
@@ -80,7 +81,7 @@ q^k + 1 - N_k, and Newton's identities with that sign give the b_k.
 from __future__ import annotations
 
 import threading
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 from math import gcd, isqrt
 
@@ -751,53 +752,40 @@ def _sturm_chain(f: list[int]) -> list[list[int]]:
     return chain
 
 
-def _surd_sign(a: int, b: int, q: int) -> int:
-    """Exact sign of a + b sqrt(q)."""
-    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
-    if sa == sb or sb == 0:
-        return sa
-    if sa == 0:
-        return sb
-    return sa * ((a * a > b * b * q) - (a * a < b * b * q))
-
-
-def _sign_at_two_sqrt_q(f: list[int], q: int, side: int) -> int:
-    """Exact sign of f(side * 2 sqrt q), side = +1 or -1."""
-    a = b = 0
-    for j, c in enumerate(f):
-        # (2 sqrt q)^j = 2^j q^(j // 2), times sqrt q when j is odd
-        t = c * 2**j * q ** (j // 2)
-        if j % 2:
-            b += side * t
-        else:
-            a += t
-    return _surd_sign(a, b, q)
-
-
 def _weil_interval_ok(h: tuple[int, ...], q: int) -> bool:
-    """Every root of the squarefree part s of h is real and lies in the
-    closed interval [-2 sqrt q, 2 sqrt q].
+    """Every root of h is real and lies in [-2 sqrt q, 2 sqrt q].
 
-    Sturm's theorem counts the distinct roots of s in (-2 sqrt q, 2 sqrt q]
-    as V(-2 sqrt q) - V(2 sqrt q), V the sign changes of the chain; a root
-    at -2 sqrt q is added apart.  The signs are those of a + b sqrt q with
-    integer a, b, so the count is exact.
+    Split h = E(x^2) + x O(x^2).  Then h(x) h(-x) = H(x^2) with
+    H(y) = E(y)^2 - y O(y)^2, whose coefficient of y^m is the sum of
+    (-1)^i h_i h_j over i + j = 2m.  The roots of H are the squares x_i^2
+    of the roots x_i of h, and x_i is real with x_i^2 <= 4q exactly when
+    x_i^2 is real and in [0, 4q].  Sturm's theorem counts the distinct
+    roots of the squarefree part s of H in (0, 4q] as V(0) - V(4q), V the
+    sign changes of the chain at an integer, and a root at 0, h(0) = 0, is
+    added apart.  H is a square when h has both x and -x as roots, such as
+    x^2 - 5, so s is H divided by gcd(H, H'), exactly over Z since H has
+    degree g and leading coefficient (-1)^g h_g^2 = (-1)^g.
     """
-    chain = _sturm_chain(list(h))
+    H = [0] * len(h)
+    for i, a in enumerate(h):
+        a = -a if i % 2 else a
+        for j in range(i % 2, len(h), 2):
+            H[(i + j) // 2] += a * h[j]
+    chain = _sturm_chain(H)
     common = chain[-1]
     if len(common) > 1:
-        # h monic, so its primitive divisor has leading coefficient +-1;
         # the sign of s changes no count of sign changes
-        s, r = divmod(UniPolynomial(h), UniPolynomial(common))
-        assert r.is_zero(), "gcd(h, h') divides h"
+        s, r = divmod(UniPolynomial(H), UniPolynomial(common))
+        assert r.is_zero(), "gcd(H, H') divides H"
         chain = _sturm_chain(list(s.coeffs))
 
-    def changes(side):
-        signs = [x for x in (_sign_at_two_sqrt_q(f, q, side) for f in chain) if x]
-        return sum(x != y for x, y in zip(signs, signs[1:]))
+    def changes(values):
+        signs = [v > 0 for v in values if v]
+        return sum(x != z for x, z in zip(signs, signs[1:]))
 
-    at_left_end = _sign_at_two_sqrt_q(chain[0], q, -1) == 0
-    return changes(-1) - changes(1) + at_left_end == len(chain[0]) - 1
+    y = 4 * q
+    at_4q = [reduce(lambda v, c: v * y + c, reversed(f), 0) for f in chain]  # Horner
+    return changes(f[0] for f in chain) - changes(at_4q) + (h[0] == 0) == len(chain[0]) - 1
 
 
 class LPolynomial:
@@ -1016,21 +1004,23 @@ def remark_lpolys(d: int, q: int, threads: int = 1) -> dict:
 
 def cm_trace_pattern_c2(bound: int) -> bool:
     """a_q(C_2) = 0 exactly when -2 is a non-square mod q, for odd q <= bound.
-    The primes come from one sieve up to at most 2 COUNT_CAP, which holds a
-    prime above COUNT_CAP (Bertrand) whenever bound does; that prime is
-    refused first, and a bound below 3, which holds no odd prime, before
-    that."""
+    A bound below 3, which holds no odd prime, is refused first, and a bound
+    that reaches the least prime above COUNT_CAP, found by is_prime, before
+    any sieve; the primes then come from one sieve up to bound."""
     if bound < 3:
         raise ValueError(f"bound must be >= 3, the least odd prime; got {bound}")
-    top = max(min(bound, 2 * COUNT_CAP), 4)
-    sieve = np.ones(top + 1, dtype=bool)
+    if bound > COUNT_CAP:
+        least = COUNT_CAP + 1
+        while not is_prime(least):
+            least += 1
+        if bound >= least:
+            raise _cap_error(least)
+    sieve = np.ones(bound + 1, dtype=bool)
     sieve[:3] = sieve[4::2] = False
-    for i in range(3, isqrt(top) + 1, 2):
+    for i in range(3, isqrt(bound) + 1, 2):
         if sieve[i]:
             sieve[i * i :: 2 * i] = False
-    primes = [q for q in np.flatnonzero(sieve).tolist() if q <= bound]
-    if primes and primes[-1] > COUNT_CAP:
-        raise _cap_error(primes[-1])
+    primes = np.flatnonzero(sieve).tolist()
     c2 = make_cd(2)
     for q in primes:
         try:

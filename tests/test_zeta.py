@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chebcm.algebra import (
@@ -1098,17 +1098,37 @@ class TestLPolynomial:
         q=st.sampled_from([2, 3, 4, 5, 9]),
         roots=st.lists(st.integers(-7, 7), max_size=4),
         quadratics=st.lists(st.tuples(st.integers(-4, 4), st.integers(1, 6)), max_size=2),
+        real_quadratics=st.lists(
+            st.tuples(st.integers(-13, 13), st.integers(-40, 20)).filter(lambda bc: bc[0] ** 2 > 4 * bc[1]),
+            max_size=2,
+        ),
     )
-    def test_weil_interval_against_known_roots(self, q, roots, quadratics):
-        # h with integer roots (repeats allowed) and factors x^2 + bx + c
-        # of negative discriminant, so non-real roots
+    # x^2 - 12 at q = 3 has both ends as roots, x^2 - 5 lies inside (and
+    # its H = (y - 5)^2 is a square), x^2 - 13 lies outside
+    @example(q=3, roots=[], quadratics=[], real_quadratics=[(0, -12)])
+    @example(q=3, roots=[], quadratics=[], real_quadratics=[(0, -5)])
+    @example(q=3, roots=[], quadratics=[], real_quadratics=[(0, -13)])
+    def test_weil_interval_against_known_roots(self, q, roots, quadratics, real_quadratics):
+        # h with integer roots (repeats allowed), factors x^2 + bx + c of
+        # negative discriminant, so non-real roots, and factors x^2 + bx + c
+        # of positive discriminant, whose real roots are mostly irrational
         h = UniPolynomial((1,))
         for r in roots:
             h = h * UniPolynomial((-r, 1))
         for b, e in quadratics:
             h = h * UniPolynomial((b * b // 4 + e, b, 1))
+        for b, c in real_quadratics:
+            h = h * UniPolynomial((c, b, 1))
         assume(h.degree >= 1)
-        expected = not quadratics and all(r * r <= 4 * q for r in roots)
+        # both real roots of x^2 + bx + c lie in [-2 sqrt q, 2 sqrt q]
+        # exactly when the vertex -b/2 does and x^2 + bx + c >= 0 at both
+        # ends: 4q + c >= |b| 2 sqrt q, squared
+        expected = (
+            not quadratics
+            and all(r * r <= 4 * q for r in roots)
+            and all(b * b <= 16 * q and 4 * q + c >= 0 and (4 * q + c) ** 2 >= 4 * b * b * q
+                    for b, c in real_quadratics)
+        )
         assert _weil_interval_ok(h.coeffs, q) == expected
 
     def test_sturm_chain_sign_after_a_degree_gap(self):
@@ -1400,12 +1420,30 @@ def test_c2_trace_pattern_small():
 
 def test_c2_trace_pattern_refuses_cap_before_counting(monkeypatch):
     # the primes are known up front: a bound past the cap is refused before
-    # the first count, not after counting every prime below the cap
+    # the first count, not after counting every prime below the cap.  No
+    # prime lies in (COUNT_CAP, 10,000,019), so a bound there is counted
     calls = []
     monkeypatch.setattr(zeta, "count_points", lambda *a, **kw: calls.append(a))
-    with pytest.raises(CapExceededError):
-        cm_trace_pattern_c2(10**8)
+    for bound in (10**8, 10_000_019):
+        with pytest.raises(CapExceededError, match="field size 10000019 exceeds cap"):
+            cm_trace_pattern_c2(bound)
     assert calls == []
+    with pytest.raises(TypeError):  # the stub's None reaches the first trace
+        cm_trace_pattern_c2(10_000_018)
+    assert len(calls) == 1
+
+
+def test_c2_trace_pattern_refuses_a_huge_bound_without_a_sieve():
+    # the least prime past the cap, 10,000,019, is found by is_prime, so a
+    # bound past it is refused before any sieve is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match="field size 10000019 exceeds cap"):
+            cm_trace_pattern_c2(10**100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_c2_trace_pattern_rejects_bound_below_three(monkeypatch):
