@@ -25,8 +25,15 @@ character (chi(0) = 0).  The engine has two parts, chosen by k.
 - k >= 2: F_(p^k) = F_p[x]/(m) for the first monic m in encoding order
   modulo which x is primitive (_primitive_modulus), and g = x.  The index
   of g^i comes in int32 chunks (_index_chunks), and adding 1 to an
-  element adds 1 to the constant digit of its index.  Two routes, chosen
-  by the shape of f:
+  element adds 1 to the constant digit of its index.  A field is set up
+  once per process: its modulus and the jump polynomials of its index
+  recurrence (_jumps) are kept as int tuples and, when it has one chunk,
+  p^f - 1 <= _CHUNK, its whole index as a read-only int32 row of at most
+  256 KB (_index_rows), so the counts N_1 .. N_g of one L and the curves
+  of one (d, q) share it.  Only a field that a count indexes keeps a
+  row, F_(p^f) with f | k and k >= 2, so p <= isqrt(COUNT_CAP): however
+  many counts run, that is at most 523 rows (odd p <= 3162, p^f - 1 <=
+  _CHUNK), 7.4 MB in all.  Two routes, chosen by the shape of f:
   - f = c0 + c1 x^e with c0 != 0, such as every D_m: with c = c1/c0,
     x^e runs G = gcd(q - 1, e) times over the T = (q - 1)/G powers of
     w = g^G, so a count is S = sum over t < T of chi(1 + c w^t).  The
@@ -52,11 +59,12 @@ _index_chunks): one chunk gives the next by L multiply-adds over int32,
 with no field arithmetic.  Whatever a count holds (the binomial bitmap's
 q + 4(q - 1)/G bytes when it reads F_q itself, 5 bytes per element of a
 subfield otherwise, the norms' three int32 rows of _CHUNK + L - 1, the
-log domain's two int32 tables) is made per call and freed on return;
-fields of more than COUNT_CAP elements are refused.  Counting does not
-call field_tower.  count_points_naive, the independent slow oracle,
-does: it enumerates F_p[x]/(m) with m = field_tower(p, k) for every k
-(F_p is k = 1) as reduced integer lists, evaluates f by Horner with
+log domain's two int32 tables) is made per call and freed on return,
+apart from the kept rows above; fields of more than COUNT_CAP elements
+are refused.  Counting does not call field_tower or algebra's list
+products.  count_points_naive, the independent slow oracle, does: it
+enumerates F_p[x]/(m) with m = field_tower(p, k) for every k (F_p is k
+= 1) as reduced integer lists, evaluates f by Horner with
 algebra._mulmod and looks each value up in the set of squares.
 
 L-polynomials are checked through the real Weil polynomial h, with
@@ -83,7 +91,7 @@ from __future__ import annotations
 import threading
 from functools import lru_cache, reduce
 from itertools import combinations
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import numpy as np
 
@@ -95,7 +103,6 @@ from .algebra import (
     _lc_discriminant,
     _monics,
     _mulmod,
-    _powmod,
     _pseudo_remainder,
     _reduce_mod,
     field_tower,
@@ -194,40 +201,104 @@ def _infinity_points(curve: HyperellipticCurve, p: int, k: int) -> int:
     return 2 if pow(lc, e, p) == 1 else 0
 
 
+def _times(a, b, m: tuple[int, ...], p: int) -> list[int]:
+    """a b mod (m, p) as the k = deg m coefficients, low degree first, for
+    a and b of k coefficients in [0, p), by one product of Python ints
+    (Kronecker substitution).  A list is read as the digits of an int in
+    base 2^w, 2^w > 2k p^2, so the digits of the product are those of a b,
+    at most k (p - 1)^2 each, with no carry.  The digits above x^(k-1) are
+    folded in from the top, each reduced mod p and times x^k = sum of -m_j
+    x^j (each -m_j taken in [0, p)), one int product per digit.  A digit
+    takes at most k - 1 folds of at most (p - 1)^2, so it stays below 2^w.
+    On a 2-CPU VM it takes 3.6 us at k = 4 and 11 us at k = 16 (a norm
+    recurrence), where algebra._mulmod takes 4.5 and 43 us."""
+    k = len(m) - 1
+    w = (2 * k * p * p).bit_length()
+    mask = (1 << w) - 1
+
+    def pack(v):
+        n = 0
+        for c in reversed(v):
+            n = n << w | c
+        return n
+
+    n = pack(a)
+    n *= n if a is b else pack(b)
+    neg = pack([-c % p for c in m[:k]])
+    for top in range(2 * k - 2, k - 1, -1):
+        c = (n >> top * w & mask) % p
+        if c:
+            n += c * neg << (top - k) * w
+    return [(n >> i * w & mask) % p for i in range(k)]
+
+
+def _power(e: int, m: tuple[int, ...], p: int, base=None) -> list[int]:
+    """base^e mod (m, p) in the form of _times, base = x when None, from
+    the top bit of e down: square, then times base where the bit is set.
+    Times x is a shift, its top digit folded back by m."""
+    out = [1] + [0] * (len(m) - 2)
+    for bit in f"{e:b}":
+        out = _times(out, out, m, p)
+        if bit == "1" and base is None:
+            top = out[-1]
+            out = [(o - top * c) % p for o, c in zip([0] + out[:-1], m)]
+        elif bit == "1":
+            out = _times(out, base, m, p)
+    return out
+
+
 @lru_cache(maxsize=None)
 def _primitive_modulus(p: int, k: int) -> tuple[int, ...]:
     """First monic m of degree k, low degree first, in encoding order
     (algebra._monics) that is irreducible mod p and modulo which x has
-    order exactly n = p^k - 1.
+    order exactly n = p^k - 1; tests/oracles.py keeps the search that
+    tests every monic.  Each test below is exact, so none changes which m
+    comes first, and they run cheapest first.
 
-    The norm of x, (-1)^k m_0 = x^(n/(p-1)), then has order p - 1; that
-    cheap necessary condition is tested first and changes no result.  It
-    also makes x nonzero in the field F_p[x]/(m), so x^n = 1, and the
-    order is n exactly when x^(n/r) != 1 for every prime r | n; the norm
-    test has decided it for r | p - 1.  Irreducibility is Ben-Or's test,
-    which stops at the first d <= k/2 with gcd(m, x^(p^d) - x) != 1.
+    - m = h(x^t) with t > 1 is skipped: were it irreducible, x^t would be
+      a root of h, of degree k/t, so x^t lies in F_(p^(k/t)) and the order
+      of x divides t (p^(k/t) - 1) < n.  That depends on the top part
+      c_1 .. c_(k-1) of m alone, and the encoding runs c_0 fastest, so one
+      test passes p monics at once.
+    - The norm of x, (-1)^k m_0 = x^(n/(p-1)), has order p - 1.
+    - Ben-Or: m is irreducible unless gcd(m, x^(p^d) - x) != 1 for some d
+      <= k/2.  The first step, d = 1, asks for a root in F_p: m = c_0 +
+      t(x) has one exactly when -c_0 is a value of t, so the p values of
+      t, taken once per top part, decide it for p monics.  For k <= 3
+      that is the whole test.
+    - In the field F_p[x]/(m), x^n = 1, and the order is n exactly when
+      x^(n/r) != 1 for every prime r | n; the norm has decided r | p - 1.
+      The other primes, of product R, share one power y = x^(n/R):
+      x^(n/r) = y^(R/r), tried from the largest r down.
+
+    Powers are _power's: of x, square-then-shift.
     """
     n = p**k - 1
-    primes = [r for r in prime_factors(n) if (p - 1) % r]
+    primes = [r for r in prime_factors(n) if (p - 1) % r][::-1]
+    R = prod(primes)
     norm_cofactors = [(p - 1) // r for r in prime_factors(p - 1)]
+    one = [1] + [0] * (k - 1)
 
-    def irreducible(m):
-        xq = [0, 1]  # x^(p^d) mod m
-        for _ in range(k // 2):
-            xq = _powmod(xq, p, m, p)
-            if _gcd_mod(m, [c - (j == 1) for j, c in enumerate(xq + [0, 0])], p) != [1]:
+    def primitive(m):
+        xq = None  # x^(p^d) mod m, from d = 2: d = 1 is the root test
+        for _ in range(2, k // 2 + 1):
+            xq = _power(p if xq else p * p, m, p, xq)
+            if _gcd_mod(m, [c - (j == 1) for j, c in enumerate(xq)], p) != [1]:
                 return False
-        return True
+        y = _power(n // R, m, p) if primes else one
+        return all(_power(R // r, m, p, y) != one for r in primes)
 
-    for m in _monics(p, k):
-        norm = (-1) ** k * m[0] % p
-        if (
-            norm
-            and all(pow(norm, e, p) != 1 for e in norm_cofactors)
-            and irreducible(m)
-            and all(_powmod([0, 1], n // r, m, p) != [1] for r in primes)
-        ):
-            return tuple(m)
+    roots = ()  # k = 1: Ben-Or has no step
+    for top in _monics(p, k - 1):
+        if gcd(*(j for j, c in enumerate(top, 1) if c)) > 1:
+            continue
+        if k > 1:  # m = c_0 + t(x) has a root in F_p iff c_0 = -t(a) for some a
+            roots = {-reduce(lambda v, c: v * a + c, reversed(top), 0) * a % p for a in range(p)}
+        for c0 in range(1, p):
+            norm = (-1) ** k * c0 % p
+            if c0 not in roots and all(pow(norm, e, p) != 1 for e in norm_cofactors):
+                if primitive((c0, *top)):
+                    return (c0, *top)
     raise AssertionError("F_q^* is cyclic (unreachable)")
 
 
@@ -250,7 +321,25 @@ def _jump(
     return _reduce(out, p, scratch)
 
 
-def _recurrence_chunks(first: list[int], m: list[int], p: int, n: int):
+@lru_cache(maxsize=None)
+def _jumps(m: tuple[int, ...], p: int, size: int):
+    """(doubling, onward), the jumps of _recurrence_chunks for the monic m
+    of degree L and a first chunk of size terms: doubling holds x^filled
+    mod m for each step that grows the first chunk, onward is x^(size+L-1),
+    the jump from one chunk to the next, when the last doubling leaves
+    x^size (size a power of 2, as _CHUNK is), else None.  They depend on
+    (m, p, size) alone, so they are built once per process, as int tuples."""
+    L = len(m) - 1
+    lift = [0] * (L - 1) + [1]  # x^(L-1)
+    xw, span, filled, doubling = _power(1, m, p), 1, L, []  # xw = x^span
+    while filled - L + 1 < size:
+        doubling.append(tuple(_times(xw, lift, m, p)))  # span = filled - L + 1
+        filled += min(span, size - span)
+        xw, span = _times(xw, xw, m, p), 2 * span
+    return tuple(doubling), tuple(_times(xw, lift, m, p)) if span == size else None
+
+
+def _recurrence_chunks(first: list[int], m: tuple[int, ...], p: int, n: int):
     """Yield (start, row) for the chunks of i < n of the linear recurring
     sequence s of F_p with s_0 .. s_(L-1) = first and monic characteristic
     polynomial m of degree L, low degree first: row holds s_start ..
@@ -260,29 +349,31 @@ def _recurrence_chunks(first: list[int], m: list[int], p: int, n: int):
     As x^(i+J) = x^i a for a = x^J mod m, s_(i+J) = sum_j a_j s_(i+j): the
     first chunk grows from the first L terms by doubling, and each chunk
     comes from the last by one _jump, in two int32 rows that take turns
-    (three rows of _CHUNK + L - 1 with the scratch of _jump)."""
+    (three rows of _CHUNK + L - 1 with the scratch of _jump).  The jumps
+    come from _jumps."""
     L = len(m) - 1
     size = min(_CHUNK, n)
     cur, nxt, scratch = np.zeros((3, size + L - 1), dtype=np.int32)
     cur[:L] = first
-    # xw = x^w mod m, w = filled - L + 1, until a step grows less than it doubles
-    filled, xw = L, [0, 1]
-    while filled - L + 1 < size:
-        w = filled - L + 1
-        a = _mulmod(xw, [0] * (L - 1) + [1], m, p)  # x^(w+L-1) = x^filled
-        grow = min(w, size - w)
+    # a first chunk of one term needs no jump; the zero sequence (L = 0) has one
+    doubling, onward = _jumps(m, p, size) if size > 1 else ((), None)
+    filled = L
+    for a in doubling:
+        grow = min(filled - L + 1, size - filled + L - 1)
         _jump(cur, a, p, cur[filled : filled + grow], scratch)
         filled += grow
-        xw = _mulmod(xw, xw, m, p) if grow == w else None
-    # the jump to the next chunk, x^(size+L-1), built only when there is one
-    if n > size:
-        a = _mulmod(xw, [0] * (L - 1) + [1], m, p) if xw else _powmod([0, 1], size + L - 1, m, p)
+    if n > size and onward is None:
+        onward = _power(size + L - 1, m, p)
     for start in range(0, n, size):
         yield start, cur[: min(size, n - start) + L - 1]
         if start + size < n:
             nxt[: L - 1] = cur[size:]
-            _jump(cur, a, p, nxt[L - 1 :], scratch)
+            _jump(cur, onward, p, nxt[L - 1 :], scratch)
             cur, nxt = nxt, cur
+
+
+# (p, k) -> the whole int32 index of F_(p^k) when p^k - 1 <= _CHUNK, read-only
+_index_rows: dict[tuple[int, int], np.ndarray] = {}
 
 
 def _index_chunks(p: int, k: int):
@@ -299,10 +390,15 @@ def _index_chunks(p: int, k: int):
     (_add_one).  s has characteristic polynomial m and comes in chunks
     from _recurrence_chunks; each chunk of index is Horner over its
     windows.  About 2-5 ns per element on a 2-CPU machine (F_43^4 to
-    F_3^12).  No table of the field is held: the peak is four int32 rows
-    of a chunk.
+    F_3^12).  No table of a field of more than one chunk is held: the peak
+    is four int32 rows of a chunk.  A field of one chunk, n <= _CHUNK, is
+    built once per process: its row is kept read-only in _index_rows (at
+    most 256 KB) and yielded again by every later pass.
     """
     n = p**k - 1
+    if n <= _CHUNK and (p, k) in _index_rows:
+        yield 0, _index_rows[p, k]
+        return
     row = np.empty(min(_CHUNK, n), dtype=np.int32)
     for start, s in _recurrence_chunks([1] + [0] * (k - 1), _primitive_modulus(p, k), p, n):
         idx = row[: len(s) - k + 1]
@@ -310,6 +406,9 @@ def _index_chunks(p: int, k: int):
         for j in range(k - 2, -1, -1):
             idx *= p
             idx += s[j : j + len(idx)]
+        if n <= _CHUNK:
+            idx.flags.writeable = False
+            _index_rows[p, k] = idx
         yield start, idx
 
 
@@ -534,7 +633,7 @@ def _coset_sum_from_norms(c: int, G: int, p: int, k: int) -> int:
     both fields chi_p(N(y)) = N(y)^((p - 1)/2) = y^((q - 1)/2) = chi(y),
     and u_t = 0 exactly when 1 + c w^t = 0.  N(y) is the product of the
     conjugates y^(p^i), i < k, so u_t = prod_i (1 + c (w^(p^i))^t), which
-    is how the first norms are computed, and expands to the sum
+    is how the first norms are computed (_times), and expands to the sum
     over A in {0, .., k - 1} of c^|A| b_A^t, b_A = prod over i in A of
     w^(p^i): u satisfies the recurrence of P(z) = prod_A (z - b_A), of
     order 2^k.  Frobenius sends b_A to b_(A+1), A shifted mod k, so it
@@ -547,15 +646,13 @@ def _coset_sum_from_norms(c: int, G: int, p: int, k: int) -> int:
     """
     q, m = p**k, _primitive_modulus(p, k)
     # ys[i] = (w^(p^i))^t, each stepped by one product per t
-    steps = [_powmod([0, 1], G * p**i, m, p) for i in range(k)]
-    ys, first = [[1]] * k, []
+    steps = [_power(G * p**i, m, p) for i in range(k)]
+    ys, first = [[1] + [0] * (k - 1)] * k, []
     for _ in range(2 ** (k + 1)):
-        norm = [1]
-        for y in ys:
-            norm = _mulmod(norm, _reduce_mod([1 + c * y[0]] + [c * v for v in y[1:]], p), m, p)
-        first.append(norm[0] if norm else 0)
-        ys = [_mulmod(y, w, m, p) for y, w in zip(ys, steps)]
-    char = _berlekamp_massey(first, p)
+        factors = [[(1 + c * y[0]) % p] + [c * v % p for v in y[1:]] for y in ys]
+        first.append(reduce(lambda u, v: _times(u, v, m, p), factors)[0])
+        ys = [_times(y, w, m, p) for y, w in zip(ys, steps)]
+    char = tuple(_berlekamp_massey(first, p))
     L = len(char) - 1
     square = np.zeros(p, dtype=bool)
     square[np.arange(1, p) ** 2 % p] = True

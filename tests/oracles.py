@@ -25,6 +25,11 @@ table.
 is_prime_trial is trial division, the reference for chebyshev.is_prime's
 Miller-Rabin test.
 
+primitive_modulus is the search zeta._primitive_modulus once ran: every
+monic in encoding order, through a norm test, Ben-Or's test and the order
+test of x, on algebra's list products.  It is the reference for the
+modulus that the faster search chooses.
+
 subset_scan is the L-side factor search that zeta.lpoly_is_irreducible
 once ran: it rounds the products of up to g of the 2g complex roots of
 L and answers "irreducible" when none divides.  That verdict rests on
@@ -37,9 +42,9 @@ from itertools import combinations
 
 import numpy as np
 
-from chebcm.algebra import UniPolynomial
+from chebcm.algebra import UniPolynomial, _gcd_mod, _monics, _powmod
 from chebcm.cyclotomic import zeta_powers
-from chebcm.unitgroups import unit_group
+from chebcm.unitgroups import prime_factors, unit_group
 
 
 def cyc_add(x, y):
@@ -257,3 +262,34 @@ def is_prime_trial(n):
     if n < 2:
         return False
     return all(n % i for i in range(2, math.isqrt(n) + 1))
+
+
+def primitive_modulus(p, k):
+    """First monic m of degree k, low degree first, in encoding order that
+    is irreducible mod p and modulo which x has order exactly n = p^k - 1.
+    The norm (-1)^k m_0 = x^(n/(p-1)) must have order p - 1, which settles
+    x^(n/r) != 1 for the primes r | p - 1; Ben-Or's test stops at the first
+    d <= k/2 with gcd(m, x^(p^d) - x) != 1; then x^(n/r) != 1 for every
+    other prime r | n, each by _powmod."""
+    n = p**k - 1
+    primes = [r for r in prime_factors(n) if (p - 1) % r]
+    norm_cofactors = [(p - 1) // r for r in prime_factors(p - 1)]
+
+    def irreducible(m):
+        xq = [0, 1]  # x^(p^d) mod m
+        for _ in range(k // 2):
+            xq = _powmod(xq, p, m, p)
+            if _gcd_mod(m, [c - (j == 1) for j, c in enumerate(xq + [0, 0])], p) != [1]:
+                return False
+        return True
+
+    for m in _monics(p, k):
+        norm = (-1) ** k * m[0] % p
+        if (
+            norm
+            and all(pow(norm, e, p) != 1 for e in norm_cofactors)
+            and irreducible(m)
+            and all(_powmod([0, 1], n // r, m, p) != [1] for r in primes)
+        ):
+            return tuple(m)
+    raise AssertionError("F_q^* is cyclic (unreachable)")

@@ -53,7 +53,7 @@ from chebcm.zeta import (
 
 # the encodings and the brute-force divisor test behind field_tower's tests
 from test_algebra import SMALL_TOWERS, _encoding, _has_monic_divisor
-from oracles import count_points_euler, count_points_euler_int64, gcd_mod, subset_scan
+from oracles import count_points_euler, count_points_euler_int64, gcd_mod, primitive_modulus, subset_scan
 
 
 def _odd_primes(bound):
@@ -99,6 +99,28 @@ def _run_recurrence(char, first, p, n):
     while len(s) < n:
         s.append(-sum(a * x for a, x in zip(char[:L], s[len(s) - L :])) % p)
     return s[:n]
+
+
+def _order_of_x(m, p):
+    """The multiplicative order of x modulo the monic m of degree k (low
+    degree first) over F_p, by stepping x^i one shift at a time; None
+    when x^i never returns to 1 for i <= p^k - 1."""
+    k, n = len(m) - 1, p ** (len(m) - 1) - 1
+    power = [1] + [0] * (k - 1)
+    for i in range(1, n + 1):
+        top = power[-1]
+        power = [0] + power[:-1]
+        power = [(c - top * mc) % p for c, mc in zip(power, m)]
+        if power == [1] + [0] * (k - 1):
+            return i
+    return None
+
+
+def _forget_fields():
+    """Drop the field setup that zeta keeps per process (the one-chunk
+    index rows and the jump schedules), so that the next count builds it."""
+    zeta._index_rows.clear()
+    zeta._jumps.cache_clear()
 
 
 def _spy_routes(monkeypatch):
@@ -332,27 +354,39 @@ class TestCountPoints:
     def test_primitive_modulus_search(self):
         # brute force: x has order exactly p^k - 1 modulo m, m is
         # irreducible, and every smaller encoding fails one of the two
-        def order_of_x(m, p):
-            k, n = len(m) - 1, p ** (len(m) - 1) - 1
-            power = [1] + [0] * (k - 1)
-            for i in range(1, n + 1):
-                top = power[-1]
-                power = [0] + power[:-1]
-                power = [(c - top * mc) % p for c, mc in zip(power, m)]
-                if power == [1] + [0] * (k - 1):
-                    return i
-            return None
-
         for p, k in SMALL_TOWERS:
             chosen = _primitive_modulus(p, k)
             assert len(chosen) == k + 1 and chosen[-1] == 1
-            assert order_of_x(chosen, p) == p**k - 1, (p, k)
+            assert _order_of_x(chosen, p) == p**k - 1, (p, k)
             assert not _has_monic_divisor(chosen, p), (p, k)
             for m in range(p**k):
                 f = _encoding(m, p, k)
                 if tuple(f) == chosen:
                     break
-                assert _has_monic_divisor(f, p) or order_of_x(f, p) != p**k - 1, (p, k, m)
+                assert _has_monic_divisor(f, p) or _order_of_x(f, p) != p**k - 1, (p, k, m)
+
+    def test_primitive_modulus_matches_the_reference_search(self):
+        # the search that tests every monic (oracles.primitive_modulus)
+        # picks the same modulus on every field with odd p < 50 and p^k <=
+        # 10^6, and on larger primes: 3137 is the largest with p^2 <=
+        # COUNT_CAP
+        fields = [(p, k) for p in _odd_primes(50) for k in range(1, 13) if p**k <= 10**6]
+        fields += [(101, 2), (211, 3), (1009, 2), (3137, 2)]
+        for p, k in fields:
+            assert _primitive_modulus(p, k) == primitive_modulus(p, k), (p, k)
+
+    def test_no_modulus_in_a_power_of_x_makes_x_primitive(self):
+        # the skip of _primitive_modulus, by brute force: every irreducible
+        # m = h(x^t), t > 1, leaves x of order below p^k - 1
+        checked = 0
+        for p, k in SMALL_TOWERS:
+            for m in range(p**k):
+                f = _encoding(m, p, k)
+                t = gcd(*(j for j, c in enumerate(f) if j and c % p))
+                if t > 1 and not _has_monic_divisor(f, p):
+                    assert _order_of_x(f, p) < p**k - 1, (p, k, f)
+                    checked += 1
+        assert checked >= 50, checked
 
     def test_count_cap_is_below_the_int32_limit(self):
         # the int32 field indices at k >= 2, the p-byte squares table and
@@ -690,6 +724,7 @@ class TestCountPoints:
         # 6 nonzero elements; x^8 + 1 (G = 8) is read from F_7^2 and adds 1
         # at the n/G = 6 positions of one coset; C_3, with more terms,
         # builds the log table once and rewrites all n
+        _forget_fields()
         build, add_one = zeta._zech_tables, zeta._add_one
         builds, sizes = [], []
 
@@ -850,6 +885,7 @@ class TestCountPoints:
         # F_41, and D_10/F_23^4 (23 has order 4 mod 10) reads F_23^4
         # itself.  D_10/F_43^4 (order 4 too) reads its norms and indexes no
         # field
+        _forget_fields()
         chunks, fields = zeta._index_chunks, []
 
         def spy(p, k):
@@ -862,6 +898,43 @@ class TestCountPoints:
             fields.clear()
             count_points(make_dm(m), p, k)
             assert fields == read, (m, p, k)
+
+    def test_a_repeated_count_sets_up_no_field(self, monkeypatch):
+        # a field of one chunk is set up once per process: counted again,
+        # D_10 over F_13^4 (the bitmap over F_13^4 itself) and over F_41^4
+        # (lifted from F_41) makes no polynomial product, of algebra's
+        # lists or of _times, and no _jump, which grows an index row.
+        # Every kept row is read-only int32 of at most one chunk
+        calls = []
+        for m, p, k in ((10, 13, 4), (10, 41, 4)):
+            expected = count_points(make_dm(m), p, k)
+            with monkeypatch.context() as patch:
+                for name in ("_mulmod", "_times", "_jump"):
+                    def spy(*args, name=name, real=getattr(zeta, name)):
+                        calls.append((name, m, p, k))
+                        return real(*args)
+
+                    patch.setattr(zeta, name, spy)
+                assert count_points(make_dm(m), p, k) == expected
+        assert calls == []
+        assert {(13, 4), (41, 1)} <= set(zeta._index_rows)
+        for row in zeta._index_rows.values():
+            assert row.dtype == np.int32 and not row.flags.writeable and len(row) <= 2**16
+
+    def test_a_grid_pass_keeps_under_a_megabyte_of_rows(self):
+        # criterion 08's cells whose largest field, q^genus(D_2d), is at
+        # most 4 * 10^6, as in the benchmark's grid: from no kept field,
+        # one pass over them keeps its index rows in under 1 MB
+        _forget_fields()
+        cells = 0
+        for d in (3, 5, 7):
+            curves = (make_cd(d), make_dm(d), make_dm(2 * d))
+            for q in _odd_primes(50):
+                if all(good_reduction(c, q) for c in curves) and q ** (d - 1) <= 4 * 10**6:
+                    remark_lpolys(d, q)
+                    cells += 1
+        kept = sum(row.nbytes for row in zeta._index_rows.values())
+        assert cells == 28 and 0 < kept < 2**20, (cells, kept)
 
     def test_binomial_route_choice(self, monkeypatch):
         # the norms where the bitmap would read F_q itself, T = (q - 1)/G >=
