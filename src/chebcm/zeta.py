@@ -25,15 +25,15 @@ character (chi(0) = 0).  The engine has two parts, chosen by k.
 - k >= 2: F_(p^k) = F_p[x]/(m) for the first monic m in encoding order
   modulo which x is primitive (_primitive_modulus), and g = x.  The index
   of g^i comes in int32 chunks (_index_chunks), and adding 1 to an
-  element adds 1 to the constant digit of its index.  A field is set up
-  once per process: its modulus and the jump polynomials of its index
-  recurrence (_jumps) are kept as int tuples and, when it has one chunk,
+  element adds 1 to the constant digit of its index.  A field keeps its
+  modulus per process, as an int tuple, and, when it has one chunk,
   p^f - 1 <= _CHUNK, its whole index as a read-only int32 row of at most
-  256 KB (_index_rows), so the counts N_1 .. N_g of one L and the curves
-  of one (d, q) share it.  Only a field that a count indexes keeps a
-  row, F_(p^f) with f | k and k >= 2, so p <= isqrt(COUNT_CAP): however
-  many counts run, that is at most 523 rows (odd p <= 3162, p^f - 1 <=
-  _CHUNK), 7.4 MB in all.  Two routes, chosen by the shape of f:
+  256 KB (_index_rows), which the counts N_1 .. N_g of one L and the
+  curves of one (d, q) share; jump polynomials are built per pass.  Only
+  a field that a count indexes keeps a row, F_(p^f) with f | k and k >=
+  2, so p <= isqrt(COUNT_CAP): however many counts run, that is at most
+  523 rows (odd p <= 3162, p^f - 1 <= _CHUNK), 7.4 MB in all.  Two
+  routes, chosen by the shape of f:
   - f = c0 + c1 x^e with c0 != 0, such as every D_m: with c = c1/c0,
     x^e runs G = gcd(q - 1, e) times over the T = (q - 1)/G powers of
     w = g^G, so a count is S = sum over t < T of chi(1 + c w^t).  The
@@ -90,7 +90,7 @@ from __future__ import annotations
 
 import threading
 from functools import lru_cache, reduce
-from itertools import combinations
+from itertools import combinations, islice
 from math import gcd, isqrt, prod
 
 import numpy as np
@@ -128,6 +128,10 @@ _PROOF_PRIMES = tuple(ell for ell in range(2, 200) if is_prime(ell))
 # proof that succeeded, over every in-cap L of C_d (d <= 64), D_m
 # (m <= 26) and X_d (d = 2, 4, 8) at odd q < 60
 _PROOF_PATIENCE = 16
+# root subsets that lpoly_is_irreducible tries before it answers None: 100
+# times the most that any test or report --dmax 64 tries (40, L(C_29, 3)).
+# At genus 48 they take about 1 s, where all C(48, 16) would take years
+_SCAN_BUDGET = 4000
 
 
 class CapExceededError(RuntimeError):
@@ -321,25 +325,7 @@ def _jump(
     return _reduce(out, p, scratch)
 
 
-@lru_cache(maxsize=None)
-def _jumps(m: tuple[int, ...], p: int, size: int):
-    """(doubling, onward), the jumps of _recurrence_chunks for the monic m
-    of degree L and a first chunk of size terms: doubling holds x^filled
-    mod m for each step that grows the first chunk, onward is x^(size+L-1),
-    the jump from one chunk to the next, when the last doubling leaves
-    x^size (size a power of 2, as _CHUNK is), else None.  They depend on
-    (m, p, size) alone, so they are built once per process, as int tuples."""
-    L = len(m) - 1
-    lift = [0] * (L - 1) + [1]  # x^(L-1)
-    xw, span, filled, doubling = _power(1, m, p), 1, L, []  # xw = x^span
-    while filled - L + 1 < size:
-        doubling.append(tuple(_times(xw, lift, m, p)))  # span = filled - L + 1
-        filled += min(span, size - span)
-        xw, span = _times(xw, xw, m, p), 2 * span
-    return tuple(doubling), tuple(_times(xw, lift, m, p)) if span == size else None
-
-
-def _recurrence_chunks(first: list[int], m: tuple[int, ...], p: int, n: int):
+def _recurrence_chunks(first: list[int], m: tuple[int, ...] | list[int], p: int, n: int):
     """Yield (start, row) for the chunks of i < n of the linear recurring
     sequence s of F_p with s_0 .. s_(L-1) = first and monic characteristic
     polynomial m of degree L, low degree first: row holds s_start ..
@@ -349,21 +335,23 @@ def _recurrence_chunks(first: list[int], m: tuple[int, ...], p: int, n: int):
     As x^(i+J) = x^i a for a = x^J mod m, s_(i+J) = sum_j a_j s_(i+j): the
     first chunk grows from the first L terms by doubling, and each chunk
     comes from the last by one _jump, in two int32 rows that take turns
-    (three rows of _CHUNK + L - 1 with the scratch of _jump).  The jumps
-    come from _jumps."""
+    (three rows of _CHUNK + L - 1 with the scratch of _jump).  The jump
+    polynomials are built per pass by _times and _power, about 2 log_2
+    _CHUNK products."""
     L = len(m) - 1
     size = min(_CHUNK, n)
     cur, nxt, scratch = np.zeros((3, size + L - 1), dtype=np.int32)
     cur[:L] = first
-    # a first chunk of one term needs no jump; the zero sequence (L = 0) has one
-    doubling, onward = _jumps(m, p, size) if size > 1 else ((), None)
-    filled = L
-    for a in doubling:
+    # xw = x^w, w = filled - L + 1, so a step jumps by x^filled; a first
+    # chunk of one term, as the zero sequence (L = 0) has, takes no step
+    filled, lift = L, [0] * (L - 1) + [1]  # x^(L-1)
+    xw = _power(1, m, p) if size > 1 else None
+    while filled - L + 1 < size:
         grow = min(filled - L + 1, size - filled + L - 1)
-        _jump(cur, a, p, cur[filled : filled + grow], scratch)
+        _jump(cur, _times(xw, lift, m, p), p, cur[filled : filled + grow], scratch)
         filled += grow
-    if n > size and onward is None:
-        onward = _power(size + L - 1, m, p)
+        xw = _times(xw, xw, m, p)
+    onward = _power(size + L - 1, m, p) if n > size else None
     for start in range(0, n, size):
         yield start, cur[: min(size, n - start) + L - 1]
         if start + size < n:
@@ -413,31 +401,29 @@ def _index_chunks(p: int, k: int):
 
 
 def _zech_tables(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """int32 (log, index) tables of F_(p^k): index[i] = index(g^i) from
-    _index_chunks, and log[index(g^i)] = i with log[0] = _ZERO_LOG, set by
-    a scatter per chunk.  Zech logs are looked up from the two tables
-    (_zech)."""
+    """int32 (log, zech) tables of F_(p^k): log[index(g^i)] = i with
+    log[0] = _ZERO_LOG, and zech[i] = log(1 + g^i), the Zech log, or
+    _ZERO_LOG where 1 + g^i = 0.  Each chunk of _index_chunks is copied
+    into zech and scattered into log; then zech is rewritten in windows of
+    _CHUNK as log[index(1 + g^i)] (_add_one)."""
     n = p**k - 1
-    index = np.empty(n, dtype=np.int32)
+    zech = np.empty(n, dtype=np.int32)
     log = np.empty(n + 1, dtype=np.int32)
     log[0] = _ZERO_LOG
     for start, idx in _index_chunks(p, k):
         stop = start + len(idx)
-        index[start:stop] = idx
+        zech[start:stop] = idx
         log[idx] = np.arange(start, stop, dtype=np.int32)
-    return log, index
+    for start in range(0, n, _CHUNK):
+        window = zech[start : start + _CHUNK]
+        window[:] = log[_add_one(window, p)]
+    return log, zech
 
 
 def _add_one(idx: np.ndarray, p: int) -> np.ndarray:
     """index(1 + y) from index(y): 1 is added to the constant digit, mod p."""
     out = idx + 1
     return np.subtract(out, p, out=out, where=idx % p == p - 1)
-
-
-def _zech(log: np.ndarray, index: np.ndarray, pos, p: int) -> np.ndarray:
-    """Zech logs log(1 + g^i) for i in pos (an index array or a slice), or
-    _ZERO_LOG where 1 + g^i = 0."""
-    return log[_add_one(index[pos], p)]
 
 
 def _reduce(
@@ -652,7 +638,7 @@ def _coset_sum_from_norms(c: int, G: int, p: int, k: int) -> int:
         factors = [[(1 + c * y[0]) % p] + [c * v % p for v in y[1:]] for y in ys]
         first.append(reduce(lambda u, v: _times(u, v, m, p), factors)[0])
         ys = [_times(y, w, m, p) for y, w in zip(ys, steps)]
-    char = tuple(_berlekamp_massey(first, p))
+    char = _berlekamp_massey(first, p)
     L = len(char) - 1
     square = np.zeros(p, dtype=bool)
     square[np.arange(1, p) ** 2 % p] = True
@@ -748,15 +734,11 @@ def _affine_count_extension(coeffs: list[int], p: int, k: int) -> int:
 
     x = g^i; each term c x^e has log (e i + log c) mod n, n = q - 1, a sum
     of logs a, b is a + Z(b - a), and chi(y) = +1 exactly when log y is
-    even.  _ZERO_LOG is odd, so zeros never count as squares.  index is
-    rewritten into Z once.
+    even.  _ZERO_LOG is odd, so zeros never count as squares.
     """
-    log, index = _zech_tables(p, k)
+    log, zech = _zech_tables(p, k)
     n = p**k - 1
     (e0, l0), *terms = [(e % n, int(log[c])) for e, c in enumerate(coeffs) if c]
-    for start in range(0, n, _CHUNK):
-        window = slice(start, start + _CHUNK)
-        index[window] = _zech(log, index, window, p)
     c0 = coeffs[0]
     zero = 1 if c0 == 0 else 2 * (int(log[c0]) % 2 == 0)  # x = 0
     total = 0
@@ -765,7 +747,7 @@ def _affine_count_extension(coeffs: list[int], p: int, k: int) -> int:
         acc = (e0 * i + l0) % n
         for e, lc in terms:
             t = (e * i + lc) % n
-            z = index[(t - acc) % n]
+            z = zech[(t - acc) % n]
             s = np.where(z == _ZERO_LOG, _ZERO_LOG, (acc + z) % n)
             acc = np.where(acc == _ZERO_LOG, t, s)
         total += int((acc == _ZERO_LOG).sum()) + 2 * int(((acc & 1) == 0).sum())
@@ -1044,7 +1026,9 @@ def lpoly_is_irreducible(lp: LPolynomial):
     The roots are real and distinct, since a root x of h lifts to the
     roots of T^2 - x T + q in the squarefree L, a double one at x = +-2
     sqrt q.  A product is rounded to integers and kept only if it divides
-    h exactly: floating point proposes candidates and never decides.
+    h exactly: floating point proposes candidates and never decides.  The
+    search stops after _SCAN_BUDGET products, and the verdict is then
+    (None, None).
     """
     g, q = lp.genus, lp.q
     if g == 0:
@@ -1059,14 +1043,15 @@ def lpoly_is_irreducible(lp: LPolynomial):
     if possible == 1 | 1 << g:
         return True, None
     roots = np.roots(np.array(h.coeffs[::-1], dtype=float)).real
-    for k in (k for k in range(1, g // 2 + 1) if possible >> k & 1):
-        for subset in combinations(roots, k):
-            h1 = UniPolynomial(int(round(c)) for c in np.poly(subset)[::-1])
-            if (h % h1).is_zero():
-                # f is T^k h1(T + q/T) = sum_j c_j (T^2 + q)^j T^(k-j) reversed
-                lift = sum((UniPolynomial((q, 0, 1)) ** j * UniPolynomial((0,) * (k - j) + (c,))
-                            for j, c in enumerate(h1.coeffs)), UniPolynomial(()))
-                return False, list(reversed(lift.coeffs))
+    subsets = (s for k in range(1, g // 2 + 1) if possible >> k & 1 for s in combinations(roots, k))
+    for subset in islice(subsets, _SCAN_BUDGET):
+        h1 = UniPolynomial(int(round(c)) for c in np.poly(subset)[::-1])
+        if (h % h1).is_zero():
+            # f is T^k h1(T + q/T) = sum_j c_j (T^2 + q)^j T^(k-j) reversed
+            k = len(subset)
+            lift = sum((UniPolynomial((q, 0, 1)) ** j * UniPolynomial((0,) * (k - j) + (c,))
+                        for j, c in enumerate(h1.coeffs)), UniPolynomial(()))
+            return False, list(reversed(lift.coeffs))
     return None, None
 
 

@@ -47,7 +47,6 @@ from chebcm.zeta import (
     _primitive_modulus,
     _sturm_chain,
     _weil_interval_ok,
-    _zech,
     _zech_tables,
 )
 
@@ -117,10 +116,14 @@ def _order_of_x(m, p):
 
 
 def _forget_fields():
-    """Drop the field setup that zeta keeps per process (the one-chunk
-    index rows and the jump schedules), so that the next count builds it."""
+    """Drop the one-chunk index rows that zeta keeps per process, so that
+    the next count builds them."""
     zeta._index_rows.clear()
-    zeta._jumps.cache_clear()
+
+
+def _index(p, k):
+    """The whole int32 index of F_(p^k), index(g^i) at i, from its chunks."""
+    return np.concatenate([idx.copy() for _, idx in zeta._index_chunks(p, k)])
 
 
 def _spy_routes(monkeypatch):
@@ -314,9 +317,9 @@ class TestCountPoints:
         for p, k in ((5, 2), (3, 4), (7, 3), (11, 1)):
             m = _primitive_modulus(p, k)
             g = [0, 1]
-            log, index = _zech_tables(p, k)
+            log, zech = _zech_tables(p, k)
+            index = _index(p, k)
             n = p**k - 1
-            zech = _zech(log, index, np.arange(n), p)
             assert (log[index] == np.arange(n)).all()
             assert log[0] == _ZERO_LOG
             assert sorted(log[1:].tolist()) == list(range(n))
@@ -820,6 +823,26 @@ class TestCountPoints:
                 assert fast == expected, (size, curve.f, p, k)
             assert set(routes) == {"norms", "bitmap"}, size
 
+    @pytest.mark.parametrize("size", [7, 64])
+    def test_log_domain_chunk_seams_match_naive_oracle(self, monkeypatch, size):
+        # chunks of 7 and 64 put seams in every table of the log domain: the
+        # index recurrence grows a first chunk of 7, no power of 2, by 1, 2
+        # and 3 terms, jumps from chunk to chunk, is copied into the Zech
+        # table across seams, and that table is rewritten window by window.
+        # Every field has more than 64 elements, so no one-chunk row is read
+        # or kept.  Only _affine_count_extension runs while _CHUNK is
+        # patched: the k = 1 chunk rows are sized from it on a thread's
+        # first count
+        cells = [(curve, p, k) for curve in (make_cd(3), make_xd(2)) for p, k in ((5, 3), (7, 3), (17, 2))]
+        cells.append((make_xd(2), 3, 5))
+        assert all(good_reduction(curve, p) for curve, p, _ in cells)
+        expected = [count_points_naive(curve, p, k) for curve, p, k in cells]
+        monkeypatch.setattr(zeta, "_CHUNK", size)
+        for (curve, p, k), naive in zip(cells, expected):
+            coeffs = [c % p for c in curve.f.coeffs]
+            fast = zeta._affine_count_extension(coeffs, p, k) + zeta._infinity_points(curve, p, k)
+            assert fast == naive, (size, curve.label, p, k)
+
     def test_index_of_the_norm_powers(self):
         # g^(step j), step = (q - 1)/(p - 1), is N^j for the norm
         # N = (-1)^k m_0 of x, and a constant c has index c: the binomial
@@ -828,7 +851,7 @@ class TestCountPoints:
             n = p**k - 1
             step = n // (p - 1)
             norm = (-1) ** k * _primitive_modulus(p, k)[0] % p
-            _, index = _zech_tables(p, k)
+            index = _index(p, k)
             expected = [pow(norm, j, p) for j in range(p - 1)]
             assert index[::step].tolist() == expected, (p, k)
 
@@ -1322,6 +1345,21 @@ class TestIrreducibility:
         monkeypatch.setattr("chebcm.zeta._factor_degrees_mod", lambda h, ell: [1, 1])
         assert _possible_degrees(lp.real_weil_polynomial()) == 0b111
         assert lpoly_is_irreducible(lp) == (None, None)
+
+    def test_undecided_past_the_scan_budget(self):
+        # L = 1 + 5^48 T^96, the L of C_97 at q = 5: the primes leave the
+        # degrees 16, 32 and 48 for a factor of h, so the search faces C(48,
+        # 16) subsets of roots.  The budget ends it with (None, None); a
+        # child process is killed if it runs on past 5 s
+        code = (
+            "from chebcm.zeta import LPolynomial, lpoly_is_irreducible\n"
+            "print(lpoly_is_irreducible(LPolynomial((1,) + (0,) * 95 + (5**48,), 5)))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(zeta.__file__).resolve().parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=5
+        )
+        assert out.stdout.strip() == "(None, None)", out.stderr
 
     def test_verdicts_at_three(self):
         # the verdicts and factors the L-side subset scan gave at q = 3.
