@@ -61,18 +61,18 @@ q + 4(q - 1)/G bytes when it reads F_q itself, 5 bytes per element of a
 subfield otherwise, the norms' three int32 rows of _CHUNK + L - 1, the
 log domain's two int32 tables) is made per call and freed on return,
 apart from the kept rows above; fields of more than COUNT_CAP elements
-are refused.  Counting does not call field_tower or algebra's list
-products.  count_points_naive, the independent slow oracle, does: it
-enumerates F_p[x]/(m) with m = field_tower(p, k) for every k (F_p is k
-= 1) as reduced integer lists, evaluates f by Horner with
-algebra._mulmod and looks each value up in the set of squares.
+are refused.  Field setup and the norms multiply in F_p[x]/(m) by
+algebra's packed products _times and _power alone.  The independent
+slow oracle, count_points_naive in tests/oracles.py, enumerates
+F_p[x]/(field_tower(p, k)) on list products of its own.
 
 L-polynomials are checked through the real Weil polynomial h, with
 T^(2g) L(1/T) = T^g h(T + q/T): |alpha| = sqrt q for every alpha exactly
 when the roots of h lie in [-2 sqrt q, 2 sqrt q], which a Sturm count on
 H(y) = h(sqrt y) h(-sqrt y) at the integers 0 and 4q decides exactly, and
 irreducibility is proved from the factor degrees of h mod small primes.
-That proof uses the integer-list polynomial layer over F_p in algebra;
+That proof runs on algebra's layer over F_p, whose x^(l^d) mod h are the
+packed powers that field setup computes;
 good_reduction reads p against lc(f) disc(f), computed once per curve by
 a subresultant PRS over Z (algebra._lc_discriminant, which the curve's
 squarefree check has already run); a repeated factor of L is the last
@@ -102,10 +102,9 @@ from .algebra import (
     _gcd_mod,
     _lc_discriminant,
     _monics,
-    _mulmod,
+    _power,
     _pseudo_remainder,
-    _reduce_mod,
-    field_tower,
+    _times,
     format_polynomial,
 )
 from .chebyshev import classify_d, is_prime
@@ -203,52 +202,6 @@ def _infinity_points(curve: HyperellipticCurve, p: int, k: int) -> int:
     # lc in F_p*; square in F_(p^k) iff lc^((q-1)/2) = 1, exponent taken mod p-1
     e = ((p**k - 1) // 2) % (p - 1)
     return 2 if pow(lc, e, p) == 1 else 0
-
-
-def _times(a, b, m: tuple[int, ...], p: int) -> list[int]:
-    """a b mod (m, p) as the k = deg m coefficients, low degree first, for
-    a and b of k coefficients in [0, p), by one product of Python ints
-    (Kronecker substitution).  A list is read as the digits of an int in
-    base 2^w, 2^w > 2k p^2, so the digits of the product are those of a b,
-    at most k (p - 1)^2 each, with no carry.  The digits above x^(k-1) are
-    folded in from the top, each reduced mod p and times x^k = sum of -m_j
-    x^j (each -m_j taken in [0, p)), one int product per digit.  A digit
-    takes at most k - 1 folds of at most (p - 1)^2, so it stays below 2^w.
-    On a 2-CPU VM it takes 3.6 us at k = 4 and 11 us at k = 16 (a norm
-    recurrence), where algebra._mulmod takes 4.5 and 43 us."""
-    k = len(m) - 1
-    w = (2 * k * p * p).bit_length()
-    mask = (1 << w) - 1
-
-    def pack(v):
-        n = 0
-        for c in reversed(v):
-            n = n << w | c
-        return n
-
-    n = pack(a)
-    n *= n if a is b else pack(b)
-    neg = pack([-c % p for c in m[:k]])
-    for top in range(2 * k - 2, k - 1, -1):
-        c = (n >> top * w & mask) % p
-        if c:
-            n += c * neg << (top - k) * w
-    return [(n >> i * w & mask) % p for i in range(k)]
-
-
-def _power(e: int, m: tuple[int, ...], p: int, base=None) -> list[int]:
-    """base^e mod (m, p) in the form of _times, base = x when None, from
-    the top bit of e down: square, then times base where the bit is set.
-    Times x is a shift, its top digit folded back by m."""
-    out = [1] + [0] * (len(m) - 2)
-    for bit in f"{e:b}":
-        out = _times(out, out, m, p)
-        if bit == "1" and base is None:
-            top = out[-1]
-            out = [(o - top * c) % p for o, c in zip([0] + out[:-1], m)]
-        elif bit == "1":
-            out = _times(out, base, m, p)
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -785,28 +738,6 @@ def count_points(curve: HyperellipticCurve, p: int, k: int = 1) -> int:
             f"count N_{k}({curve.label}/F_{p}) = {n} violates the Weil bound"
         )
     return n
-
-
-def count_points_naive(curve: HyperellipticCurve, p: int, k: int = 1) -> int:
-    """Pure-Python enumeration oracle; only sensible for tiny fields."""
-    if not good_reduction(curve, p):
-        raise BadReductionError(f"{curve.label} has bad reduction at p={p}")
-    m = field_tower(p, k)
-    # the monics of degree k, top coefficient dropped, are all of F_(p^k)
-    elems = [_reduce_mod(c[:-1], p) for c in _monics(p, k)]
-    squares = {tuple(_mulmod(x, x, m, p)) for x in elems}
-    total = 0
-    for x in elems:
-        v = []
-        for c in reversed(curve.f.coeffs):
-            v = _mulmod(v, x, m, p) or [0]
-            v[0] += c
-            v = _reduce_mod(v, p)
-        if not v:
-            total += 1
-        elif tuple(v) in squares:
-            total += 2
-    return total + _infinity_points(curve, p, k)
 
 
 def _primitive_part(a: list[int]) -> list[int]:

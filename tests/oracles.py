@@ -25,10 +25,20 @@ table.
 is_prime_trial is trial division, the reference for chebyshev.is_prime's
 Miller-Rabin test.
 
+_mulmod and _powmod are schoolbook products in F_p[x]/(m) on integer
+lists, the remainder taken by algebra._int_poly_divmod: the reference
+for algebra's packed products _times and _power, which are the only
+ones src/ runs.  factor_degrees_mod is the distinct-degree factorization
+algebra._factor_degrees_mod ran on them, the reference for its degrees.
+count_points_naive enumerates F_(p^k) = F_p[x]/(m), m = field_tower(p,
+k), as reduced lists, evaluates f by Horner with _mulmod and looks each
+value up in the set of squares: the reference for zeta.count_points at
+every k, and only sensible for tiny fields.
+
 primitive_modulus is the search zeta._primitive_modulus once ran: every
 monic in encoding order, through a norm test, Ben-Or's test and the order
-test of x, on algebra's list products.  It is the reference for the
-modulus that the faster search chooses.
+test of x, on the list products.  It is the reference for the modulus
+that the faster search chooses.
 
 subset_scan is the L-side factor search that zeta.lpoly_is_irreducible
 once ran: it rounds the products of up to g of the 2g complex roots of
@@ -42,9 +52,17 @@ from itertools import combinations
 
 import numpy as np
 
-from chebcm.algebra import UniPolynomial, _gcd_mod, _monics, _powmod
+from chebcm.algebra import (
+    UniPolynomial,
+    _gcd_mod,
+    _int_poly_divmod,
+    _monics,
+    _reduce_mod,
+    field_tower,
+)
 from chebcm.cyclotomic import zeta_powers
 from chebcm.unitgroups import prime_factors, unit_group
+from chebcm.zeta import BadReductionError, _infinity_points, good_reduction
 
 
 def cyc_add(x, y):
@@ -262,6 +280,75 @@ def is_prime_trial(n):
     if n < 2:
         return False
     return all(n % i for i in range(2, math.isqrt(n) + 1))
+
+
+def _mulmod(a, b, f, p):
+    """a * b mod (f, p), f monic."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _int_poly_divmod(out, f, p)[1]
+
+
+def _powmod(a, e, f, p):
+    """a^e mod (f, p), f monic, e >= 0, by square-and-multiply."""
+    out = [1]
+    while e:
+        if e & 1:
+            out = _mulmod(out, a, f, p)
+        a = _mulmod(a, a, f, p)
+        e >>= 1
+    return out
+
+
+def factor_degrees_mod(h, p):
+    """Degrees of the irreducible factors of the monic integer h mod p,
+    by distinct-degree factorization on _powmod; None when h mod p has a
+    repeated factor."""
+    f = _reduce_mod(list(h), p)  # monic, as h is
+    if len(_gcd_mod(f, [i * c for i, c in enumerate(h)][1:], p)) > 1:
+        return None
+    degrees = []
+    xq, d = [0, 1], 0  # xq = x^(p^d) mod f
+    while len(f) - 1 >= 2 * (d + 1):
+        d += 1
+        xq = _powmod(xq, p, f, p)
+        # the product of the degree-d factors of f is gcd(f, x^(p^d) - x)
+        diff = xq + [0] * (2 - len(xq))
+        diff[1] -= 1
+        common = _gcd_mod(f, diff, p)
+        if len(common) > 1:
+            degrees += [d] * ((len(common) - 1) // d)
+            f = _int_poly_divmod(f, common, p)[0]
+            xq = _int_poly_divmod(xq, f, p)[1]
+    if len(f) > 1:
+        degrees.append(len(f) - 1)
+    return degrees
+
+
+def count_points_naive(curve, p, k=1):
+    """Points of the smooth model of curve over F_(p^k) by enumeration of
+    F_p[x]/(field_tower(p, k)); BadReductionError as zeta.count_points."""
+    if not good_reduction(curve, p):
+        raise BadReductionError(f"{curve.label} has bad reduction at p={p}")
+    m = field_tower(p, k)
+    # the monics of degree k, top coefficient dropped, are all of F_(p^k)
+    elems = [_reduce_mod(c[:-1], p) for c in _monics(p, k)]
+    squares = {tuple(_mulmod(x, x, m, p)) for x in elems}
+    total = 0
+    for x in elems:
+        v = []
+        for c in reversed(curve.f.coeffs):
+            v = _mulmod(v, x, m, p) or [0]
+            v[0] += c
+            v = _reduce_mod(v, p)
+        if not v:
+            total += 1
+        elif tuple(v) in squares:
+            total += 2
+    return total + _infinity_points(curve, p, k)
 
 
 def primitive_modulus(p, k):

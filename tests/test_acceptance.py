@@ -41,13 +41,12 @@ from chebcm.unitgroups import (
 from chebcm.zeta import (
     COUNT_CAP,
     cm_trace_pattern_c2,
-    count_points_naive,
     good_reduction,
     l_polynomial,
     lpoly_is_irreducible,
     remark_lpolys,
 )
-from oracles import divmod_q, gcd_q
+from oracles import count_points_naive, divmod_q, gcd_q
 
 # L-polynomials computed by criteria 8 and 10, re-inspected by criterion 11
 _COMPUTED: list = []

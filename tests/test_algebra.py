@@ -2,24 +2,26 @@ from fractions import Fraction
 from itertools import zip_longest
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chebcm.algebra import (
     UniPolynomial,
+    _factor_degrees_mod,
     _gcd_mod,
     _int_poly_divmod,
     _monics,
-    _mulmod,
-    _powmod,
+    _power,
     _reduce_mod,
+    _times,
     compose_x_plus_inverse,
     field_tower,
     squarefree,
 )
 from chebcm.chebyshev import curve_polynomial, in_scope_family
 from chebcm.curves import make_cd, make_dm, make_xd
-from oracles import divmod_q, gcd_mod, gcd_q
+from chebcm.zeta import _PROOF_PRIMES
+from oracles import _mulmod, _powmod, divmod_q, factor_degrees_mod, gcd_mod, gcd_q
 
 
 def zpoly(*coeffs):
@@ -301,3 +303,61 @@ def test_integer_list_layer_matches_unipolynomial(a, b, low, p, e):
     assert _int_poly_divmod(a, m.coeffs, p)[1] == reference(zpoly(*a))
     assert _mulmod(a, b, m.coeffs, p) == reference(zpoly(*a) * zpoly(*b))
     assert _powmod(a, e, m.coeffs, p) == reference(zpoly(*a) ** e)
+
+
+@st.composite
+def _packed_operands(draw):
+    """(p, m, a, b, e): a monic m of degree k mod p, operands a and b of k
+    coefficients in [0, p) and an exponent; k is 1 .. 32 for p < 200, and
+    2 at p = 3137, the largest p of a quadratic field a count sets up."""
+    p = draw(st.sampled_from(_PROOF_PRIMES + (3137,)))
+    k = 2 if p == 3137 else draw(st.integers(1, 32))
+    digits = st.lists(st.integers(0, p - 1), min_size=k, max_size=k)
+    m = (*draw(digits), 1)
+    return p, m, draw(digits), draw(digits), draw(st.integers(0, 2 * p))
+
+
+# the largest digits: every coefficient p - 1, and every -m_j = p - 1
+@example((3137, (1, 1, 1), [3136] * 2, [3136] * 2, 3137))
+@example((199, (1,) * 33, [198] * 32, [198] * 32, 199))
+@settings(max_examples=120, deadline=None)
+@given(_packed_operands())
+def test_packed_products_match_the_list_products(operands):
+    """_times and _power, of x and of a given base, give the k
+    coefficients of the oracle's _mulmod and _powmod."""
+    p, m, a, b, e = operands
+    k = len(m) - 1
+
+    def padded(v):
+        return v + [0] * (k - len(v))
+
+    assert _times(a, b, m, p) == padded(_mulmod(a, b, m, p))
+    assert _times(a, a, m, p) == padded(_mulmod(a, a, m, p))
+    assert _power(e, m, p) == padded(_powmod([0, 1], e, m, p))
+    assert _power(e, m, p, a) == padded(_powmod(a, e, m, p))
+
+
+@st.composite
+def _monic_integer_polynomials(draw):
+    """Monic h in Z[x] of degree 1 .. 32, as a coefficient tuple; about
+    half are u r^2, with a repeated factor r at every prime."""
+    def monic(lo, hi):
+        return zpoly(*draw(st.lists(st.integers(-50, 50), min_size=lo, max_size=hi)), 1)
+
+    h = monic(1, 31)
+    if h.degree <= 30 and draw(st.booleans()):
+        r = monic(1, (32 - h.degree) // 2)
+        h = h * r * r
+    return h.coeffs
+
+
+@example((-6, 0, 1))
+@example((0,) * 32 + (1,))
+@settings(max_examples=40, deadline=None)
+@given(_monic_integer_polynomials())
+def test_factor_degrees_match_the_list_reference(h):
+    """_factor_degrees_mod on _power gives the degrees, or None for a
+    repeated factor, that its former body on _powmod gives, at every
+    prime of the irreducibility proof."""
+    for ell in _PROOF_PRIMES:
+        assert _factor_degrees_mod(h, ell) == factor_degrees_mod(h, ell), ell

@@ -96,8 +96,7 @@ def test_every_private_function_is_referenced():
 # public functions and methods that neither the CLI nor the report reaches
 PUBLIC_UNREACHED = {
     "cm_trace_pattern_c2": "the C_2 trace-pattern check; perfbench's trace-c2 workload runs it",
-    "count_points_naive": "the enumeration oracle the tests and acceptance criterion 09 count against",
-    "field_tower": "count_points_naive's moduli; perfbench reads its cache_info()",
+    "field_tower": "the moduli of oracles.count_points_naive; perfbench reads its cache_info()",
 }
 
 

@@ -17,8 +17,6 @@ from hypothesis import strategies as st
 from chebcm.algebra import (
     UniPolynomial,
     _berlekamp_massey,
-    _mulmod,
-    _powmod,
     _reduce_mod,
     field_tower,
     squarefree,
@@ -33,7 +31,6 @@ from chebcm.zeta import (
     LPolynomial,
     cm_trace_pattern_c2,
     count_points,
-    count_points_naive,
     good_reduction,
     l_polynomial,
     lpoly_is_irreducible,
@@ -52,7 +49,16 @@ from chebcm.zeta import (
 
 # the encodings and the brute-force divisor test behind field_tower's tests
 from test_algebra import SMALL_TOWERS, _encoding, _has_monic_divisor
-from oracles import count_points_euler, count_points_euler_int64, gcd_mod, primitive_modulus, subset_scan
+from oracles import (
+    _mulmod,
+    _powmod,
+    count_points_euler,
+    count_points_euler_int64,
+    count_points_naive,
+    gcd_mod,
+    primitive_modulus,
+    subset_scan,
+)
 
 
 def _odd_primes(bound):
@@ -925,14 +931,14 @@ class TestCountPoints:
     def test_a_repeated_count_sets_up_no_field(self, monkeypatch):
         # a field of one chunk is set up once per process: counted again,
         # D_10 over F_13^4 (the bitmap over F_13^4 itself) and over F_41^4
-        # (lifted from F_41) makes no polynomial product, of algebra's
-        # lists or of _times, and no _jump, which grows an index row.
-        # Every kept row is read-only int32 of at most one chunk
+        # (lifted from F_41) makes no polynomial product, by _times or
+        # _power, and no _jump, which grows an index row.  Every kept row
+        # is read-only int32 of at most one chunk
         calls = []
         for m, p, k in ((10, 13, 4), (10, 41, 4)):
             expected = count_points(make_dm(m), p, k)
             with monkeypatch.context() as patch:
-                for name in ("_mulmod", "_times", "_jump"):
+                for name in ("_times", "_power", "_jump"):
                     def spy(*args, name=name, real=getattr(zeta, name)):
                         calls.append((name, m, p, k))
                         return real(*args)
