@@ -25,30 +25,29 @@ character (chi(0) = 0).  The engine has two parts, chosen by k.
 - k >= 2: F_(p^k) = F_p[x]/(m) for the first monic m in encoding order
   modulo which x is primitive (_primitive_modulus), and g = x.  The index
   of g^i comes in int32 chunks (_index_chunks), and adding 1 to an
-  element adds 1 to the constant digit of its index.  A field keeps its
-  modulus per process, as an int tuple, and, when it has one chunk,
-  p^f - 1 <= _CHUNK, its whole index as a read-only int32 row of at most
-  256 KB (_index_rows), which the counts N_1 .. N_g of one L and the
-  curves of one (d, q) share; jump polynomials are built per pass.  Only
-  a field that a count indexes keeps a row, F_(p^f) with f | k and k >=
-  2, so p <= isqrt(COUNT_CAP): however many counts run, that is at most
-  523 rows (odd p <= 3162, p^f - 1 <= _CHUNK), 7.4 MB in all.  Two
-  routes, chosen by the shape of f:
+  element adds 1 to the constant digit of its index.  One pass over them
+  builds the field's two int32 tables (_zech_tables): log y at the index
+  of y, and the Zech log Z(i) = log(1 + g^i), so chi(1 + g^i) = +1
+  exactly when Z(i) is even.  A field keeps its modulus per process, as
+  an int tuple, and, when it has one chunk, p^f - 1 <= _CHUNK, both
+  tables, read-only, at most 512 KB (_tables), which every count over it
+  shares: N_1 .. N_g of one L and the three curves of one (d, q).  Only a
+  field that a count reads keeps them, F_(p^f) with f | k and k >= 2, so
+  p <= isqrt(COUNT_CAP): however many counts run, that is at most 523
+  fields (odd p <= 3162, p^f - 1 <= _CHUNK), 14.8 MB in all.  Two routes,
+  chosen by the shape of f:
   - f = c0 + c1 x^e with c0 != 0, such as every D_m: with c = c1/c0,
     x^e runs G = gcd(q - 1, e) times over the T = (q - 1)/G powers of
     w = g^G, so a count is S = sum over t < T of chi(1 + c w^t).  The
     characters of order dividing G are defined over F_(p^f), f =
-    ord_G(p), so one pass over the chunks of F_(p^f) sets a bitmap of its
-    squares, the even powers of its generator, reads chi(1 + y) from it,
-    and sums it over the G cosets; Hasse-Davenport lifts those sums to S.
-    When f = k, T >= _CHUNK and 8^f < T, S is read instead from the norms
-    u_t = N(1 + c w^t), as chi = chi_p o N: they are a linear recurring
-    sequence of F_p of order at most 2^f, which Berlekamp-Massey finds
-    from 2^(f+1) norms.  For f < k, F_(p^f) has at most sqrt(q) elements;
-    no table of F_q is built.
-  - any other f, in the log domain: the chunks fill an int32 index table
-    and an int32 table of log(y), and the index table is rewritten into
-    Z(n) = log(1 + g^n).  At x = g^i each term c x^e has log
+    ord_G(p), so the parities of the Zech logs of F_(p^f), summed over
+    its G cosets, give S by Hasse-Davenport.  When f = k, q - 1 > _CHUNK
+    and 8^f < T, S is read instead from the norms u_t = N(1 + c w^t), as
+    chi = chi_p o N: they are a linear recurring sequence of F_p of order
+    at most 2^f, which Berlekamp-Massey finds from 2^(f+1) norms, and no
+    table of F_q is built.  For f < k, F_(p^f) has at most sqrt(q)
+    elements.
+  - any other f, in the log domain: at x = g^i each term c x^e has log
     (e i + log c) mod (q - 1), a sum of logs a, b is a + Z(b - a), and
     chi(y) = +1 exactly when log y is even.
   x = 0 is counted apart.
@@ -56,14 +55,13 @@ character (chi(0) = 0).  The engine has two parts, chosen by k.
 The index chunks and the norms both come from linear recurring sequences
 of F_p (_recurrence_chunks; the index from s_i = L(x^i), see
 _index_chunks): one chunk gives the next by L multiply-adds over int32,
-with no field arithmetic.  Whatever a count holds (the binomial bitmap's
-q + 4(q - 1)/G bytes when it reads F_q itself, 5 bytes per element of a
-subfield otherwise, the norms' three int32 rows of _CHUNK + L - 1, the
-log domain's two int32 tables) is made per call and freed on return,
-apart from the kept rows above; fields of more than COUNT_CAP elements
-are refused.  Field setup and the norms multiply in F_p[x]/(m) by
-algebra's packed products _times and _power alone.  The independent
-slow oracle, count_points_naive in tests/oracles.py, enumerates
+with no field arithmetic.  Whatever a count holds (the tables of a field
+of more than one chunk, 8 bytes per element, or the norms' three int32
+rows of _CHUNK + L - 1) is made per call and freed on return, apart from
+the kept tables above; fields of more than COUNT_CAP elements are
+refused.  Field setup and the norms multiply in F_p[x]/(m) by algebra's
+packed products _times and _power alone.  The independent slow oracle,
+count_points_naive in tests/oracles.py, enumerates
 F_p[x]/(field_tower(p, k)) on list products of its own.
 
 L-polynomials are checked through the real Weil polynomial h, with
@@ -313,10 +311,6 @@ def _recurrence_chunks(first: list[int], m: tuple[int, ...] | list[int], p: int,
             cur, nxt = nxt, cur
 
 
-# (p, k) -> the whole int32 index of F_(p^k) when p^k - 1 <= _CHUNK, read-only
-_index_rows: dict[tuple[int, int], np.ndarray] = {}
-
-
 def _index_chunks(p: int, k: int):
     """Yield (start, idx) with int32 idx[t] = index(g^(start+t)) for the
     chunks of i < n = p^k - 1, in F_(p^k) = F_p[x]/(m) for g = x, with
@@ -331,15 +325,9 @@ def _index_chunks(p: int, k: int):
     (_add_one).  s has characteristic polynomial m and comes in chunks
     from _recurrence_chunks; each chunk of index is Horner over its
     windows.  About 2-5 ns per element on a 2-CPU machine (F_43^4 to
-    F_3^12).  No table of a field of more than one chunk is held: the peak
-    is four int32 rows of a chunk.  A field of one chunk, n <= _CHUNK, is
-    built once per process: its row is kept read-only in _index_rows (at
-    most 256 KB) and yielded again by every later pass.
+    F_3^12).  The pass holds four int32 rows of a chunk.
     """
     n = p**k - 1
-    if n <= _CHUNK and (p, k) in _index_rows:
-        yield 0, _index_rows[p, k]
-        return
     row = np.empty(min(_CHUNK, n), dtype=np.int32)
     for start, s in _recurrence_chunks([1] + [0] * (k - 1), _primitive_modulus(p, k), p, n):
         idx = row[: len(s) - k + 1]
@@ -347,10 +335,11 @@ def _index_chunks(p: int, k: int):
         for j in range(k - 2, -1, -1):
             idx *= p
             idx += s[j : j + len(idx)]
-        if n <= _CHUNK:
-            idx.flags.writeable = False
-            _index_rows[p, k] = idx
         yield start, idx
+
+
+# (p, k) -> the read-only (log, zech) of F_(p^k) when p^k - 1 <= _CHUNK
+_tables: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _zech_tables(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -358,7 +347,16 @@ def _zech_tables(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     log[0] = _ZERO_LOG, and zech[i] = log(1 + g^i), the Zech log, or
     _ZERO_LOG where 1 + g^i = 0.  Each chunk of _index_chunks is copied
     into zech and scattered into log; then zech is rewritten in windows of
-    _CHUNK as log[index(1 + g^i)] (_add_one)."""
+    _CHUNK as log[index(1 + g^i)] (_add_one).
+
+    These are the only tables of a field, and the only pass over its
+    index.  A field of one chunk, n = p^k - 1 <= _CHUNK, is built once per
+    process: both tables are kept read-only in _tables (at most 512 KB)
+    and returned to every later count, binomial or log domain, so the
+    counts N_1 .. N_g of one L and the curves of one (d, q) share them.  A
+    larger field is built per call and freed with it."""
+    if (p, k) in _tables:
+        return _tables[p, k]
     n = p**k - 1
     zech = np.empty(n, dtype=np.int32)
     log = np.empty(n + 1, dtype=np.int32)
@@ -370,6 +368,9 @@ def _zech_tables(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     for start in range(0, n, _CHUNK):
         window = zech[start : start + _CHUNK]
         window[:] = log[_add_one(window, p)]
+    if n <= _CHUNK:
+        log.flags.writeable = zech.flags.writeable = False
+        _tables[p, k] = log, zech
     return log, zech
 
 
@@ -544,22 +545,27 @@ def _binomial_count(c0: int, c1: int, e: int, p: int, k: int) -> int:
 
         sum = q + chi0 + G chi0 S,  S = sum over t < T of chi(1 + c w^t).
 
-    S comes from a squares bitmap of F_(p^f), f the least with G | p^f - 1
-    (_coset_sum_from_bitmap), or, where that reads F_q itself (f = k), T
-    >= _CHUNK and 8^f < T, from the norms of 1 + c w^t, which hold no
-    memory that grows with q (_coset_sum_from_norms).  Those cost 2^(f+1)
-    norms and 2^f multiply-adds per term: faster from F_1009^2 to F_47^4
-    when 8^f < T, slower at F_11^6 and F_5^9, where 8^f > T.
+    S comes from the Zech logs of F_(p^f), f the least with G | p^f - 1
+    (_coset_sum_from_logs), or from the norms of 1 + c w^t
+    (_coset_sum_from_norms) where those logs would be F_q's own (f = k),
+    F_q has more than one chunk and 8^f < T.  The logs cost one build of
+    two int32 tables, 8 bytes per element, kept when F_(p^f) has one
+    chunk; the norms 2^(f+1) products of f conjugates and 2^f
+    multiply-adds per term, in three int32 rows of a chunk.  Logs / norms,
+    ms, from no kept table, best of 3 on a 2-CPU machine: F_1009^2 (G = 5)
+    35 / 2.4, F_47^4 (G = 10) 197 / 9.6, F_23^4 8.0 / 3.7, F_13^4 1.1 /
+    3.1; and where 8^f >= T, F_11^6 (G = 18) 62 / 25, F_5^9 (G = 19) 78 /
+    368, F_3^11 (G = 23) 7.0 / 2,268.
     """
     q = p**k
     G = gcd(q - 1, e)
     f = next(f for f in range(1, k + 1) if (p**f - 1) % G == 0)
     c = c1 * pow(c0, -1, p) % p
     chi0 = 1 if pow(c0, (p - 1) // 2 * k, p) == 1 else -1
-    if f == k and _CHUNK <= (q - 1) // G and 8**f < (q - 1) // G:
+    if f == k and _CHUNK < q - 1 and 8**f < (q - 1) // G:
         S = _coset_sum_from_norms(c, G, p, k)
     else:
-        S = _coset_sum_from_bitmap(c, G, p, f, k)
+        S = _coset_sum_from_logs(c, G, p, f, k)
     return q + chi0 + G * chi0 * S
 
 
@@ -602,10 +608,10 @@ def _coset_sum_from_norms(c: int, G: int, p: int, k: int) -> int:
     return int(total)
 
 
-def _coset_sum_from_bitmap(c: int, G: int, p: int, f: int, k: int) -> int:
+def _coset_sum_from_logs(c: int, G: int, p: int, f: int, k: int) -> int:
     """S = sum over t < T = (q - 1)/G of chi(1 + c w^t), q = p^k, as in
-    _binomial_count, in one pass over _index_chunks(p, f), where f is the
-    least with G | p^f - 1 (so f | k).  With S_a = sum over j = a mod G,
+    _binomial_count, from the Zech logs of F_(p^f), where f is the least
+    with G | p^f - 1 (so f | k).  With S_a = sum over j = a mod G,
     j < q - 1, of chi(1 + g^j) and c = g^l, S = S_l.
 
     The lift (Weil 1949; Hasse-Davenport 1935).  Let F = F_(p^f), s = k/f,
@@ -627,51 +633,20 @@ def _coset_sum_from_bitmap(c: int, G: int, p: int, f: int, k: int) -> int:
     mod G.  The power is exact in int64: a coefficient of (-C)^j is at most
     |C|_1^j <= (p^f - 1)^s < p^k <= COUNT_CAP.
 
-    The pass: 1 + y is a nonzero square exactly when square[index(1 + y)],
-    where the bitmap square is set at the even powers of h, and zero
-    exactly when y = -1, of index p - 1.  For s = 1 it keeps the (p^f -
-    1)/G indices of the coset l + G Z/(p^f - 1), so the peak is q +
-    4(q - 1)/G bytes and no table of the field is held; for s > 1, F has
-    at most sqrt(q) elements and it keeps every index.  log c is read
-    before the pass: h^step, step = (p^f - 1)/(p - 1), is the norm of x
-    in F, N_F = (-1)^f m_0 mod p, and a constant c has index c, so log_h c
-    = step j for the j < p - 1 with N_F^j = c mod p.
+    The sums: chi_F(1 + h^i) is +1 where zech[i] is even, and -1 where it
+    is odd, but for the one i = n/2 with h^i = -1, where it is 0; zech
+    comes from _zech_tables(p, f), and a constant c has index c, so log_h
+    c = log[c].  G divides n, so column a of zech seen as n/G rows of G
+    holds the coset of a: c_a = n/G - 2 (odd entries of column a), plus 1
+    at a = n/2 mod G.  For s > 1, F has at most sqrt(q) elements.
     """
     s, n = k // f, p**f - 1
-    norm = (-1) ** f * _primitive_modulus(p, f)[0] % p
-    power, j = 1, 0
-    while power != c:
-        power, j = power * norm % p, j + 1
-    ell = s * (n // (p - 1) * j) % G
-    # kept[t] = index(h^(r + stride t)): the coset of l for s = 1, else all
-    stride, r = (G, ell) if s == 1 else (1, 0)
-    square = np.zeros(n + 1, dtype=bool)
-    kept = np.empty(n // stride, dtype=np.int32)
-    for start, idx in _index_chunks(p, f):
-        np.put(square, idx[start % 2 :: 2], True)
-        first = (r - start) % stride
-        part = idx[first::stride]
-        t = (start + first - r) // stride
-        kept[t : t + len(part)] = part
-    # sums[a] = c_(r + stride a): blocks of a multiple of len(sums) keep
-    # each column on one residue mod G, and chi(1 + y) is 1 at the squares,
-    # 0 at y = -1 and -1 elsewhere
-    sums = np.zeros(G // stride, dtype=np.int64)
-    block = len(sums) * max(1, _CHUNK // len(sums))
-
-    def columns(mask):
-        # one column (s = 1) is counted whole: a reduction along an axis
-        # takes a buffer that shows in the peak of the largest fields
-        if len(sums) == 1:
-            return np.count_nonzero(mask)
-        return np.count_nonzero(mask.reshape(-1, len(sums)), axis=0)
-
-    for start in range(0, len(kept), block):
-        idx = kept[start : start + block]
-        squares = columns(square[_add_one(idx, p)])
-        sums += 2 * squares + columns(idx == p - 1) - len(idx) // len(sums)
-    coeffs = np.zeros(G, dtype=np.int64)
-    coeffs[r::stride] = sums
+    log, zech = _zech_tables(p, f)
+    ell = s * int(log[c]) % G
+    del log  # unless kept, freed before the sums take a row of n int32
+    odd = np.bitwise_and(zech, 1).reshape(-1, G).sum(axis=0, dtype=np.int64)
+    coeffs = n // G - 2 * odd
+    coeffs[n // 2 % G] += 1
     # lifted = (-C)^s mod (z^G - 1), so S_l = -lifted[l]
     lifted = np.zeros(G, dtype=np.int64)
     lifted[0] = 1

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from chebcm.algebra import (
     UniPolynomial,
     _berlekamp_massey,
+    _monics,
     _reduce_mod,
     field_tower,
     squarefree,
@@ -24,6 +25,7 @@ from chebcm.algebra import (
 from chebcm import zeta
 from chebcm.chebyshev import classify_d, is_prime
 from chebcm.curves import HyperellipticCurve, VerificationError, make_cd, make_dm, make_xd
+from chebcm.unitgroups import prime_factors
 from chebcm.zeta import (
     COUNT_CAP,
     BadReductionError,
@@ -122,9 +124,9 @@ def _order_of_x(m, p):
 
 
 def _forget_fields():
-    """Drop the one-chunk index rows that zeta keeps per process, so that
-    the next count builds them."""
-    zeta._index_rows.clear()
+    """Drop the one-chunk (log, zech) tables that zeta keeps per process,
+    so that the next count builds them."""
+    zeta._tables.clear()
 
 
 def _index(p, k):
@@ -135,7 +137,7 @@ def _index(p, k):
 def _spy_routes(monkeypatch):
     """The coset-sum routes that _binomial_count takes, in call order."""
     routes = []
-    for name in ("norms", "bitmap"):
+    for name in ("norms", "logs"):
         route = getattr(zeta, f"_coset_sum_from_{name}")
 
         def spy(*args, name=name, route=route):
@@ -728,34 +730,27 @@ class TestCountPoints:
         assert checked >= 40
 
     def test_zech_lookups_only_where_the_count_reads(self, monkeypatch):
-        # over F_7^2 (n = 48): x^6 + 1 and x^8 + 1 build no int32 log table.
-        # x^6 + 1 (G = 6 divides 7 - 1) is read from F_7 and adds 1 at its
-        # 6 nonzero elements; x^8 + 1 (G = 8) is read from F_7^2 and adds 1
-        # at the n/G = 6 positions of one coset; C_3, with more terms,
-        # builds the log table once and rewrites all n
+        # over F_7^2 (n = 48): x^6 + 1 (G = 6 divides 7 - 1) reads the Zech
+        # logs of F_7, and x^8 + 1 (G = 8) and C_3, with more terms, those
+        # of F_7^2.  Counted together, they index each field once and
+        # rewrite its n elements into Zech logs once: 6 + 48 in all
         _forget_fields()
-        build, add_one = zeta._zech_tables, zeta._add_one
-        builds, sizes = [], []
+        chunks, add_one = zeta._index_chunks, zeta._add_one
+        fields, sizes = [], []
 
-        def spy_build(p, k):
-            builds.append((p, k))
-            return build(p, k)
+        def spy_chunks(p, k):
+            fields.append((p, k))
+            return chunks(p, k)
 
         def spy_add_one(idx, p):
             sizes.append(len(idx))
             return add_one(idx, p)
 
-        monkeypatch.setattr(zeta, "_zech_tables", spy_build)
+        monkeypatch.setattr(zeta, "_index_chunks", spy_chunks)
         monkeypatch.setattr(zeta, "_add_one", spy_add_one)
-        for curve, tables, positions in (
-            (make_dm(6), 0, 6),
-            (make_dm(8), 0, 6),
-            (make_cd(3), 1, 48),
-        ):
-            builds.clear()
-            sizes.clear()
-            count_points(curve, 7, 2)
-            assert (len(builds), sum(sizes)) == (tables, positions), curve.label
+        for curve in (make_dm(6), make_dm(8), make_cd(3)):
+            assert count_points(curve, 7, 2) == count_points_naive(curve, 7, 2), curve.label
+        assert (fields, sum(sizes)) == ([(7, 1), (7, 2)], 6 + 48)
 
     def test_counts_are_python_ints(self):
         # a count is a Python int on every route, so it serializes
@@ -801,14 +796,14 @@ class TestCountPoints:
         assert checked >= 60
 
     def test_binomial_chunk_seams_match_naive_oracle(self, monkeypatch):
-        # with 7- and 64-element chunks, chunk starts fall on both parities
-        # (the squares bitmap is set from the even positions of each chunk)
-        # and on every offset of the coset, so the copy of the coset
-        # straddles chunk seams; G = gcd(q - 1, e) covers 1, 2, 3, 5, 7, 10
-        # and 14, among others.  Only _binomial_count runs while _CHUNK is
-        # patched: the k = 1 chunk rows are sized from it on a thread's
-        # first count.  The F_29^2 cells with G = 3, 5 and 10 (T = 280, 168
-        # and 84 >= 64 > 8^2) take the norms there, the rest the bitmap
+        # with 7- and 64-element chunks, the index recurrence, the Zech
+        # tables and the norms cross chunk seams on every field, and no
+        # table kept at another chunk size is read; G = gcd(q - 1, e)
+        # covers 1, 2, 3, 5, 7, 10 and 14, among others.  Only
+        # _binomial_count runs while _CHUNK is patched: the k = 1 chunk
+        # rows are sized from it on a thread's first count.  The F_29^2
+        # cells with G = 3, 5 and 10 (q - 1 = 840 > 64, T = 280, 168 and
+        # 84 > 8^2) take the norms there, the rest the Zech logs
         cells = [(29, 2, e) for e in (11, 2, 3, 5, 7, 10, 14)]
         cells += [(3, 4, 5), (3, 4, 10), (13, 2, 14), (7, 3, 9), (5, 3, 4)]
         curves = []
@@ -821,13 +816,14 @@ class TestCountPoints:
         assert {gcd(p**k - 1, e) for p, k, e in cells} >= {1, 2, 3, 5, 7, 10, 14}
         routes = _spy_routes(monkeypatch)
         for size in (7, 64):
+            _forget_fields()
             monkeypatch.setattr(zeta, "_CHUNK", size)
             routes.clear()
             for curve, coeffs, p, k, expected in curves:
                 fast = zeta._binomial_count(coeffs[0], coeffs[-1], len(coeffs) - 1, p, k)
                 fast += zeta._infinity_points(curve, p, k)
                 assert fast == expected, (size, curve.f, p, k)
-            assert set(routes) == {"norms", "bitmap"}, size
+            assert set(routes) == {"norms", "logs"}, size
 
     @pytest.mark.parametrize("size", [7, 64])
     def test_log_domain_chunk_seams_match_naive_oracle(self, monkeypatch, size):
@@ -835,14 +831,15 @@ class TestCountPoints:
         # index recurrence grows a first chunk of 7, no power of 2, by 1, 2
         # and 3 terms, jumps from chunk to chunk, is copied into the Zech
         # table across seams, and that table is rewritten window by window.
-        # Every field has more than 64 elements, so no one-chunk row is read
-        # or kept.  Only _affine_count_extension runs while _CHUNK is
-        # patched: the k = 1 chunk rows are sized from it on a thread's
-        # first count
+        # Every field has more than 64 elements, so no table is kept, and
+        # none kept before the patch is read.  Only _affine_count_extension
+        # runs while _CHUNK is patched: the k = 1 chunk rows are sized from
+        # it on a thread's first count
         cells = [(curve, p, k) for curve in (make_cd(3), make_xd(2)) for p, k in ((5, 3), (7, 3), (17, 2))]
         cells.append((make_xd(2), 3, 5))
         assert all(good_reduction(curve, p) for curve, p, _ in cells)
         expected = [count_points_naive(curve, p, k) for curve, p, k in cells]
+        _forget_fields()
         monkeypatch.setattr(zeta, "_CHUNK", size)
         for (curve, p, k), naive in zip(cells, expected):
             coeffs = [c % p for c in curve.f.coeffs]
@@ -851,8 +848,8 @@ class TestCountPoints:
 
     def test_index_of_the_norm_powers(self):
         # g^(step j), step = (q - 1)/(p - 1), is N^j for the norm
-        # N = (-1)^k m_0 of x, and a constant c has index c: the binomial
-        # route reads log c0 and log c1 from this before building anything
+        # N = (-1)^k m_0 of x, and a constant c has index c, so log_g c =
+        # log[c], which the binomial route reads
         for p, k in SMALL_TOWERS:
             n = p**k - 1
             step = n // (p - 1)
@@ -909,11 +906,12 @@ class TestCountPoints:
         assert checked >= 1000 and naive >= 20 and powers >= {2, 3, 4}
 
     def test_binomial_pass_reads_the_least_subfield(self, monkeypatch):
-        # the bitmap pass runs over F_(p^f) with f = ord_G(p): D_26/F_3^12
+        # the Zech logs come from F_(p^f) with f = ord_G(p): D_26/F_3^12
         # (G = 26, 3^3 = 1 mod 26) reads F_27, D_10/F_41^4 (G = 10) reads
-        # F_41, and D_10/F_23^4 (23 has order 4 mod 10) reads F_23^4
-        # itself.  D_10/F_43^4 (order 4 too) reads its norms and indexes no
-        # field
+        # F_41, D_10/F_13^4 (13 has order 4 mod 10, one chunk) reads
+        # F_13^4 itself, and so does D_23/F_3^11 (G = 23, f = 11, several
+        # chunks, 8^11 >= T = 7,702).  D_10/F_23^4 and D_10/F_43^4 (order 4
+        # too, several chunks, 8^4 < T) read their norms and index no field
         _forget_fields()
         chunks, fields = zeta._index_chunks, []
 
@@ -922,18 +920,72 @@ class TestCountPoints:
             return chunks(p, k)
 
         monkeypatch.setattr(zeta, "_index_chunks", spy)
-        cells = [(26, 3, 12, [(3, 3)]), (10, 41, 4, [(41, 1)]), (10, 23, 4, [(23, 4)])]
-        for m, p, k, read in cells + [(10, 43, 4, [])]:
+        cells = [(26, 3, 12, [(3, 3)]), (10, 41, 4, [(41, 1)]), (10, 13, 4, [(13, 4)])]
+        cells += [(23, 3, 11, [(3, 11)]), (10, 23, 4, []), (10, 43, 4, [])]
+        for m, p, k, read in cells:
             fields.clear()
             count_points(make_dm(m), p, k)
             assert fields == read, (m, p, k)
 
+    def test_each_field_is_indexed_once_per_process(self, monkeypatch):
+        # the binomials and the log domain read the same kept tables: an
+        # isogeny cell (C_5, D_5, D_10 at q = 13), then L(C_5, 13) again,
+        # index each F_(13^f) at most once
+        _forget_fields()
+        chunks, fields = zeta._index_chunks, []
+
+        def spy(p, k):
+            fields.append((p, k))
+            return chunks(p, k)
+
+        monkeypatch.setattr(zeta, "_index_chunks", spy)
+        remark_lpolys(5, 13)
+        l_polynomial(make_cd(5), 13)
+        assert fields and len(fields) == len(set(fields)), fields
+
+    def test_coset_sums_match_a_presentation_free_reference(self):
+        # _coset_sum_from_logs(c, G, p, f, k) on every F_(p^k), k >= 2,
+        # p^k <= 2000, every G | n = p^k - 1 (f = ord_G(p)) and every c in
+        # F_p^*, against the sum of chi(1 + c u) over the G-th powers u,
+        # those with u^T = 1, T = n/G, computed in the oracle's field
+        # F_p[x]/(field_tower(p, k)) with chi by Euler's criterion.  The
+        # walk gamma^i of an element of order n holds n distinct elements,
+        # and those at i = 0 mod G are T roots of u^T = 1, so all of them
+        checked, lifts = 0, set()
+        for p in _odd_primes(43):
+            for k in range(2, 8):
+                q = p**k
+                if q > 2000:
+                    break
+                n, m = q - 1, field_tower(p, k)
+                weights = p ** np.arange(k)
+                chi = np.zeros(q, dtype=np.int64)  # at the encoding sum_j v_j p^j
+                units = [v for v in (_reduce_mod(list(c[:-1]), p) for c in _monics(p, k)) if v]
+                for v in units:
+                    chi[np.dot(v, weights[: len(v)])] = 1 if _powmod(v, n // 2, m, p) == [1] else -1
+                gamma = next(v for v in units if all(_powmod(v, n // r, m, p) != [1] for r in prime_factors(n)))
+                walk, power = np.zeros((n, k), dtype=np.int64), [1]
+                for i in range(n):
+                    walk[i, : len(power)] = power
+                    power = _mulmod(power, gamma, m, p)
+                assert power == [1] and len(np.unique(walk @ weights)) == n, (p, k)
+                for G in (G for G in range(1, n + 1) if n % G == 0):
+                    f = next(f for f in range(1, k + 1) if (p**f - 1) % G == 0)
+                    for c in range(1, p):
+                        y = walk[::G] * c % p
+                        y[:, 0] = (y[:, 0] + 1) % p
+                        expected = int(chi[y @ weights].sum())
+                        assert zeta._coset_sum_from_logs(c, G, p, f, k) == expected, (p, k, G, c)
+                        checked += 1
+                    lifts.add(k // f)
+        assert checked >= 7500 and lifts == {1, 2, 3, 4, 5, 6}, (checked, lifts)
+
     def test_a_repeated_count_sets_up_no_field(self, monkeypatch):
         # a field of one chunk is set up once per process: counted again,
-        # D_10 over F_13^4 (the bitmap over F_13^4 itself) and over F_41^4
+        # D_10 over F_13^4 (the Zech logs of F_13^4 itself) and over F_41^4
         # (lifted from F_41) makes no polynomial product, by _times or
-        # _power, and no _jump, which grows an index row.  Every kept row
-        # is read-only int32 of at most one chunk
+        # _power, and no _jump, which grows an index row.  Every kept table
+        # is read-only int32 of at most one chunk, log one entry longer
         calls = []
         for m, p, k in ((10, 13, 4), (10, 41, 4)):
             expected = count_points(make_dm(m), p, k)
@@ -946,14 +998,16 @@ class TestCountPoints:
                     patch.setattr(zeta, name, spy)
                 assert count_points(make_dm(m), p, k) == expected
         assert calls == []
-        assert {(13, 4), (41, 1)} <= set(zeta._index_rows)
-        for row in zeta._index_rows.values():
-            assert row.dtype == np.int32 and not row.flags.writeable and len(row) <= 2**16
+        assert {(13, 4), (41, 1)} <= set(zeta._tables)
+        for (p, k), (log, zech) in zeta._tables.items():
+            assert len(zech) == p**k - 1 <= 2**16 and len(log) == p**k, (p, k)
+            for table in (log, zech):
+                assert table.dtype == np.int32 and not table.flags.writeable, (p, k)
 
     def test_a_grid_pass_keeps_under_a_megabyte_of_rows(self):
         # criterion 08's cells whose largest field, q^genus(D_2d), is at
         # most 4 * 10^6, as in the benchmark's grid: from no kept field,
-        # one pass over them keeps its index rows in under 1 MB
+        # one pass over them keeps its (log, zech) tables in under 1 MB
         _forget_fields()
         cells = 0
         for d in (3, 5, 7):
@@ -962,26 +1016,27 @@ class TestCountPoints:
                 if all(good_reduction(c, q) for c in curves) and q ** (d - 1) <= 4 * 10**6:
                     remark_lpolys(d, q)
                     cells += 1
-        kept = sum(row.nbytes for row in zeta._index_rows.values())
+        kept = sum(log.nbytes + zech.nbytes for log, zech in zeta._tables.values())
         assert cells == 28 and 0 < kept < 2**20, (cells, kept)
 
     def test_binomial_route_choice(self, monkeypatch):
-        # the norms where the bitmap would read F_q itself, T = (q - 1)/G >=
-        # _CHUNK and 8^f < T: D_10 (G = 10, f = 4) over F_37^4, F_43^4 and
-        # F_47^4 (T = 187,416, 341,880 and 487,968); the bitmap for
-        # D_10/F_23^4 (T = 27,984 < _CHUNK), D_14/F_5^6 and D_14/F_3^6 (G =
-        # 14, f = 6, T = 1,116 and 52)
+        # the norms where the Zech logs would be those of F_q itself (f = k),
+        # q - 1 > _CHUNK and 8^f < T = (q - 1)/G: D_10 (G = 10, f = 4) over
+        # F_23^4, F_37^4, F_43^4 and F_47^4 (T = 27,984, 187,416, 341,880
+        # and 487,968); the logs for D_14/F_5^6 and D_14/F_3^6 (G = 14, f =
+        # 6, one chunk), D_10/F_13^4 (f = 4, one chunk) and D_23/F_3^11
+        # (several chunks, but 8^11 >= T = 7,702)
         routes = _spy_routes(monkeypatch)
-        cells = [(10, p, 4, "norms") for p in (37, 43, 47)]
-        cells += [(10, 23, 4, "bitmap"), (14, 5, 6, "bitmap"), (14, 3, 6, "bitmap")]
+        cells = [(10, p, 4, "norms") for p in (23, 37, 43, 47)]
+        cells += [(14, 5, 6, "logs"), (14, 3, 6, "logs"), (10, 13, 4, "logs"), (23, 3, 11, "logs")]
         for m, p, k, route in cells:
             routes.clear()
             count_points(make_dm(m), p, k)
             assert routes == [route], (m, p, k)
 
     def test_norm_and_bitmap_routes_agree(self, monkeypatch):
-        # both coset sums, called directly, on every cell whose bitmap
-        # reads F_q itself (f = k): D_e and a seeded c0 + c1 x^e, e = 3..26,
+        # both coset sums, called directly, on every cell whose Zech logs
+        # are those of F_q itself (f = k): D_e and a seeded c0 + c1 x^e, e = 3..26,
         # p not dividing e, over F_(p^k) with odd p <= 47, p^k <= 4 * 10^6
         # and k <= 8.  F_5^9 and F_3^k, k >= 9, are left out: 8^k > q there,
         # so the norms are never chosen, and their 2^(k+1) norms take
@@ -1007,13 +1062,13 @@ class TestCountPoints:
                     for c0, c1 in ((1, 1), (rng.randrange(1, p), rng.randrange(1, p))):
                         c = c1 * pow(c0, -1, p) % p
                         norms = zeta._coset_sum_from_norms(c, G, p, k)
-                        assert norms == zeta._coset_sum_from_bitmap(c, G, p, k, k), (c0, c1, e, p, k)
+                        assert norms == zeta._coset_sum_from_logs(c, G, p, k, k), (c0, c1, e, p, k)
                         zeros += pow(-pow(c, -1, p), (q - 1) // G, p) == 1
                         checked += 1
                     if oracle:
                         curve = HyperellipticCurve(UniPolynomial([c0] + [0] * (e - 1) + [c1]))
                         with monkeypatch.context() as patch:
-                            patch.setattr(zeta, "_coset_sum_from_bitmap", norms_only)
+                            patch.setattr(zeta, "_coset_sum_from_logs", norms_only)
                             fast = count_points(curve, p, k)
                         assert fast == count_points_naive(curve, p, k), (e, p, k)
                         naive += 1
